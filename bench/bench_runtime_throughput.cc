@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -91,53 +90,12 @@ struct Row {
   uint64_t unique_queries = 0;
   uint64_t backend_requests = 0;
   double spec_hit_rate = -1.0;  ///< MTO speculation hit rate; -1 when N/A
-  /// Block-engine rows only (all zero elsewhere): the spillable tier's
-  /// segment traffic, straight from ConcurrentInterfaceCache::spill_stats.
-  ConcurrentInterfaceCache::SpillStats spill{};
   std::vector<NodeId> positions;
 };
 
 std::unique_ptr<Sampler> MakeWalker(RestrictedInterface& iface, Rng& rng,
                                     size_t i) {
   return std::make_unique<SimpleRandomWalk>(
-      iface, rng, static_cast<NodeId>(i % iface.num_users()));
-}
-
-/// The pre-QueryRef stepping path: identical RNG draws and trajectory to
-/// SimpleRandomWalk, but every step materializes QueryResult copies through
-/// `Query` (one neighbor-vector allocation per request, even on cache
-/// hits). Kept here to measure what the span-returning read path buys.
-class CopyingRandomWalk final : public Sampler {
- public:
-  CopyingRandomWalk(RestrictedInterface& iface, Rng& rng, NodeId start)
-      : Sampler(iface, rng, start) {}
-
-  NodeId Step() override {
-    auto r = interface().Query(current());
-    if (!r || r->neighbors.empty()) return current();
-    const NodeId target = r->neighbors[static_cast<size_t>(
-        rng().UniformInt(r->neighbors.size()))];
-    if (interface().Query(target)) set_current(target);
-    return current();
-  }
-
-  double CurrentDegreeForDiagnostic() override {
-    auto r = interface().Query(current());
-    return r ? static_cast<double>(r->degree()) : 0.0;
-  }
-
-  double ImportanceWeight() override {
-    auto r = interface().Query(current());
-    if (!r || r->degree() == 0) return 0.0;
-    return 1.0 / static_cast<double>(r->degree());
-  }
-
-  std::string name() const override { return "SRW-copy"; }
-};
-
-std::unique_ptr<Sampler> MakeCopyingWalker(RestrictedInterface& iface,
-                                           Rng& rng, size_t i) {
-  return std::make_unique<CopyingRandomWalk>(
       iface, rng, static_cast<NodeId>(i % iface.num_users()));
 }
 
@@ -333,44 +291,6 @@ Row RunMultiBackend(const SocialNetwork& net, size_t walkers, size_t threads,
   return row;
 }
 
-/// Block-major engine run (DESIGN.md §14): same walkers/seed/trajectories
-/// as RunScheduler's free-run, but stepped block-by-block over a bounded
-/// resident budget with per-block spill segments under `spill_dir`.
-Row RunBlockScheduler(const SocialNetwork& net, size_t walkers,
-                      size_t threads, size_t rounds, NodeId block_size,
-                      size_t resident, const std::string& spill_dir) {
-  RestrictedInterface base(net);
-  ConcurrentInterfaceCache session(base);
-  CrawlConfig config;
-  config.num_walkers = walkers;
-  config.num_threads = threads;
-  config.schedule = ScheduleMode::kBlock;
-  config.block_size = block_size;
-  config.resident_blocks = resident;
-  config.spill_dir = spill_dir;
-  CrawlScheduler scheduler(session, config, kSeed, MakeWalker);
-  const auto start = std::chrono::steady_clock::now();
-  scheduler.RunRounds(rounds);
-  const auto end = std::chrono::steady_clock::now();
-
-  Row row;
-  row.section = "block-engine";
-  row.mode = "block-r" + std::to_string(resident);
-  row.walkers = walkers;
-  row.threads = threads;
-  row.batch = 1;
-  row.rounds = rounds;
-  row.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  row.steps_per_sec =
-      static_cast<double>(walkers * rounds) / (row.wall_ms / 1000.0);
-  row.unique_queries = session.QueryCost();
-  row.backend_requests = session.BackendRequests();
-  row.spill = session.spill_stats();
-  row.positions = scheduler.Positions();
-  return row;
-}
-
 void PrintSection(const std::string& title, const std::vector<Row>& rows,
                   const Row& baseline) {
   PrintBanner(std::cout, title);
@@ -405,39 +325,11 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
         << ", \"steps_per_sec\": " << r.steps_per_sec
         << ", \"unique_queries\": " << r.unique_queries
         << ", \"backend_requests\": " << r.backend_requests
-        << ", \"spec_hit_rate\": " << r.spec_hit_rate
-        << ", \"spill_loads\": " << r.spill.loads
-        << ", \"spill_evictions\": " << r.spill.evictions
-        << ", \"spill_demand_reloads\": " << r.spill.demand_reloads
-        << ", \"spill_segment_files\": " << r.spill.segment_files
-        << ", \"spill_segment_bytes\": " << r.spill.segment_bytes << "}"
+        << ", \"spec_hit_rate\": " << r.spec_hit_rate << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "]\n";
   std::cout << "wrote " << rows.size() << " rows to " << path << "\n";
-}
-
-/// Spill-segment statistics of the block-engine rows alone, as their own
-/// JSON document — CI uploads this next to the perf baselines so segment
-/// growth is visible per run without digging through the throughput rows.
-void WriteSpillJson(const std::string& path, const std::vector<Row>& rows) {
-  std::ofstream out(path);
-  out << "[\n";
-  bool first = true;
-  for (const Row& r : rows) {
-    if (r.section != "block-engine") continue;
-    if (!first) out << ",\n";
-    first = false;
-    out << "  {\"mode\": \"" << r.mode << "\", \"walkers\": " << r.walkers
-        << ", \"rounds\": " << r.rounds
-        << ", \"spill_loads\": " << r.spill.loads
-        << ", \"spill_evictions\": " << r.spill.evictions
-        << ", \"spill_demand_reloads\": " << r.spill.demand_reloads
-        << ", \"spill_segment_files\": " << r.spill.segment_files
-        << ", \"spill_segment_bytes\": " << r.spill.segment_bytes << "}";
-  }
-  out << "\n]\n";
-  std::cout << "wrote spill-segment stats to " << path << "\n";
 }
 
 }  // namespace
@@ -445,16 +337,13 @@ void WriteSpillJson(const std::string& path, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   if (mto::bench::SmokeOrHelpExit(
           argc, argv, "bench_runtime_throughput",
-          "[--dataset=NAME] [--walkers=N] [--rounds=N] "
-          "[--max-block-walkers=N] [--json=PATH] [--spill-json=PATH]")) {
+          "[--dataset=NAME] [--walkers=N] [--rounds=N] [--json=PATH]")) {
     return 0;
   }
   std::string dataset = "epinions_small";
   size_t walkers = 64;
   size_t rounds = 2000;
-  size_t max_block_walkers = 1000000;
   std::string json_path;
-  std::string spill_json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dataset=", 10) == 0) dataset = argv[i] + 10;
     if (std::strncmp(argv[i], "--walkers=", 10) == 0) {
@@ -463,13 +352,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
       rounds = static_cast<size_t>(std::atoll(argv[i] + 9));
     }
-    if (std::strncmp(argv[i], "--max-block-walkers=", 20) == 0) {
-      max_block_walkers = static_cast<size_t>(std::atoll(argv[i] + 20));
-    }
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strncmp(argv[i], "--spill-json=", 13) == 0) {
-      spill_json_path = argv[i] + 13;
-    }
   }
 
   SocialNetwork net(MakeDataset(dataset));
@@ -484,13 +367,6 @@ int main(int argc, char** argv) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     cpu_rows.push_back(
         RunScheduler(net, walkers, threads, rounds, kNoLatency, 0));
-  }
-  // Hot-path ablation: the legacy copying read path (Query materializes a
-  // QueryResult per step) vs the default span-returning QueryRef path. Same
-  // trajectories, same cost — the delta is pure allocation overhead.
-  for (size_t threads : {1u, 8u}) {
-    cpu_rows.push_back(RunScheduler(net, walkers, threads, rounds, kNoLatency,
-                                    0, MakeCopyingWalker, "free-run-copy"));
   }
   PrintSection("CPU-bound (no simulated latency)", cpu_rows, cpu_base);
 
@@ -621,54 +497,6 @@ int main(int argc, char** argv) {
   PrintSection("Per-program throughput (200us RTT, coalesced batch 64)",
                prog_rows, prog_rows.front());
 
-  // --- Block-partitioned engine: walker counts 1e2 -> 1e6 over bounded
-  // resident budgets (CPU-bound — the cost under the microscope is the
-  // engine's own bucketing, eviction, and segment I/O, not backend RTTs).
-  // The step budget is held constant across counts, so each row's
-  // steps/sec is comparable and the 1e6 row is the millions-of-walkers
-  // acceptance shape. Every block row must land bit-identical positions
-  // and cost against its walker-major twin.
-  std::vector<Row> blk_rows;
-  {
-    const NodeId blk_size =
-        std::max<NodeId>(64, static_cast<NodeId>(net.num_users() / 32));
-    const std::string spill_root =
-        (std::filesystem::temp_directory_path() /
-         ("mto.bench.spill." + std::to_string(static_cast<uint64_t>(getpid()))))
-            .string();
-    std::vector<size_t> counts{100, 10000};
-    if (max_block_walkers != 0 &&
-        std::find(counts.begin(), counts.end(), max_block_walkers) ==
-            counts.end()) {
-      counts.push_back(max_block_walkers);
-    }
-    for (size_t count : counts) {
-      const size_t blk_rounds = std::max<size_t>(1, rounds * 64 / count);
-      Row walker_row = RunScheduler(net, count, 8, blk_rounds, kNoLatency, 0,
-                                    MakeWalker, "walker-major");
-      walker_row.section = "block-engine";
-      blk_rows.push_back(walker_row);
-      for (size_t resident : {size_t{2}, size_t{8}}) {
-        Row row = RunBlockScheduler(
-            net, count, 8, blk_rounds, blk_size, resident,
-            spill_root + "/w" + std::to_string(count) + "_r" +
-                std::to_string(resident));
-        if (row.positions != walker_row.positions ||
-            row.unique_queries != walker_row.unique_queries) {
-          ok = false;
-          std::cout << "DETERMINISM VIOLATION: block engine (walkers="
-                    << count << ", resident=" << resident
-                    << ") diverges from walker-major\n";
-        }
-        blk_rows.push_back(row);
-      }
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(spill_root, ec);
-  }
-  PrintSection("Block-partitioned engine (CPU-bound, 8 threads)", blk_rows,
-               blk_rows.front());
-
   // Invariant check across every configuration of a section: walkers only
   // go faster, they never walk elsewhere or pay a different query cost.
   for (const auto* rows : {&cpu_rows, &lat_rows, &mto_rows, &mb_rows,
@@ -694,8 +522,6 @@ int main(int argc, char** argv) {
   all.insert(all.end(), pl_rows.begin(), pl_rows.end());
   all.insert(all.end(), prog_rows.begin(), prog_rows.end());
   all.insert(all.end(), obs_rows.begin(), obs_rows.end());
-  all.insert(all.end(), blk_rows.begin(), blk_rows.end());
   if (!json_path.empty()) WriteJson(json_path, all);
-  if (!spill_json_path.empty()) WriteSpillJson(spill_json_path, all);
   return ok ? 0 : 1;
 }

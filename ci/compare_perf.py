@@ -11,7 +11,10 @@ Inputs are two directories (--old, --new), each holding the artifacts the CI
   * bench_perf_micro.json — google-benchmark format; a regression is a rise
     in real_time beyond --max-time-ratio.
 
-Missing files or unmatched rows are skipped with a note (bench sets evolve).
+Missing files are skipped with a note, and so are rows that exist on only
+one side (bench sets evolve); each baseline row the new artifact no longer
+has is listed as a "note: removed series" line, so a deleted row never
+vanishes without trace.
 In --mode=warn (default, used by CI) regressions print GitHub ::warning::
 annotations and exit 0; --mode=fail prints ::error:: and exits 1. Perf on
 shared CI runners is noisy — the default thresholds are deliberately loose,
@@ -51,6 +54,12 @@ def compare_throughput(old_rows, new_rows, min_ratio):
                 % (throughput_key(row), old["steps_per_sec"],
                    row["steps_per_sec"], ratio, min_ratio))
     return regressions, compared
+
+
+def removed_series(old_keys, new_keys):
+    """Baseline series keys absent from the new artifact, in baseline order."""
+    new = set(new_keys)
+    return [key for key in old_keys if key not in new]
 
 
 def compare_micro(old_doc, new_doc, max_ratio):
@@ -118,7 +127,7 @@ def load_json(directory, name):
 
 
 def run_gate(args):
-    regressions, compared = [], 0
+    regressions, removed, compared = [], [], 0
 
     old_tp = load_json(args.old, "bench_runtime_throughput.json")
     new_tp = load_json(args.new, "bench_runtime_throughput.json")
@@ -126,6 +135,8 @@ def run_gate(args):
         r, c = compare_throughput(old_tp, new_tp, args.min_steps_ratio)
         regressions += r
         compared += c
+        removed += ["throughput %s" % (key,) for key in removed_series(
+            map(throughput_key, old_tp), map(throughput_key, new_tp))]
 
     old_micro = load_json(args.old, "bench_perf_micro.json")
     new_micro = load_json(args.new, "bench_perf_micro.json")
@@ -133,6 +144,9 @@ def run_gate(args):
         r, c = compare_micro(old_micro, new_micro, args.max_time_ratio)
         regressions += r
         compared += c
+        removed += ["micro %s" % name for name in removed_series(
+            (b["name"] for b in old_micro.get("benchmarks", [])),
+            (b["name"] for b in new_micro.get("benchmarks", [])))]
 
     # Observability overhead is checked within the new artifact alone and
     # stays warn-only in every mode: shared-runner noise on a 3% threshold
@@ -144,6 +158,8 @@ def run_gate(args):
             new_tp, args.max_obs_overhead)
         compared += obs_compared
 
+    for series in removed:
+        print("note: removed series " + series)
     print("perf gate: compared %d series, %d regression(s), %d overhead "
           "warning(s)" % (compared, len(regressions), len(obs_warnings)))
     marker = "::error::" if args.mode == "fail" else "::warning::"
@@ -173,6 +189,9 @@ def self_test():
     assert c == 2 and len(r) == 2, (r, c)
     r, c = compare_throughput(old_rows, unmatched, 0.7)
     assert c == 0 and not r, (r, c)
+    keys = [throughput_key(r) for r in old_rows]
+    assert removed_series(keys, keys[:1]) == keys[1:], keys
+    assert removed_series(keys, keys + [("new",)]) == []
 
     old_micro = {"benchmarks": [
         {"name": "BM_Query", "real_time": 100.0, "time_unit": "ns"},

@@ -1,63 +1,12 @@
 #include "src/runtime/concurrent_interface_cache.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
 namespace mto {
-
-namespace {
-
-// Block segment file layout (little-endian):
-//   8-byte magic | u32 block id | u32 count | count ascending u32 node
-//   ids | u64 FNV-1a checksum over the id bytes.
-constexpr char kSegmentMagic[8] = {'M', 'T', 'O', 'S', 'E', 'G', '0', '1'};
-
-uint64_t SegmentChecksum(const std::vector<NodeId>& ids) {
-  uint64_t h = 14695981039346656037ull;
-  for (NodeId v : ids) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (v >> shift) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-void PutU32(std::ofstream& out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.write(buf, 4);
-}
-
-void PutU64(std::ofstream& out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.write(buf, 8);
-}
-
-uint32_t GetU32(std::ifstream& in) {
-  unsigned char buf[4];
-  in.read(reinterpret_cast<char*>(buf), 4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(std::ifstream& in) {
-  unsigned char buf[8];
-  in.read(reinterpret_cast<char*>(buf), 8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
     : RestrictedInterface(base.network()), base_(&base) {
@@ -120,287 +69,14 @@ void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
     metrics_.prefetch_mispredicted =
         registry->GetCounter("prefetch.mispredicted");
     metrics_.prefetch_stale = registry->GetCounter("prefetch.stale_cancelled");
-    metrics_.block_loads = registry->GetCounter("block.loads");
-    metrics_.block_evictions = registry->GetCounter("block.evictions");
-    metrics_.block_demand_reloads =
-        registry->GetCounter("block.demand_reloads");
-    metrics_.block_spilled = registry->GetGauge("block.spilled_entries");
-    metrics_.block_resident = registry->GetGauge("block.resident_entries");
-    metrics_.block_residency = registry->GetHistogram("block.residency");
   }
   if (channels_ != nullptr) channels_->SetObservability(registry, trace);
 }
 
 void ConcurrentInterfaceCache::PublishMetrics() {
-  if (metrics_.hits != nullptr && metrics_.misses != nullptr) {
-    metrics_.hits->Set(
-        static_cast<int64_t>(TotalRequests() - metrics_.misses->Value()));
-  }
-  if (blocks_configured_ && metrics_.block_spilled != nullptr) {
-    metrics_.block_spilled->Set(
-        spilled_entries_.load(std::memory_order_relaxed));
-    // Resident count is an O(n) byte scan, fine at pull-time snapshot
-    // points (the same cadence BackendPool publishes its ledgers).
-    const NodeId n = num_users();
-    int64_t resident = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (cached_flags_[v].load(std::memory_order_relaxed) == 1) ++resident;
-    }
-    metrics_.block_resident->Set(resident);
-  }
-}
-
-// ---------------------------------------------------------------------
-// Spillable block tier (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-void ConcurrentInterfaceCache::ConfigureBlocks(
-    const GraphPartitioner& partitioner, size_t max_resident_blocks,
-    const std::string& spill_dir) {
-  if (partitioner.num_nodes() != num_users()) {
-    throw std::invalid_argument(
-        "ConfigureBlocks: partitioner does not cover this session's nodes");
-  }
-  if (max_resident_blocks == 0) {
-    throw std::invalid_argument(
-        "ConfigureBlocks: max_resident_blocks must be >= 1");
-  }
-  if (spill_dir.empty()) {
-    throw std::invalid_argument("ConfigureBlocks: empty spill_dir");
-  }
-  std::filesystem::create_directories(spill_dir);
-  partitioner_ = partitioner;
-  max_resident_blocks_ = max_resident_blocks;
-  spill_dir_ = spill_dir;
-  blocks_configured_ = true;
-  ResetResidency();
-}
-
-std::string ConcurrentInterfaceCache::SegmentPath(uint32_t b) const {
-  return spill_dir_ + "/block_" + std::to_string(b) + ".seg";
-}
-
-void ConcurrentInterfaceCache::WriteSegment(uint32_t b,
-                                            const std::vector<NodeId>& ids) {
-  const std::string path = SegmentPath(b);
-  if (ids.empty()) {
-    std::filesystem::remove(path);
-    segment_bytes_.erase(b);
-    return;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(kSegmentMagic, sizeof(kSegmentMagic));
-  PutU32(out, b);
-  PutU32(out, static_cast<uint32_t>(ids.size()));
-  for (NodeId v : ids) PutU32(out, v);
-  PutU64(out, SegmentChecksum(ids));
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("WriteSegment: failed writing " + path);
-  }
-  segment_bytes_[b] = sizeof(kSegmentMagic) + 8 + 4 * ids.size() + 8;
-}
-
-std::vector<NodeId> ConcurrentInterfaceCache::ReadSegment(uint32_t b) const {
-  const std::string path = SegmentPath(b);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};  // never evicted (or evicted empty): nothing spilled
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || !std::equal(magic, magic + 8, kSegmentMagic)) {
-    throw std::runtime_error("ReadSegment: bad magic in " + path);
-  }
-  const uint32_t stored_block = GetU32(in);
-  const uint32_t count = GetU32(in);
-  if (!in || stored_block != b || count > partitioner_.BlockWidth(b)) {
-    throw std::runtime_error("ReadSegment: corrupt header in " + path);
-  }
-  std::vector<NodeId> ids(count);
-  NodeId prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    ids[i] = GetU32(in);
-    const bool ordered = i == 0 || ids[i] > prev;
-    if (ids[i] < partitioner_.BlockBegin(b) ||
-        ids[i] >= partitioner_.BlockEnd(b) || !ordered) {
-      throw std::runtime_error("ReadSegment: corrupt id list in " + path);
-    }
-    prev = ids[i];
-  }
-  const uint64_t checksum = GetU64(in);
-  if (!in || checksum != SegmentChecksum(ids)) {
-    throw std::runtime_error("ReadSegment: checksum mismatch in " + path);
-  }
-  return ids;
-}
-
-void ConcurrentInterfaceCache::DemandReload(NodeId v) {
-  uint8_t expected = 2;
-  if (cached_flags_[v].compare_exchange_strong(expected, 1,
-                                               std::memory_order_acq_rel)) {
-    spilled_entries_.fetch_sub(1, std::memory_order_relaxed);
-    block_demand_reloads_.fetch_add(1, std::memory_order_relaxed);
-    ObsAdd(metrics_.block_demand_reloads);
-  }
-}
-
-void ConcurrentInterfaceCache::EvictBlock(uint32_t b) {
-  // The full cached set of the block at eviction time — including entries
-  // demand-fetched while the block was non-resident — so the segment is
-  // always a superset of the block's spilled flags.
-  std::vector<NodeId> ids;
-  const NodeId end = partitioner_.BlockEnd(b);
-  for (NodeId v = partitioner_.BlockBegin(b); v < end; ++v) {
-    if (cached_flags_[v].load(std::memory_order_relaxed) != 0) {
-      ids.push_back(v);
-    }
-  }
-  WriteSegment(b, ids);
-  for (NodeId v : ids) {
-    cached_flags_[v].store(2, std::memory_order_release);
-  }
-  spilled_entries_.fetch_add(static_cast<int64_t>(ids.size()),
-                             std::memory_order_relaxed);
-  block_evictions_.fetch_add(1, std::memory_order_relaxed);
-  ObsAdd(metrics_.block_evictions);
-  ObsRecord(metrics_.block_residency, ids.size());
-}
-
-void ConcurrentInterfaceCache::LoadBlock(uint32_t b) {
-  int64_t promoted = 0;
-  for (NodeId v : ReadSegment(b)) {
-    uint8_t expected = 2;
-    if (cached_flags_[v].compare_exchange_strong(expected, 1,
-                                                 std::memory_order_acq_rel)) {
-      ++promoted;
-    } else if (expected == 0) {
-      // The segment lists an id the restored/live session never cached.
-      throw std::runtime_error(
-          "LoadBlock: segment entry not cached in session (block " +
-          std::to_string(b) + ")");
-    }  // expected == 1: demand-reloaded since eviction — already resident
-  }
-  spilled_entries_.fetch_sub(promoted, std::memory_order_relaxed);
-  block_loads_.fetch_add(1, std::memory_order_relaxed);
-  ObsAdd(metrics_.block_loads);
-}
-
-void ConcurrentInterfaceCache::EnsureResident(uint32_t block) {
-  if (!blocks_configured_) {
-    throw std::logic_error("EnsureResident: blocks not configured");
-  }
-  if (block >= partitioner_.num_blocks()) {
-    throw std::invalid_argument("EnsureResident: block out of range");
-  }
-  auto it = std::find(loaded_.begin(), loaded_.end(), block);
-  if (it != loaded_.end()) {
-    loaded_.erase(it);
-    loaded_.push_back(block);  // refresh LRU position
-    return;
-  }
-  while (loaded_.size() >= max_resident_blocks_) {
-    EvictBlock(loaded_.front());
-    loaded_.pop_front();
-  }
-  LoadBlock(block);
-  loaded_.push_back(block);
-}
-
-bool ConcurrentInterfaceCache::IsResident(uint32_t block) const {
-  return std::find(loaded_.begin(), loaded_.end(), block) != loaded_.end();
-}
-
-ConcurrentInterfaceCache::BlockResidency
-ConcurrentInterfaceCache::SnapshotResidency() const {
-  BlockResidency residency;
-  const NodeId n = num_users();
-  for (NodeId v = 0; v < n; ++v) {
-    if (cached_flags_[v].load(std::memory_order_relaxed) == 2) {
-      residency.spilled.push_back(v);  // ascending by construction
-    }
-  }
-  residency.loaded_blocks.assign(loaded_.begin(), loaded_.end());
-  return residency;
-}
-
-void ConcurrentInterfaceCache::RestoreResidency(
-    const BlockResidency& residency) {
-  if (!blocks_configured_) {
-    throw std::logic_error("RestoreResidency: blocks not configured");
-  }
-  ResetResidency();
-  // Re-spill under the *current* partition (resume may change block shape;
-  // residency is locality state, so regrouping is safe — demand reloads
-  // backstop any stale assignment).
-  for (NodeId v : residency.spilled) {
-    if (v >= num_users() ||
-        cached_flags_[v].load(std::memory_order_relaxed) != 1) {
-      throw std::invalid_argument(
-          "RestoreResidency: spilled id not cached in restored session");
-    }
-    cached_flags_[v].store(2, std::memory_order_relaxed);
-  }
-  for (uint32_t b : residency.loaded_blocks) {
-    if (b >= partitioner_.num_blocks()) continue;  // partition shrank
-    if (std::find(loaded_.begin(), loaded_.end(), b) != loaded_.end()) {
-      continue;
-    }
-    loaded_.push_back(b);
-  }
-  // Keep the newest blocks when the budget shrank across the resume.
-  while (loaded_.size() > max_resident_blocks_) loaded_.pop_front();
-  // Maintain the live invariant: a loaded block holds no spilled flags.
-  for (uint32_t b : loaded_) {
-    const NodeId end = partitioner_.BlockEnd(b);
-    for (NodeId v = partitioner_.BlockBegin(b); v < end; ++v) {
-      uint8_t expected = 2;
-      cached_flags_[v].compare_exchange_strong(expected, 1,
-                                               std::memory_order_relaxed);
-    }
-  }
-  // Rewrite the segment files from the final flag state so later loads
-  // see exactly the restored spill set.
-  int64_t spilled = 0;
-  std::unordered_map<uint32_t, std::vector<NodeId>> by_block;
-  const NodeId n = num_users();
-  for (NodeId v = 0; v < n; ++v) {
-    if (cached_flags_[v].load(std::memory_order_relaxed) == 2) {
-      by_block[partitioner_.BlockOf(v)].push_back(v);
-      ++spilled;
-    }
-  }
-  for (uint32_t b = 0; b < partitioner_.num_blocks(); ++b) {
-    auto it = by_block.find(b);
-    WriteSegment(b, it == by_block.end() ? std::vector<NodeId>{}
-                                         : it->second);
-  }
-  spilled_entries_.store(spilled, std::memory_order_relaxed);
-}
-
-void ConcurrentInterfaceCache::ResetResidency() {
-  loaded_.clear();
-  segment_bytes_.clear();
-  spilled_entries_.store(0, std::memory_order_relaxed);
-  if (blocks_configured_) {
-    for (uint32_t b = 0; b < partitioner_.num_blocks(); ++b) {
-      std::filesystem::remove(SegmentPath(b));
-    }
-  }
-}
-
-ConcurrentInterfaceCache::SpillStats ConcurrentInterfaceCache::spill_stats()
-    const {
-  SpillStats stats;
-  stats.loads = block_loads_.load(std::memory_order_relaxed);
-  stats.evictions = block_evictions_.load(std::memory_order_relaxed);
-  stats.demand_reloads =
-      block_demand_reloads_.load(std::memory_order_relaxed);
-  const int64_t spilled = spilled_entries_.load(std::memory_order_relaxed);
-  stats.spilled_entries = spilled > 0 ? static_cast<uint64_t>(spilled) : 0;
-  for (const auto& entry : segment_bytes_) {
-    ++stats.segment_files;
-    stats.segment_bytes += entry.second;
-  }
-  return stats;
+  if (metrics_.hits == nullptr || metrics_.misses == nullptr) return;
+  metrics_.hits->Set(
+      static_cast<int64_t>(TotalRequests() - metrics_.misses->Value()));
 }
 
 void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
@@ -727,9 +403,6 @@ void ConcurrentInterfaceCache::RestoreSession(
                            std::memory_order_relaxed);
   }
   total_requests_.store(snapshot.total_requests, std::memory_order_relaxed);
-  // Everything is resident again; RestoreResidency (checkpoint v4) re-spills
-  // afterwards when the resumed run uses block scheduling.
-  ResetResidency();
 }
 
 void ConcurrentInterfaceCache::Reset() {
@@ -740,7 +413,6 @@ void ConcurrentInterfaceCache::Reset() {
     cached_flags_[v].store(0, std::memory_order_relaxed);
   }
   total_requests_.store(0, std::memory_order_relaxed);
-  ResetResidency();
 }
 
 bool ConcurrentInterfaceCache::ClaimFetch(NodeId v) {

@@ -9,12 +9,10 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "src/graph/partitioner.h"
 #include "src/net/restricted_interface.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -67,17 +65,6 @@ namespace mto {
 ///    prepaid trip; a wrong or stale prediction is cancelled. Tickets never
 ///    touch ledger, cache, or cost state, so samples/trace/estimate/ledgers
 ///    stay bitwise equal to sync mode by construction (DESIGN.md §10).
-///  * **Spillable block tier (`ConfigureBlocks`).** For block-major
-///    scheduling (DESIGN.md §14) the per-node flag grows a third state:
-///    0 = uncached, 1 = cached + resident, 2 = cached but spilled to an
-///    on-disk block segment. `IsCached` keeps answering `flag != 0` — a
-///    spilled entry was *paid for*, and payment semantics (including
-///    node2vec's PeekCached bias) must not depend on residency. The
-///    coordinator loads/evicts whole blocks (`EnsureResident`, LRU over a
-///    `max_resident_blocks` budget); a walker that touches a spilled entry
-///    promotes it back to resident via one CAS and counts a demand reload
-///    — the price of a block-locality miss, never a correctness event,
-///    because query answers materialize from the immutable network.
 ///
 /// The wrapper takes over latency simulation from the wrapped session (the
 /// session's own latency is zeroed at construction) so a round trip is
@@ -145,58 +132,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// the ledgers are quiescent (checkpoint/stat-read safe). Coordinator
   /// only. No-op when the pipeline is inactive.
   void DrainPipeline();
-
-  // -------------------------------------------------------------------
-  // Spillable block tier (block-major scheduling; DESIGN.md §14).
-  // -------------------------------------------------------------------
-
-  /// Checkpointable residency state: which cached entries are spilled to
-  /// segments, and which blocks are loaded (LRU order, oldest first).
-  struct BlockResidency {
-    std::vector<NodeId> spilled;         ///< ascending node ids, flag == 2
-    std::vector<uint32_t> loaded_blocks; ///< LRU order, oldest first
-  };
-
-  /// Enables the spill tier: `partitioner` (copied by value; must cover
-  /// exactly this session's node-id space) defines the blocks, at most
-  /// `max_resident_blocks` (>= 1) stay loaded at once, and evicted block
-  /// segments land under `spill_dir` (created if missing). Call before
-  /// walkers run; throws std::invalid_argument on a mismatched partition
-  /// or a zero budget.
-  void ConfigureBlocks(const GraphPartitioner& partitioner,
-                       size_t max_resident_blocks,
-                       const std::string& spill_dir);
-  bool BlocksConfigured() const { return blocks_configured_; }
-  const GraphPartitioner& partitioner() const { return partitioner_; }
-
-  /// Coordinator-only: makes block `b` resident, evicting the
-  /// least-recently-used loaded block(s) to segments when over budget.
-  void EnsureResident(uint32_t block);
-  bool IsResident(uint32_t block) const;
-
-  /// Residency snapshot/restore for checkpoint v4. SnapshotResidency is
-  /// valid in walker mode too (empty). RestoreResidency runs *after*
-  /// RestoreSession (which resets every cached flag to resident), re-spills
-  /// the listed entries, rebuilds the loaded-block LRU under the *current*
-  /// partition/budget, and rewrites the segment files so a later
-  /// EnsureResident reloads deterministically. Entries falling inside a
-  /// restored loaded block stay resident (the invariant a live eviction
-  /// maintains). Throws std::invalid_argument when a spilled id is not
-  /// actually cached in the restored session.
-  BlockResidency SnapshotResidency() const;
-  void RestoreResidency(const BlockResidency& residency);
-
-  /// Spill-tier counters (exact at phase barriers; approximate mid-phase).
-  /// Available without observability — the bench reports them per row.
-  struct SpillStats {
-    uint64_t loads = 0;           ///< block loads (segment reads)
-    uint64_t evictions = 0;       ///< block evictions (segment writes)
-    uint64_t demand_reloads = 0;  ///< spilled entries promoted by a query
-    uint64_t spilled_entries = 0; ///< entries currently spilled (flag == 2)
-    uint64_t segment_files = 0;   ///< segment files currently on disk
-    uint64_t segment_bytes = 0;   ///< total bytes across those files
-  };
-  SpillStats spill_stats() const;
 
   std::optional<QueryResult> Query(NodeId v) override;
   /// Allocation-free read path: cache hits return a borrowed view without
@@ -298,33 +233,11 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// session cannot plan (caller falls back to the sync path).
   std::optional<bool> PipelinedQueryMiss(NodeId v);
 
-  /// Cache-hit predicate for the query paths. A spilled entry (flag 2)
-  /// is still a hit — residency never changes what is *paid for* — but
-  /// the touch promotes it back to resident and counts a demand reload.
-  /// The common flag==1 case costs exactly the old single atomic load.
-  bool HitCached(NodeId v) {
-    const uint8_t f = cached_flags_[v].load(std::memory_order_acquire);
-    if (f == 0) return false;
-    if (f == 2) DemandReload(v);
-    return true;
+  /// Cache-hit predicate for the query paths: one acquire load of the
+  /// per-node flag (0 = uncached, 1 = cached).
+  bool HitCached(NodeId v) const {
+    return cached_flags_[v].load(std::memory_order_acquire) != 0;
   }
-
-  /// CAS flag 2 -> 1 (racing walkers: exactly one wins the counters).
-  void DemandReload(NodeId v);
-
-  /// Evicts loaded block `b`: writes its full cached set to a segment and
-  /// flips those flags to spilled. Coordinator-only.
-  void EvictBlock(uint32_t b);
-  /// Loads block `b`: reads its segment (if any) and promotes the listed
-  /// entries back to resident. Coordinator-only.
-  void LoadBlock(uint32_t b);
-
-  std::string SegmentPath(uint32_t b) const;
-  void WriteSegment(uint32_t b, const std::vector<NodeId>& ids);
-  std::vector<NodeId> ReadSegment(uint32_t b) const;
-
-  /// Drops all residency state (flags are handled by the caller).
-  void ResetResidency();
 
   /// Resolved metric pointers; all null when observability is off.
   /// `hits` is a gauge, not a counter: the lock-free hit path is the
@@ -339,12 +252,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     obs::Counter* prefetch_consumed = nullptr;
     obs::Counter* prefetch_mispredicted = nullptr;
     obs::Counter* prefetch_stale = nullptr;
-    obs::Counter* block_loads = nullptr;
-    obs::Counter* block_evictions = nullptr;
-    obs::Counter* block_demand_reloads = nullptr;
-    obs::Gauge* block_spilled = nullptr;
-    obs::Gauge* block_resident = nullptr;
-    obs::Histogram* block_residency = nullptr;
   };
 
   RestrictedInterface* base_;
@@ -365,21 +272,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   std::unique_ptr<SerialChannels> channels_;
   std::unordered_map<NodeId, std::shared_ptr<PrefetchTicket>> tickets_;
   std::deque<SerialChannels::Marker> round_marks_;
-
-  // Spillable block tier. The partitioner is held by value: CrawlService
-  // destroys its scheduler before this cache, so a shared pointer into the
-  // scheduler would dangle. loaded_/spill_bytes_/segments are
-  // coordinator-only; the atomics back spill_stats() and the gauges.
-  bool blocks_configured_ = false;
-  GraphPartitioner partitioner_;
-  size_t max_resident_blocks_ = 0;
-  std::string spill_dir_;
-  std::deque<uint32_t> loaded_;  ///< LRU order, oldest first
-  std::unordered_map<uint32_t, uint64_t> segment_bytes_;  ///< by block id
-  std::atomic<uint64_t> block_loads_{0};
-  std::atomic<uint64_t> block_evictions_{0};
-  std::atomic<uint64_t> block_demand_reloads_{0};
-  std::atomic<int64_t> spilled_entries_{0};
 };
 
 }  // namespace mto

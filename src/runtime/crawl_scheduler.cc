@@ -26,19 +26,6 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
     cache_->SetFetchMode(config.fetch_mode, config.fetch_threads);
     cache_->SetPipelineDepth(config.pipeline_depth, config.fetch_threads);
   }
-  if (config.schedule == ScheduleMode::kBlock) {
-    if (cache_ == nullptr) {
-      throw std::invalid_argument(
-          "CrawlScheduler: block scheduling requires a "
-          "ConcurrentInterfaceCache session");
-    }
-    // GraphPartitioner validates block_size >= 1; the cache validates the
-    // budget and spill directory and owns the partitioner by value (it
-    // outlives this scheduler inside CrawlService).
-    cache_->ConfigureBlocks(
-        GraphPartitioner(interface.num_users(), config.block_size),
-        config.resident_blocks, config.spill_dir);
-  }
   // Fork per-walker streams in index order: walker i's stream is a function
   // of (seed, i) only, never of num_walkers' layout or num_threads.
   Rng parent(seed);
@@ -99,9 +86,7 @@ void CrawlScheduler::RunRounds(size_t rounds,
                                std::vector<double>* diagnostics) {
   obs::TraceSpan span(trace_, "scheduler.rounds", rounds);
   const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
-  if (config_.schedule == ScheduleMode::kBlock) {
-    RunBlockRounds(rounds, diagnostics);
-  } else if (config_.coalesce_frontier) {
+  if (config_.coalesce_frontier) {
     if (pipelined) {
       for (size_t r = 0; r < rounds; ++r) RunPipelinedRound(diagnostics);
     } else {
@@ -295,150 +280,6 @@ void CrawlScheduler::RunPipelinedRound(std::vector<double>* diagnostics) {
     for (NodeId v : peeks_[i]) predicted_.push_back(v);
   }
   cache_->PostPrefetchHints(predicted_);
-}
-
-void CrawlScheduler::RunBlockRounds(size_t rounds,
-                                    std::vector<double>* diagnostics) {
-  obs::TraceSpan window_span(trace_, "rounds.block", rounds);
-  const size_t W = walkers_.size();
-  const GraphPartitioner& part = cache_->partitioner();
-  size_t diag_base = 0;
-  if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
-    diagnostics->resize(diag_base + rounds * W);
-  }
-  if (rounds == 0) return;
-  // Per-walker remaining steps in this window. Block order only changes
-  // *when* a walker steps, never its trajectory: walker i's next move is a
-  // pure function of its own RNG stream and the immutable network, and
-  // CommitStep demand-fetches anything the frontier warm-up missed. The
-  // diagnostics trace is also order-free — each step writes its value to
-  // the same round-major slot walker-major would (diag_base + r*W + i).
-  std::vector<size_t> remaining(W, rounds);
-  std::vector<std::vector<size_t>> buckets(part.num_blocks());
-  std::vector<uint64_t> pressure(part.num_blocks(), 0);
-  for (size_t i = 0; i < W; ++i) {
-    const uint32_t b = part.BlockOf(walkers_[i]->current());
-    buckets[b].push_back(i);
-    pressure[b] += rounds;
-  }
-  size_t live = W;
-  std::vector<size_t> active;
-  while (live > 0) {
-    // Walk pressure: total outstanding steps of the walkers bucketed in a
-    // block — live-walk count weighted by each walker's remaining budget
-    // in this window. Ties break toward the lowest block id.
-    uint32_t best = 0;
-    uint64_t best_pressure = 0;
-    for (uint32_t b = 0; b < pressure.size(); ++b) {
-      if (pressure[b] > best_pressure) {
-        best = b;
-        best_pressure = pressure[b];
-      }
-    }
-    cache_->EnsureResident(best);
-    active = std::move(buckets[best]);
-    buckets[best].clear();
-    pressure[best] = 0;
-    obs::TraceSpan block_span(trace_, "block.drain", active.size());
-    // Drain to a barrier: every bucketed walker steps until it finishes
-    // the window or walks out of the block; emigrants re-bucket and wait
-    // for their new block's turn.
-    while (!active.empty()) {
-      RunBlockMicroRound(best, active, remaining, rounds, diag_base,
-                         diagnostics, buckets, pressure, live);
-    }
-  }
-}
-
-void CrawlScheduler::RunBlockMicroRound(
-    uint32_t block, std::vector<size_t>& active,
-    std::vector<size_t>& remaining, size_t rounds, size_t diag_base,
-    std::vector<double>* diagnostics, std::vector<std::vector<size_t>>& buckets,
-    std::vector<uint64_t>& pressure, size_t& live) {
-  const size_t W = walkers_.size();
-  const size_t A = active.size();
-  const GraphPartitioner& part = cache_->partitioner();
-  // Phase 1 (parallel over the bucket): draw or peek step targets.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      Sampler& w = *walkers_[active[k]];
-      proposals_[active[k]] = w.step_protocol() == StepProtocol::kSingleStep
-                                  ? std::nullopt
-                                  : w.ProposeStep();
-    }
-  });
-  // Phase 2 (coordinator): fetch the bucket's deduplicated uncached
-  // frontier — targets may live in *any* block; fetching them marks them
-  // cached-resident wherever they land (stray residents are folded into
-  // their block's segment at its next eviction).
-  frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (size_t k = 0; k < A; ++k) {
-      if (!proposals_[active[k]]) continue;
-      const NodeId v = *proposals_[active[k]];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
-      }
-    }
-  }
-  if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_, "frontier.fetch", frontier_.size());
-    if (cache_->PipelineActive()) {
-      cache_->PipelinedFetch(frontier_);
-    } else {
-      interface_->BatchQuery(frontier_);
-    }
-  }
-  // Phase 3 (parallel): commit against the warm cache; identical protocol
-  // dispatch to the walker-major rounds.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(A, pool_->size(), t);
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = active[k];
-      Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
-      if (diagnostics != nullptr) {
-        const size_t r = rounds - remaining[i];  // 0-based step index
-        (*diagnostics)[diag_base + r * W + i] = w.CurrentDegreeForDiagnostic();
-      }
-    }
-  });
-  // Coordinator: account the step, drop finished walkers, re-bucket
-  // emigrants (deterministic: single thread, bucket order).
-  size_t out = 0;
-  for (size_t k = 0; k < A; ++k) {
-    const size_t i = active[k];
-    --remaining[i];
-    if (remaining[i] == 0) {
-      --live;
-      continue;
-    }
-    const uint32_t b = part.BlockOf(walkers_[i]->current());
-    if (b == block) {
-      active[out++] = i;
-    } else {
-      buckets[b].push_back(i);
-      pressure[b] += remaining[i];
-    }
-  }
-  active.resize(out);
 }
 
 std::vector<CrawlScheduler::WalkerState> CrawlScheduler::SnapshotWalkers()

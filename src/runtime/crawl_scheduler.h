@@ -14,13 +14,6 @@
 
 namespace mto {
 
-/// Walker-major (the classic mode: every walker steps every round) vs
-/// block-major (randgraph-style: walkers are bucketed by the graph block
-/// holding their current position, and the scheduler drains one loaded
-/// block at a time). Pure execution shape — samples, trace, estimates and
-/// ledgers are bit-identical across modes (DESIGN.md §14).
-enum class ScheduleMode { kWalker, kBlock };
-
 /// Configuration of a CrawlScheduler.
 struct CrawlConfig {
   /// Number of concurrent walkers (>= 1).
@@ -61,20 +54,6 @@ struct CrawlConfig {
   /// empty = no labeled twins. Purely observational — never consulted on
   /// the step path.
   std::string program_label = {};
-  /// Block-major scheduling (requires a ConcurrentInterfaceCache): walkers
-  /// bucket by the block of their current position, the highest-pressure
-  /// block (sum of live walkers' remaining steps in this RunRounds window)
-  /// loads next, and its walkers step to a barrier until each finishes the
-  /// window or walks out of the block. Takes walker counts to millions:
-  /// the resident set is bounded by `resident_blocks` blocks, evicted
-  /// blocks spill to segments under `spill_dir` (DESIGN.md §14).
-  ScheduleMode schedule = ScheduleMode::kWalker;
-  /// Nodes per block (block mode only; must be >= 1 there).
-  NodeId block_size = 0;
-  /// Max loaded blocks (block mode only; must be >= 1 there).
-  size_t resident_blocks = 0;
-  /// Directory for evicted block segments (block mode only; non-empty).
-  std::string spill_dir = {};
 };
 
 /// Shards W walkers across a fixed thread pool, deterministically.
@@ -176,19 +155,6 @@ class CrawlScheduler {
   /// RunCoalescedRound with the lock-step frontier join replaced by
   /// PipelinedFetch and a trailing peek/prefetch phase (DESIGN.md §10).
   void RunPipelinedRound(std::vector<double>* diagnostics);
-  /// Block-major window: bucket → pressure pick → EnsureResident →
-  /// propose/fetch/commit micro-rounds until the bucket drains
-  /// (DESIGN.md §14). Diagnostics land in the same round-major slots the
-  /// walker-major modes fill — the trace is bit-identical by construction.
-  void RunBlockRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// One propose/fetch/commit barrier for the in-block walker set; steps
-  /// each active walker once and then drops finished/emigrated walkers,
-  /// re-bucketing the emigrants. Returns via in/out params.
-  void RunBlockMicroRound(uint32_t block, std::vector<size_t>& active,
-                          std::vector<size_t>& remaining, size_t rounds,
-                          size_t diag_base, std::vector<double>* diagnostics,
-                          std::vector<std::vector<size_t>>& buckets,
-                          std::vector<uint64_t>& pressure, size_t& live);
 
   RestrictedInterface* interface_;
   /// Non-null iff `interface_` is the concurrent cache (then they alias).

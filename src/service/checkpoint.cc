@@ -67,6 +67,8 @@ class Reader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  uint64_t remaining() const { return remaining_; }
+
   /// Guards vector resizes against corrupted counts: a count of n elements
   /// of at least `min_element_bytes` each must fit in the bytes that are
   /// actually left in the file. This bounds every allocation by the file
@@ -200,24 +202,6 @@ void ServiceCheckpoint::Save(const std::string& path) const {
       w.U32(record.prev);
     }
     w.U64(so_checksum.hash());
-
-    // Block-residency section (v4): spilled entries + loaded-block LRU,
-    // checksummed like the sections before it; empty under walker-major
-    // scheduling but always written (fixed section order, no optionality).
-    SectionChecksum res_checksum;
-    res_checksum.Mix(residency.spilled.size());
-    w.U64(residency.spilled.size());
-    for (NodeId v : residency.spilled) {
-      res_checksum.Mix(v);
-      w.U32(v);
-    }
-    res_checksum.Mix(residency.loaded_blocks.size());
-    w.U64(residency.loaded_blocks.size());
-    for (uint32_t b : residency.loaded_blocks) {
-      res_checksum.Mix(b);
-      w.U32(b);
-    }
-    w.U64(res_checksum.hash());
     // Flush + close before the rename so buffered-write errors surface
     // while the previous checkpoint is still intact on disk.
     out.flush();
@@ -251,7 +235,8 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: unsupported version " + std::to_string(version) +
         (version > kVersion ? " (written by a future build)"
-                            : " (predates the block-residency section)"));
+         : version == 4     ? " (carries the removed block-residency section)"
+                            : " (predates format v5)"));
   }
   ServiceCheckpoint ckpt;
   ckpt.config_fingerprint = r.U64();
@@ -356,24 +341,12 @@ ServiceCheckpoint ServiceCheckpoint::Load(const std::string& path) {
     throw std::runtime_error(
         "checkpoint: second-order-section checksum mismatch in " + path);
   }
-
-  // Block-residency section (v4), checksummed like the ones before it.
-  SectionChecksum res_checksum;
-  ckpt.residency.spilled.resize(r.Count(kMaxCount, 4));
-  res_checksum.Mix(ckpt.residency.spilled.size());
-  for (NodeId& v : ckpt.residency.spilled) {
-    v = r.U32();
-    res_checksum.Mix(v);
-  }
-  ckpt.residency.loaded_blocks.resize(r.Count(1 << 24, 4));
-  res_checksum.Mix(ckpt.residency.loaded_blocks.size());
-  for (uint32_t& b : ckpt.residency.loaded_blocks) {
-    b = r.U32();
-    res_checksum.Mix(b);
-  }
-  if (r.U64() != res_checksum.hash()) {
-    throw std::runtime_error(
-        "checkpoint: block-residency-section checksum mismatch in " + path);
+  // The second-order section is the last one: anything after it is not
+  // part of a v5 image (an append, or a section this build cannot read).
+  if (r.remaining() != 0) {
+    throw std::runtime_error("checkpoint: " + std::to_string(r.remaining()) +
+                             " trailing bytes after the last section in " +
+                             path);
   }
   return ckpt;
 }

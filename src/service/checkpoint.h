@@ -33,17 +33,17 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// Version 3 appends the second-order walker section (the (prev, cur)
 /// register of second-order programs like node2vec), checksummed the same
 /// way — the v2 walker record layout is unchanged, so the new state rides
-/// in its own trailing section. Version 4 appends the block-residency
-/// section (which cached entries sit spilled in on-disk block segments and
-/// which blocks are loaded, for block-major scheduling — DESIGN.md §14),
-/// checksummed the same way and always present (empty under walker-major
-/// scheduling). Any version other than kVersion is rejected (older
-/// checkpoints predate the block-residency section; newer ones come from a
-/// future build) — there is no silent downgrade path. A fingerprint of the
-/// scenario (ScenarioConfig::Fingerprint) guards against resuming under a
-/// different configuration.
+/// in its own trailing section. Version 4 appended a block-residency
+/// section for a block-major scheduler that has since been removed;
+/// version 5 drops that section again, so the second-order section is the
+/// last one and any byte after its checksum is rejected. Any version other
+/// than kVersion is rejected (v4 carries the removed residency section,
+/// older ones predate v5, newer ones come from a future build) — there is
+/// no silent downgrade path. A fingerprint of the scenario
+/// (ScenarioConfig::Fingerprint) guards against resuming under a different
+/// configuration.
 struct ServiceCheckpoint {
-  static constexpr uint32_t kVersion = 4;
+  static constexpr uint32_t kVersion = 5;
 
   uint64_t config_fingerprint = 0;
 
@@ -95,20 +95,6 @@ struct ServiceCheckpoint {
     NodeId prev = 0;
   };
   std::vector<SecondOrderRecord> second_order;
-
-  // Block residency (v4; block-major scheduling only, else both empty):
-  // the cached node ids currently spilled to block segments (ascending)
-  // and the loaded blocks in LRU order (oldest first). Serialized as the
-  // file's trailing section with its own FNV-1a checksum. Locality state,
-  // not trajectory state: a walker-major resume ignores it (everything
-  // resident), and a block-major resume regroups it under its own
-  // partition — which is why schedule/block knobs stay out of the
-  // fingerprint.
-  struct ResidencySection {
-    std::vector<NodeId> spilled;
-    std::vector<uint32_t> loaded_blocks;
-  };
-  ResidencySection residency;
 
   /// Writes the checkpoint atomically (tmp file + rename) so a crash while
   /// saving never corrupts the previous checkpoint. Throws

@@ -1,9 +1,6 @@
 #include "src/service/crawl_service.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <stdexcept>
@@ -47,25 +44,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
                                                    : pool_->num_backends();
   crawl.pipeline_depth = config_.pipeline_depth;
   crawl.program_label = config_.ProgramName();
-  crawl.schedule = config_.schedule;
-  if (config_.schedule == ScheduleMode::kBlock) {
-    crawl.block_size = config_.block_size;
-    crawl.resident_blocks = config_.resident_blocks;
-    if (config_.spill_dir.empty()) {
-      // Unique per-service directory: pid plus a process-wide counter, so
-      // two services of the same scenario (the equivalence suites run them
-      // side by side) never share segment files. Removed in the destructor.
-      static std::atomic<uint64_t> spill_counter{0};
-      const std::filesystem::path dir =
-          std::filesystem::temp_directory_path() /
-          ("mto.spill." + std::to_string(static_cast<uint64_t>(::getpid())) +
-           "." + std::to_string(spill_counter.fetch_add(1)));
-      owned_spill_dir_ = dir.string();
-      crawl.spill_dir = owned_spill_dir_;
-    } else {
-      crawl.spill_dir = config_.spill_dir;
-    }
-  }
   scheduler_ = std::make_unique<CrawlScheduler>(
       *session_, crawl, config_.seed,
       [this](RestrictedInterface& iface, Rng& rng, size_t) {
@@ -126,17 +104,7 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   }
 }
 
-CrawlService::~CrawlService() {
-  // Best-effort cleanup of a spill directory this service invented. Safe
-  // before member destruction: segments are written and closed
-  // synchronously, and no component reads them again after the last round.
-  // Resume does not need the files either — RestoreResidency rebuilds every
-  // segment from the checkpoint's residency section.
-  if (!owned_spill_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(owned_spill_dir_, ec);
-  }
-}
+CrawlService::~CrawlService() = default;
 
 void CrawlService::EndBurnIn() {
   burn_in_rounds_ = rounds_;
@@ -458,15 +426,6 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
            walker.previous.value_or(0)});
     }
   }
-  // Block residency (v4): which cached entries sit spilled and which
-  // blocks are loaded, in LRU order. Empty — but still written, the
-  // section is unconditional — under walker-major scheduling.
-  if (session_->BlocksConfigured()) {
-    ConcurrentInterfaceCache::BlockResidency residency =
-        session_->SnapshotResidency();
-    ckpt.residency.spilled = std::move(residency.spilled);
-    ckpt.residency.loaded_blocks = std::move(residency.loaded_blocks);
-  }
   const auto start = std::chrono::steady_clock::now();
   {
     obs::TraceSpan span(trace_log_.get(), "checkpoint.save");
@@ -508,17 +467,6 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   session_->RestoreSession(ckpt.session);
   pool_->RestoreBackends(
       {ckpt.ledgers, ckpt.round_robin_cursor, ckpt.failed_fetches});
-
-  // Block residency: a block-major service regroups the checkpoint's
-  // locality image under its own partition/budget; a walker-major resume
-  // ignores the section by design — after RestoreSession everything cached
-  // is resident, which is exactly the walker engine's invariant. This is
-  // why a checkpoint may resume across engine modes (the schedule/block
-  // knobs stay out of the fingerprint).
-  if (session_->BlocksConfigured()) {
-    session_->RestoreResidency(
-        {ckpt.residency.spilled, ckpt.residency.loaded_blocks});
-  }
 
   // Second-order programs require their register section — a checkpoint
   // without it would silently restart every walker's (prev, cur) frontier

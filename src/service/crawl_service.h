@@ -175,12 +175,6 @@ class CrawlService {
   std::vector<ServiceCheckpoint::SampleRecord> samples_stream_;
   std::vector<double> diag_scratch_;
 
-  /// Spill directory this service created because the scenario selected
-  /// block scheduling without naming one (a unique directory under the
-  /// system temp dir); removed in the destructor. Empty when the scenario
-  /// named its own directory or runs walker-major.
-  std::string owned_spill_dir_;
-
   bool started_ = false;  ///< any Advance or LoadCheckpoint happened
   bool finished_ = false;
   ServiceResult result_;

@@ -67,13 +67,6 @@ FetchMode ParseFetchMode(const std::string& s) {
                               "\"");
 }
 
-ScheduleMode ParseScheduleMode(const std::string& s) {
-  if (s == "walker") return ScheduleMode::kWalker;
-  if (s == "block") return ScheduleMode::kBlock;
-  throw std::invalid_argument("ScenarioConfig: unknown schedule \"" + s +
-                              "\"");
-}
-
 BackendSelection ParseSelection(const std::string& s) {
   if (s == "sharded") return BackendSelection::kSharded;
   if (s == "rendezvous") return BackendSelection::kRendezvous;
@@ -147,8 +140,7 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
             {"dataset", "seed", "sampler", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "fetch_mode", "fetch_threads", "pipeline_depth", "schedule",
-             "block", "queue_capacity",
+             "fetch_mode", "fetch_threads", "pipeline_depth", "queue_capacity",
              "geweke", "max_burn_in_rounds", "num_samples", "thinning",
              "total_budget", "backends", "strategy", "routing", "retry",
              "fault_seed", "checkpoint", "observability"});
@@ -267,23 +259,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   }
   if (root.Has("pipeline_depth")) {
     config.pipeline_depth = root.At("pipeline_depth").AsUint();
-  }
-  if (root.Has("schedule")) {
-    config.schedule = ParseScheduleMode(root.At("schedule").AsString());
-  }
-  if (root.Has("block")) {
-    const JsonValue& block = root.At("block");
-    CheckKeys(block, "block", {"size", "resident", "spill_dir"});
-    config.block_configured = true;
-    if (block.Has("size")) {
-      config.block_size = static_cast<NodeId>(block.At("size").AsUint());
-    }
-    if (block.Has("resident")) {
-      config.resident_blocks = block.At("resident").AsUint();
-    }
-    if (block.Has("spill_dir")) {
-      config.spill_dir = block.At("spill_dir").AsString();
-    }
   }
   if (root.Has("queue_capacity")) {
     config.queue_capacity = root.At("queue_capacity").AsUint();
@@ -459,17 +434,6 @@ void ScenarioConfig::Validate() const {
     throw std::invalid_argument(
         "ScenarioConfig: mto.max_inner_iterations must be >= 1");
   }
-  if (block_configured && schedule != ScheduleMode::kBlock) {
-    throw std::invalid_argument(
-        "ScenarioConfig: the \"block\" object requires \"schedule\": "
-        "\"block\"");
-  }
-  if (block_size == 0) {
-    throw std::invalid_argument("ScenarioConfig: block.size must be >= 1");
-  }
-  if (resident_blocks == 0) {
-    throw std::invalid_argument("ScenarioConfig: block.resident must be >= 1");
-  }
   retry.Validate();
   for (const auto& backend : backends) backend.Validate();
   if (checkpoint.every_units > 0 && checkpoint.path.empty()) {
@@ -559,12 +523,7 @@ uint64_t ScenarioConfig::Fingerprint() const {
   // pipeline_depth, and queue_capacity are deliberately excluded: results
   // are bit-identical across them (the runtime contract), so a checkpoint
   // from a 1-thread sync run may resume on 8 threads with pipelined async
-  // fetches, and vice versa. The schedule mode and block knobs
-  // (size/resident/spill_dir) are excluded for the same reason — block-major
-  // scheduling only reorders *when* walkers step, never their trajectories
-  // (block_scheduler_test pins bitwise identity), so a walker-major
-  // checkpoint resumes under block scheduling and back; the v4 residency
-  // section is locality state, regrouped under the resumed partition. The observability block is excluded for the
+  // fetches, and vice versa. The observability block is excluded for the
   // same reason — telemetry is strictly passive (no RNG draws, no queries,
   // no session-state mutation), so a run may be resumed with observability
   // toggled either way. The routing strategy is excluded too — not

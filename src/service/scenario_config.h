@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/experiments/harness.h"
-#include "src/runtime/crawl_scheduler.h"
 #include "src/service/backend_pool.h"
 #include "src/service/retry_policy.h"
 #include "src/util/json.h"
@@ -78,8 +77,6 @@ struct ObservabilityConfig {
 ///   "attribute": "degree",
 ///   "walkers": 16, "threads": 4, "coalesce_frontier": false,
 ///   "fetch_mode": "async", "fetch_threads": 0, "pipeline_depth": 0,
-///   "schedule": "block",
-///   "block": {"size": 4096, "resident": 4, "spill_dir": "spill"},
 ///   "geweke": {"threshold": 0.1, "min_length": 200, "check_every": 50},
 ///   "max_burn_in_rounds": 2000,
 ///   "num_samples": 200, "thinning": 25,
@@ -142,25 +139,6 @@ struct ScenarioConfig {
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
-  /// Scheduling organization (`"schedule"`: "walker" | "block"). Block mode
-  /// buckets live walkers by graph block and drains one loaded block at a
-  /// time over a bounded resident set with on-disk spill segments — the
-  /// organization that takes walker counts to millions (DESIGN.md §14).
-  /// Pure execution shape: results are bit-identical to walker mode
-  /// (block_scheduler_test pins this), so like fetch_mode it is excluded
-  /// from the checkpoint fingerprint and a checkpoint may resume across
-  /// engine modes.
-  ScheduleMode schedule = ScheduleMode::kWalker;
-  /// Nodes per block (`"block": {"size": ...}`; block mode only).
-  NodeId block_size = 4096;
-  /// Loaded-block budget (`"block": {"resident": ...}`; block mode only).
-  size_t resident_blocks = 4;
-  /// Segment directory (`"block": {"spill_dir": ...}`); empty = a unique
-  /// directory under the system temp dir, chosen by CrawlService.
-  std::string spill_dir;
-  /// True when the document carried a `"block"` object (tuning block keys
-  /// without selecting the block schedule is an error — see Validate).
-  bool block_configured = false;
   size_t queue_capacity = 4096;
 
   double geweke_threshold = 0.1;

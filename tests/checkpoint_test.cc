@@ -52,9 +52,6 @@ ServiceCheckpoint MakeCheckpoint() {
   // Second-order walker section (v3): walker 0 mid-edge, walker 1 fresh.
   ckpt.second_order.push_back({1, 3});
   ckpt.second_order.push_back({0, 0});
-  // Block-residency section (v4): two spilled entries, one loaded block.
-  ckpt.residency.spilled = {2, 8};
-  ckpt.residency.loaded_blocks = {0};
   return ckpt;
 }
 
@@ -103,8 +100,6 @@ TEST(CheckpointTest, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.second_order[0].has_prev, 1u);
   EXPECT_EQ(loaded.second_order[0].prev, 3u);
   EXPECT_EQ(loaded.second_order[1].has_prev, 0u);
-  EXPECT_EQ(loaded.residency.spilled, saved.residency.spilled);
-  EXPECT_EQ(loaded.residency.loaded_blocks, saved.residency.loaded_blocks);
   std::remove(path.c_str());
 }
 
@@ -148,12 +143,22 @@ TEST(CheckpointTest, FutureVersionFailsLoudly) {
         << e.what();
   }
   // Older versions are rejected too — v1 (pre-overlay), v2 (pre-
-  // second-order-section), and v3 (pre-block-residency-section). A v4
-  // loader never silently downgrades.
-  for (char version : {char{1}, char{2}, char{3}}) {
+  // second-order-section), v3, and v4 (which carries the block-residency
+  // section v5 removed). A v5 loader never silently downgrades, and the
+  // message says why.
+  for (char version : {char{1}, char{2}, char{3}, char{4}}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
     bytes[8] = version;
     WriteAll(path, bytes);
-    EXPECT_THROW(ServiceCheckpoint::Load(path), std::runtime_error);
+    try {
+      ServiceCheckpoint::Load(path);
+      FAIL() << "old version accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(version == 4 ? "block-residency" : "predates"),
+                std::string::npos)
+          << what;
+    }
   }
   std::remove(path.c_str());
 }
@@ -166,11 +171,12 @@ std::vector<char> Reserialize(const ServiceCheckpoint& ckpt,
   return ReadAll(path);
 }
 
-// Seeded corruption fuzz over the v2 image: random byte flips (1-8 bytes)
-// and random truncations, ~1k mutants. The loader's contract under
+// Seeded corruption fuzz over the v5 image: random byte flips (1-8 bytes),
+// random truncations, and random appends, ~1k mutants. The loader's contract under
 // corruption is "reject loudly or round-trip": every mutant must either
 // throw std::runtime_error (detected corruption: bad magic/version,
-// truncation, implausible count, checksum mismatch) or yield a checkpoint
+// truncation, implausible count, checksum mismatch, trailing bytes) or
+// yield a checkpoint
 // that re-serializes canonically — i.e. the loader accepted a
 // *well-formed* image and parsed all of it. It must never crash, hang,
 // over-allocate past the file size, or silently misparse structure.
@@ -191,9 +197,16 @@ TEST(CheckpointFuzzTest, RandomCorruptionNeverCrashesTheLoader) {
   for (size_t m = 0; m < kMutants; ++m) {
     SCOPED_TRACE("mutant " + std::to_string(m));
     std::vector<char> bytes = pristine;
+    const bool appended = m % 8 == 4;
     if (m % 4 == 0) {
       // Truncation at a random point (possibly to zero bytes).
       bytes.resize(rng.UniformInt(bytes.size()));
+    } else if (appended) {
+      // 1-8 random bytes after the last section.
+      const uint64_t extra = 1 + rng.UniformInt(8);
+      for (uint64_t e = 0; e < extra; ++e) {
+        bytes.push_back(static_cast<char>(rng.UniformInt(256)));
+      }
     } else {
       // 1-8 random byte flips anywhere in the image.
       const uint64_t flips = 1 + rng.UniformInt(8);
@@ -206,6 +219,7 @@ TEST(CheckpointFuzzTest, RandomCorruptionNeverCrashesTheLoader) {
     WriteAll(path, bytes);
     try {
       const ServiceCheckpoint loaded = ServiceCheckpoint::Load(path);
+      ASSERT_FALSE(appended) << "appended bytes accepted";
       // Accepted: must be a fully parsed, well-formed image. Its canonical
       // re-encoding must round-trip to itself bit-exactly.
       const std::vector<char> first = Reserialize(loaded, canon_path);
@@ -254,25 +268,20 @@ TEST(CheckpointTest, SectionChecksumMismatchFailsLoudly) {
   const std::string path = TempPath("checksum");
   MakeCheckpoint().Save(path);
   const std::vector<char> pristine = ReadAll(path);
-  // The file ends with the three checksummed sections, back to back:
+  // The file ends with the two checksummed sections, back to back:
   //   ... overlay payload ..., overlay checksum u64,
   //   second-order count u64, 2 x (has_prev u8 + prev u32),
-  //   second-order checksum u64,
-  //   spilled count u64, 2 x u32, loaded count u64, 1 x u32,
-  //   residency checksum u64
-  // so the trailing residency section is 8 + 2*4 + 8 + 4 + 8 = 36 bytes
-  // and the second-order section before it is 8 + 2*5 + 8 = 26. Flip a bit
-  // inside each section's payload and inside each stored checksum; all six
-  // must be caught as checksum mismatches. (Count words are excluded: a
-  // flipped count is caught earlier, as an implausible count.)
+  //   second-order checksum u64
+  // so the trailing second-order section is 8 + 2*5 + 8 = 26 bytes. Flip a
+  // bit inside each section's last payload word and inside each stored
+  // checksum; all four must be caught as checksum mismatches. (Count words
+  // are excluded: a flipped count is caught earlier, as an implausible
+  // count.)
   for (size_t offset_from_end :
-       {size_t{1},     // residency stored checksum
-        size_t{9},     // residency payload (the loaded-block word)
-        size_t{21},    // residency payload (spilled id 8)
-        size_t{37},    // second-order stored checksum
-        size_t{45},    // second-order payload (walker 1's prev word)
-        size_t{63},    // overlay stored checksum
-        size_t{71}}) { // overlay payload (last processed edge key)
+       {size_t{1},     // second-order stored checksum
+        size_t{9},     // second-order payload (walker 1's prev word)
+        size_t{27},    // overlay stored checksum
+        size_t{35}}) { // overlay payload (last processed edge key)
     SCOPED_TRACE("offset_from_end=" + std::to_string(offset_from_end));
     std::vector<char> bytes = pristine;
     bytes[bytes.size() - offset_from_end] ^= 0x40;
@@ -292,20 +301,35 @@ TEST(CheckpointTest, SectionChecksumMismatchFailsLoudly) {
 }
 
 TEST(CheckpointTest, TrailingSectionsCannotBeSilentlyDropped) {
-  // A v4 image with trailing sections cut off must be rejected as
-  // truncated — never parsed as if it were an older-version file. Cut the
-  // residency section alone, then residency + second-order together.
+  // A v5 image with its trailing second-order section cut off must be
+  // rejected as truncated — never parsed as if it were a v2 file.
   const std::string path = TempPath("no_downgrade");
   MakeCheckpoint().Save(path);
   const std::vector<char> bytes = ReadAll(path);
-  const size_t residency_bytes = 8 + 2 * 4 + 8 + 4 + 8;
-  const size_t second_order_bytes = 8 + 2 * 5 + 8;
-  for (size_t cut :
-       {residency_bytes, residency_bytes + second_order_bytes}) {
-    SCOPED_TRACE("cut=" + std::to_string(cut));
-    ASSERT_GT(bytes.size(), cut);
-    WriteAll(path, {bytes.begin(), bytes.begin() + (bytes.size() - cut)});
-    EXPECT_THROW(ServiceCheckpoint::Load(path), std::runtime_error);
+  const size_t section_bytes = 8 + 2 * 5 + 8;  // count, 2 records, checksum
+  ASSERT_GT(bytes.size(), section_bytes);
+  WriteAll(path, {bytes.begin(),
+                  bytes.begin() + (bytes.size() - section_bytes)});
+  EXPECT_THROW(ServiceCheckpoint::Load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, TrailingBytesFailLoudly) {
+  // One byte appended after the last section's checksum: the image is no
+  // longer a v5 checkpoint, so the loader must refuse it (naming the file)
+  // instead of silently ignoring the tail.
+  const std::string path = TempPath("trailing");
+  MakeCheckpoint().Save(path);
+  std::vector<char> bytes = ReadAll(path);
+  bytes.push_back('\0');
+  WriteAll(path, bytes);
+  try {
+    ServiceCheckpoint::Load(path);
+    FAIL() << "trailing byte accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trailing"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }

@@ -100,6 +100,14 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"sampler": "mto", "mto": {"lzay": true}})"),
                std::invalid_argument);
+  // The removed block-major scheduler's keys are unknown keys now, so a
+  // scenario written for it is refused instead of silently running
+  // walker-major.
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"schedule": "block"})"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"block": {"size": 4096, "resident": 4}})"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
