@@ -6,24 +6,21 @@
 
 namespace mto {
 
-const char* FetchModeName(FetchMode mode) {
-  switch (mode) {
-    case FetchMode::kSync: return "sync";
-    case FetchMode::kAsync: return "async";
-  }
-  return "?";
-}
-
 RestrictedInterface::RestrictedInterface(const SocialNetwork& network)
     : network_(&network), cached_(network.num_users(), false) {}
 
-std::optional<DeferredFetch> RestrictedInterface::PlanFetchMisses(
-    std::span<const NodeId> misses, std::chrono::microseconds per_trip_latency) {
-  // The paper's one-perfect-backend model has a single serial channel:
-  // there is nothing to overlap, so the sync path is already optimal.
+bool RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
+                                          FetchPlan& plan) {
+  // The paper's one-perfect-backend model has a single serial channel and
+  // a counter for a ledger: there is nothing to defer.
   (void)misses;
-  (void)per_trip_latency;
-  return std::nullopt;
+  (void)plan;
+  return false;
+}
+
+void RestrictedInterface::ApplyFetchBatch(const FetchPlan::Batch& batch) {
+  (void)batch;
+  throw std::logic_error("ApplyFetchBatch: this interface never plans");
 }
 
 std::optional<std::vector<uint32_t>> RestrictedInterface::PlanPrefetch(

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -11,44 +10,28 @@
 
 namespace mto {
 
-/// How a concurrent wrapper executes cache-missing fetches (see
-/// runtime/ConcurrentInterfaceCache and DESIGN.md §9):
-///  * kSync — every miss group runs to completion on the calling thread,
-///    under the wrapper's ledger lock (the pre-async execution model).
-///  * kAsync — miss groups are planned synchronously (routing, budget,
-///    cache, cost — the deterministic part) and their per-backend ledger
-///    and latency work is executed concurrently, so misses served by
-///    different backends overlap in real time. Results are bit-identical
-///    to kSync by construction (the plan is shared; see PlanFetchMisses).
-enum class FetchMode { kSync, kAsync };
-
-const char* FetchModeName(FetchMode mode);
-
-/// A planned-but-not-applied fetch of a miss group, produced by
-/// `PlanFetchMisses`. The plan itself already ran on the calling thread:
-/// per-node outcomes are decided, successful nodes are cached, and every
-/// cost counter the routing logic reads is updated. What remains is the
-/// deferred work in `apply_tasks`: per-backend ledger bookkeeping plus the
-/// real-time latency of the round trips, one task per backend touched.
-/// Tasks are independent of each other and touch disjoint ledgers; run
-/// them on any threads (concurrently for round-trip overlap) and the fetch
-/// is complete once all of them returned.
-struct DeferredFetch {
-  std::vector<std::function<void()>> apply_tasks;
-  /// Parallel to `apply_tasks`: the backend each task's ledger belongs to,
-  /// and how many real round trips (non-refusal ops) it applies. The
-  /// pipelined engine uses these to route tasks onto per-backend channels
-  /// and to discount round trips already prepaid by prefetch tickets
-  /// (DESIGN.md §10). A one-backend planner may leave them empty.
-  std::vector<uint32_t> task_backend;
-  std::vector<uint32_t> task_trips;
-  /// Parallel to the planned miss span: 1 iff that node was fetched (it is
+/// A planned-but-not-applied fetch of a miss group, filled by
+/// `PlanFetchMisses` into storage the caller owns and reuses, so a
+/// steady-state plan allocates nothing. Planning already decided every
+/// per-node outcome, cached and charged the fetched nodes, and moved every
+/// routing counter. What remains is per-backend ledger work, queued inside
+/// the session in plan order: one `ApplyFetchBatch` call per entry of
+/// `batches` completes it, from any thread, in any order.
+struct FetchPlan {
+  /// One backend's share of the plan: `ops` queued ledger ops, of which
+  /// `trips` are real round trips (the rest are budget refusals).
+  struct Batch {
+    uint32_t backend = 0;
+    uint32_t ops = 0;
+    uint32_t trips = 0;
+  };
+  std::vector<Batch> batches;
+  /// Parallel to the planned misses: 1 iff that node was fetched (it is
   /// cached and cost was charged), 0 iff it was refused.
   std::vector<uint8_t> fetched;
-  /// Parallel to the planned miss span: the backend index that served the
-  /// node's *first real request* attempt (prefetch-prediction ground truth),
-  /// or UINT32_MAX when no request was issued for it. May be empty when the
-  /// planner does not model per-node routing.
+  /// Parallel to the planned misses: the backend that served the node's
+  /// *first real request* attempt (prefetch-prediction ground truth), or
+  /// UINT32_MAX when no request was issued for it.
   std::vector<uint32_t> first_backend;
 };
 
@@ -205,25 +188,31 @@ class RestrictedInterface {
   virtual void SetMaxBatchSize(size_t max_batch_size);
   virtual size_t max_batch_size() const { return max_batch_size_; }
 
-  /// Two-phase fetch for concurrent wrappers (the async path): plans the
-  /// fetch of `misses` synchronously — routing, budget checks, fault-draw
-  /// outcomes, cache marking, and unique-cost accounting all happen before
-  /// this returns, exactly as the sync path would decide them — and defers
-  /// only per-backend ledger/latency work into the returned tasks. Each
-  /// deferred task sleeps `per_trip_latency` once per backend round trip it
-  /// applies, so running the tasks concurrently overlaps the round trips of
-  /// different backends. Returns std::nullopt when the interface has no
-  /// async-capable backend model (the base class: one perfect backend with
-  /// nothing to overlap); callers then fall back to the sync path.
+  /// Two-phase fetch for concurrent wrappers: plans the fetch of `misses`
+  /// into `plan` — routing, budget checks, fault-draw outcomes, cache
+  /// marking and unique-cost accounting all happen before this returns —
+  /// and queues the per-backend ledger ops for `ApplyFetchBatch`. Returns
+  /// false, leaving `plan` unspecified, when the interface has no backend
+  /// model to split (the base class: one perfect backend, whose ledger is
+  /// a counter); callers then run the fetch through Query/BatchQuery.
   ///
   /// Caller contract: `misses` must be valid, distinct, uncached ids; the
   /// call must be externally serialized with every other query-path entry
-  /// point (it mutates the cache and cost ledger); and the returned tasks
-  /// must all be run before the next checkpoint/stat read reaches the
-  /// backend ledgers.
-  virtual std::optional<DeferredFetch> PlanFetchMisses(
-      std::span<const NodeId> misses,
-      std::chrono::microseconds per_trip_latency);
+  /// point (it mutates the cache and cost ledger); and every batch must be
+  /// applied before the next checkpoint/stat read reaches the ledgers.
+  virtual bool PlanFetchMisses(std::span<const NodeId> misses,
+                               FetchPlan& plan);
+
+  /// Applies one planned batch: the oldest `batch.ops` queued ops of
+  /// `batch.backend`, so each backend's ledger sees its ops in plan order
+  /// whoever applies them. Thread-safe across backends and against
+  /// PlanFetchMisses. Sleeps nothing: the caller pays the wall-clock price
+  /// of `batch.trips` round trips.
+  virtual void ApplyFetchBatch(const FetchPlan::Batch& batch);
+
+  /// Independent serial connections worth modelling as fetch lanes: one
+  /// per backend. The base class has one perfect backend.
+  virtual size_t FetchLanes() const { return 1; }
 
   /// Pure routing preview for pipelined prefetching (DESIGN.md §10): for
   /// each id, the backend index its first real fetch attempt would be

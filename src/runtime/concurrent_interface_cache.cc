@@ -7,6 +7,24 @@
 #include <utility>
 
 namespace mto {
+namespace {
+
+/// Per-thread plan storage. Every fetch path is done with its plan before
+/// it returns (lane tasks carry their batch by value), so one plan per
+/// thread serves every call and a steady-state fetch allocates no plan.
+FetchPlan& ThreadPlan() {
+  thread_local FetchPlan plan;
+  return plan;
+}
+
+/// Sleeps the wall-clock price of `trips` backend round trips.
+void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips) {
+  if (rtt.count() > 0 && trips > 0) {
+    std::this_thread::sleep_for(rtt * static_cast<int64_t>(trips));
+  }
+}
+
+}  // namespace
 
 ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
     : RestrictedInterface(base.network()), base_(&base) {
@@ -20,43 +38,17 @@ ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
   // from here on; round trips are slept outside its mutex (see Query).
   SetSimulatedLatency(base.simulated_latency());
   base.SetSimulatedLatency(std::chrono::microseconds(0));
+  lanes_ = std::make_unique<SerialChannels>(
+      std::max<size_t>(1, base.FetchLanes()));
 }
 
-void ConcurrentInterfaceCache::SetFetchMode(FetchMode mode,
-                                            size_t fetch_threads) {
-  fetch_mode_ = mode;
-  if (mode == FetchMode::kAsync) {
-    const size_t threads =
-        std::min(kMaxFetchThreads,
-                 fetch_threads == 0 ? kMaxFetchThreads : fetch_threads);
-    if (fetch_queue_ == nullptr || fetch_queue_->size() != threads) {
-      fetch_queue_ = std::make_unique<TaskQueue>(threads);
-    }
-  } else {
-    fetch_queue_.reset();
-  }
-}
-
-void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth,
-                                                size_t channels) {
-  if (channels_ != nullptr) DrainPipeline();
+void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth) {
+  DrainPipeline();
   pipeline_depth_ = depth;
-  if (depth == 0) {
-    channels_.reset();
-    return;
-  }
-  const size_t lanes =
-      std::min(kMaxFetchThreads, channels == 0 ? kMaxFetchThreads : channels);
-  if (channels_ == nullptr || channels_->size() != lanes) {
-    channels_ = std::make_unique<SerialChannels>(lanes);
-    channels_->SetObservability(registry_, trace_);
-  }
 }
 
 void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
                                                 obs::TraceLog* trace) {
-  registry_ = registry;
-  trace_ = trace;
   if (registry == nullptr) {
     metrics_ = CacheMetrics{};
   } else {
@@ -70,7 +62,7 @@ void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
         registry->GetCounter("prefetch.mispredicted");
     metrics_.prefetch_stale = registry->GetCounter("prefetch.stale_cancelled");
   }
-  if (channels_ != nullptr) channels_->SetObservability(registry, trace);
+  lanes_->SetObservability(registry, trace);
 }
 
 void ConcurrentInterfaceCache::PublishMetrics() {
@@ -87,28 +79,30 @@ void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
   ticket.cv.notify_all();
 }
 
-void ConcurrentInterfaceCache::PostApplyTask(std::function<void()> task,
-                                             uint32_t backend, uint32_t trips,
+void ConcurrentInterfaceCache::PostApplyTask(const FetchPlan::Batch& batch,
                                              uint32_t prepaid,
                                              std::function<void()> on_done) {
-  const auto rtt = simulated_latency();
-  channels_->Post(backend % channels_->size(),
-                  [task = std::move(task), trips, prepaid, rtt,
-                   on_done = std::move(on_done)] {
-                    task();  // pure ledger math — the plan carried 0 latency
-                    // The wall-clock price of this backend's round trips,
-                    // minus the trips its prefetch tickets already slept on
-                    // this same FIFO lane (total lane busy time is
-                    // conserved: prepaid trips merely started earlier).
-                    if (rtt.count() > 0 && trips > prepaid) {
-                      std::this_thread::sleep_for(rtt * (trips - prepaid));
-                    }
-                    if (on_done) on_done();
-                  });
+  lanes_->Post(batch.backend % lanes_->size(),
+               [base = base_, batch, prepaid, rtt = simulated_latency(),
+                on_done = std::move(on_done)] {
+                 // on_done fires even when the apply throws (the lane
+                 // records the error), so a joiner never waits forever.
+                 struct Finally {
+                   const std::function<void()>& fn;
+                   ~Finally() {
+                     if (fn) fn();
+                   }
+                 } finally{on_done};
+                 base->ApplyFetchBatch(batch);  // pure ledger math
+                 // The wall-clock price of this backend's round trips,
+                 // minus the trips its prefetch tickets already slept on
+                 // this same FIFO lane (total lane busy time is conserved:
+                 // prepaid trips merely started earlier).
+                 SleepRoundTrips(rtt, batch.trips - prepaid);
+               });
 }
 
 void ConcurrentInterfaceCache::DrainPipeline() {
-  if (channels_ == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(base_mutex_);
     ObsAdd(metrics_.prefetch_stale, tickets_.size());
@@ -116,35 +110,48 @@ void ConcurrentInterfaceCache::DrainPipeline() {
     tickets_.clear();
   }
   round_marks_.clear();
-  channels_->Drain();
+  lanes_->Drain();
 }
 
-void ConcurrentInterfaceCache::PipelinedFetch(
+std::vector<std::optional<QueryResult>>
+ConcurrentInterfaceCache::LockedBatchFetch(std::span<const NodeId> ids) {
+  uint64_t trips = 0;
+  std::vector<std::optional<QueryResult>> results;
+  {
+    std::lock_guard<std::mutex> lock(base_mutex_);
+    const uint64_t before = base_->BackendRequests();
+    results = base_->BatchQuery(ids);
+    trips = base_->BackendRequests() - before;
+  }
+  SleepRoundTrips(simulated_latency(), trips);
+  return results;
+}
+
+void ConcurrentInterfaceCache::FetchFrontier(
     std::span<const NodeId> frontier) {
   for (NodeId v : frontier) {
     if (v >= num_users()) {
-      throw std::invalid_argument("PipelinedFetch: unknown user id");
+      throw std::invalid_argument("FetchFrontier: unknown user id");
     }
   }
-  // Mirror BatchQuery's request accounting: one request per frontier slot.
+  // Mirror BatchQuery's request accounting: one request per frontier slot,
+  // every one of them a miss by contract.
   total_requests_.fetch_add(frontier.size(), std::memory_order_relaxed);
   if (frontier.empty()) return;
-  // Every frontier slot goes to the planner: all misses by construction.
   ObsAdd(metrics_.misses, frontier.size());
   ObsRecord(metrics_.miss_batch, frontier.size());
-  if (!PipelineActive()) {
-    throw std::logic_error("PipelinedFetch: pipeline inactive");
-  }
 
-  std::optional<DeferredFetch> deferred;
-  std::vector<std::shared_ptr<PrefetchTicket>> consumed(frontier.size());
+  FetchPlan& plan = ThreadPlan();
+  bool planned = false;
+  std::vector<std::shared_ptr<PrefetchTicket>> consumed;
   {
     std::lock_guard<std::mutex> lock(base_mutex_);
-    // The plan runs at normal time, on the coordinator, in frontier order —
-    // the exact state mutations (routing counters, cache marks, cost) the
-    // sync path would make. Only the ledger/latency tail is deferred.
-    deferred = base_->PlanFetchMisses(frontier, std::chrono::microseconds(0));
-    if (deferred) {
+    // The plan runs on the coordinator, in frontier order, at every depth:
+    // the same state mutations (routing counters, cache marks, cost) the
+    // depth-0 crawl makes. Only the ledger/latency tail rides the lanes.
+    planned = base_->PlanFetchMisses(frontier, plan);
+    if (planned && !tickets_.empty()) {
+      consumed.resize(frontier.size());
       for (size_t i = 0; i < frontier.size(); ++i) {
         auto it = tickets_.find(frontier[i]);
         if (it != tickets_.end()) {
@@ -154,23 +161,10 @@ void ConcurrentInterfaceCache::PipelinedFetch(
       }
     }
   }
-  if (!deferred) {
-    // No plannable backend model: sync-identical inline fallback (the
-    // frontier is distinct and was uncached when the coordinator built it).
-    uint64_t trips = 0;
-    std::vector<std::optional<QueryResult>> backend;
-    {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      const uint64_t before = base_->BackendRequests();
-      backend = base_->BatchQuery(frontier);
-      trips = base_->BackendRequests() - before;
-    }
-    if (simulated_latency().count() > 0) {
-      std::this_thread::sleep_for(simulated_latency() *
-                                  static_cast<int64_t>(trips));
-    }
+  if (!planned) {
+    const auto results = LockedBatchFetch(frontier);
     for (size_t i = 0; i < frontier.size(); ++i) {
-      if (backend[i].has_value()) {
+      if (results[i].has_value()) {
         cached_flags_[frontier[i]].store(1, std::memory_order_release);
       }
     }
@@ -181,15 +175,14 @@ void ConcurrentInterfaceCache::PipelinedFetch(
   // lane iff it predicted the node's actual first-request backend; a
   // mispredicted (or never-requested) node's ticket is cancelled so the
   // wrong lane frees early. Both outcomes are wall-clock-only.
-  std::unordered_map<uint32_t, uint32_t> prepaid;
-  for (size_t i = 0; i < frontier.size(); ++i) {
+  std::vector<uint32_t> prepaid;
+  for (size_t i = 0; i < consumed.size(); ++i) {
     if (!consumed[i]) continue;
     ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = i < deferred->first_backend.size()
-                                ? deferred->first_backend[i]
-                                : UINT32_MAX;
+    const uint32_t actual = plan.first_backend[i];
     if (actual != UINT32_MAX && consumed[i]->backend == actual) {
-      ++prepaid[actual];
+      prepaid.resize(lanes_->size(), 0);
+      ++prepaid[actual % lanes_->size()];
     } else {
       ObsAdd(metrics_.prefetch_mispredicted);
       CancelTicket(*consumed[i]);
@@ -197,39 +190,37 @@ void ConcurrentInterfaceCache::PipelinedFetch(
   }
   // Publish planned outcomes: the coordinator is the only query-path thread
   // during this phase (CrawlScheduler's barriers), so the claim machinery
-  // is unnecessary — set the flags directly. Commits may now read these
-  // nodes while their round trips are still in flight on the lanes.
+  // is unnecessary — set the flags directly. At depth >= 1 commits may read
+  // these nodes while their round trips are still in flight on the lanes.
   for (size_t i = 0; i < frontier.size(); ++i) {
-    if (deferred->fetched[i] != 0) {
+    if (plan.fetched[i] != 0) {
       cached_flags_[frontier[i]].store(1, std::memory_order_release);
     }
   }
-  for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
-    const uint32_t b = deferred->task_backend[t];
-    const uint32_t trips = deferred->task_trips[t];
-    uint32_t pre = 0;
-    auto it = prepaid.find(b);
-    if (it != prepaid.end()) {
-      pre = std::min(it->second, trips);
-      it->second -= pre;
+  for (const FetchPlan::Batch& batch : plan.batches) {
+    uint32_t take = 0;
+    if (!prepaid.empty()) {
+      uint32_t& pre = prepaid[batch.backend % lanes_->size()];
+      take = std::min(pre, batch.trips);
+      pre -= take;
     }
-    PostApplyTask(std::move(deferred->apply_tasks[t]), b, trips, pre,
-                  nullptr);
+    PostApplyTask(batch, take, nullptr);
   }
   // The lag-k join: at most pipeline_depth_ rounds of posted work may stay
-  // in flight; wait out markers older than that. This bounds run-ahead and
-  // keeps "steps/sec limited by aggregate backend bandwidth" honest — every
-  // trip still occupies its lane for one RTT before the crawl can finish.
-  round_marks_.push_back(channels_->Mark());
+  // in flight; wait out markers older than that (at depth 0, this round's
+  // own). This bounds run-ahead and keeps "steps/sec limited by aggregate
+  // backend bandwidth" honest — every trip still occupies its lane for one
+  // RTT before the crawl can finish.
+  round_marks_.push_back(lanes_->Mark());
   while (round_marks_.size() > pipeline_depth_) {
-    channels_->WaitUntil(round_marks_.front());
+    lanes_->WaitUntil(round_marks_.front());
     round_marks_.pop_front();
   }
 }
 
 void ConcurrentInterfaceCache::PostPrefetchHints(
     std::span<const NodeId> predicted) {
-  if (!PipelineActive()) return;
+  if (pipeline_depth_ == 0) return;
   struct Route {
     std::shared_ptr<PrefetchTicket> ticket;
   };
@@ -273,47 +264,49 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
   // costs modelling accuracy only, never correctness.
   const auto rtt = simulated_latency();
   std::vector<std::vector<std::shared_ptr<PrefetchTicket>>> per_lane(
-      channels_->size());
+      lanes_->size());
   for (auto& route : routes) {
-    per_lane[route.ticket->backend % channels_->size()].push_back(
+    per_lane[route.ticket->backend % lanes_->size()].push_back(
         std::move(route.ticket));
   }
   for (size_t lane = 0; lane < per_lane.size(); ++lane) {
     if (per_lane[lane].empty()) continue;
-    channels_->Post(lane, [batch = std::move(per_lane[lane]), rtt] {
-                      if (rtt.count() <= 0) return;
-                      int64_t live = 0;
-                      for (const auto& ticket : batch) {
-                        std::lock_guard<std::mutex> lock(ticket->mutex);
-                        if (!ticket->cancelled) ++live;
-                      }
-                      if (live > 0) std::this_thread::sleep_for(rtt * live);
-                    });
+    lanes_->Post(lane, [batch = std::move(per_lane[lane]), rtt] {
+      uint64_t live = 0;
+      for (const auto& ticket : batch) {
+        std::lock_guard<std::mutex> lock(ticket->mutex);
+        if (!ticket->cancelled) ++live;
+      }
+      SleepRoundTrips(rtt, live);
+    });
   }
 }
 
-std::optional<bool> ConcurrentInterfaceCache::PipelinedQueryMiss(NodeId v) {
-  std::optional<DeferredFetch> deferred;
+bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
+  const NodeId miss[1] = {v};
+  FetchPlan& plan = ThreadPlan();
   std::shared_ptr<PrefetchTicket> ticket;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    const NodeId miss[1] = {v};
-    deferred = base_->PlanFetchMisses(miss, std::chrono::microseconds(0));
-    if (deferred) {
-      auto it = tickets_.find(v);
-      if (it != tickets_.end()) {
-        ticket = std::move(it->second);
-        tickets_.erase(it);
-      }
+  std::unique_lock<std::mutex> lock(base_mutex_);
+  if (!base_->PlanFetchMisses(miss, plan)) {
+    // The wrapped session cannot plan (one perfect backend): its ledger
+    // runs under the mutex and the round trip is slept outside it.
+    const bool fetched = base_->QueryRef(v).has_value();
+    lock.unlock();
+    SleepRoundTrips(simulated_latency(), fetched ? 1 : 0);
+    return fetched;
+  }
+  if (!tickets_.empty()) {
+    auto it = tickets_.find(v);
+    if (it != tickets_.end()) {
+      ticket = std::move(it->second);
+      tickets_.erase(it);
     }
   }
-  if (!deferred) return std::nullopt;  // caller falls back to the sync path
+  lock.unlock();
   uint32_t prepaid_backend = UINT32_MAX;
   if (ticket) {
     ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = deferred->first_backend.empty()
-                                ? UINT32_MAX
-                                : deferred->first_backend[0];
+    const uint32_t actual = plan.first_backend[0];
     if (actual != UINT32_MAX && ticket->backend == actual) {
       prepaid_backend = actual;
     } else {
@@ -321,27 +314,21 @@ std::optional<bool> ConcurrentInterfaceCache::PipelinedQueryMiss(NodeId v) {
       CancelTicket(*ticket);
     }
   }
-  // A demand miss is urgent: it rides its own connection instead of
-  // queueing behind the lanes' speculative backlog (which would turn a
-  // one-RTT stall into a multi-round one). The ledger apply still runs on
-  // the backend's lane — FIFO order with the in-flight frontier work is
-  // preserved — but with its lane sleep suppressed; the walker pays the
-  // wire time inline instead, exactly as the sync path would, minus one
-  // trip when a matching prefetch ticket is already sleeping it out.
+  // A demand miss is urgent: it applies its batches here, holding nothing
+  // but our in-flight claim, instead of queueing behind the lanes'
+  // speculative backlog (which would turn a one-RTT stall into a
+  // multi-round one). The session applies every backend's ops in plan
+  // order, so the ledgers come out the same as if the lanes had applied
+  // them. The wire time is paid inline, minus one trip when a matching
+  // prefetch ticket is already sleeping it out.
   uint64_t wire_trips = 0;
-  for (size_t t = 0; t < deferred->apply_tasks.size(); ++t) {
-    const uint32_t b = deferred->task_backend[t];
-    const uint32_t trips = deferred->task_trips[t];
-    const uint32_t pre = (b == prepaid_backend && trips > 0) ? 1u : 0u;
-    wire_trips += trips - pre;
-    PostApplyTask(std::move(deferred->apply_tasks[t]), b, trips,
-                  /*prepaid=*/trips, nullptr);
+  for (const FetchPlan::Batch& batch : plan.batches) {
+    base_->ApplyFetchBatch(batch);
+    wire_trips += batch.trips;
+    if (batch.backend == prepaid_backend && batch.trips > 0) --wire_trips;
   }
-  const auto rtt = simulated_latency();
-  if (rtt.count() > 0 && wire_trips > 0) {
-    std::this_thread::sleep_for(rtt * static_cast<int64_t>(wire_trips));
-  }
-  return deferred->fetched[0] != 0;
+  SleepRoundTrips(simulated_latency(), wire_trips);
+  return plan.fetched[0] != 0;
 }
 
 bool ConcurrentInterfaceCache::IsCached(NodeId v) const {
@@ -441,63 +428,27 @@ void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
   s.cv.notify_all();
 }
 
-std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
-  if (v >= num_users()) {
-    throw std::invalid_argument("Query: unknown user id");
-  }
+bool ConcurrentInterfaceCache::Admit(NodeId v) {
   total_requests_.fetch_add(1, std::memory_order_relaxed);
   // Lock-free hit path: the network is immutable, so a set flag is enough
   // to materialize the response locally. Hits are deliberately not
   // counted here — PublishMetrics derives them from total_requests_.
-  if (HitCached(v)) {
-    return MakeResult(v);
-  }
-  if (!ClaimFetch(v)) {
-    return MakeResult(v);  // cached while we waited (a hit, derived)
-  }
+  if (HitCached(v)) return true;
+  if (!ClaimFetch(v)) return true;  // cached while we waited (a hit, derived)
   ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
-  if (PipelineActive()) {
-    // Commit-phase misses while the pipeline is live: ledger applies keep
-    // lane FIFO order, but the wire time is paid inline on this thread —
-    // a demand fetch never waits out the speculative backlog.
-    if (auto fetched = PipelinedQueryMiss(v)) {
-      ResolveFetch(v, *fetched);
-      if (!*fetched) return std::nullopt;
-      return MakeResult(v);
-    }
+  const bool fetched = FetchOne(v);
+  // Walkers racing to `v` wait in ClaimFetch until here, i.e. until the
+  // response "arrived".
+  ResolveFetch(v, fetched);
+  return fetched;
+}
+
+std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
+  if (v >= num_users()) {
+    throw std::invalid_argument("Query: unknown user id");
   }
-  if (AsyncActive()) {
-    std::optional<DeferredFetch> deferred;
-    {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      const NodeId miss[1] = {v};
-      deferred = base_->PlanFetchMisses(miss, simulated_latency());
-    }
-    if (deferred) {
-      // Apply on this walker's thread, holding nothing but our in-flight
-      // claim: the ledger work locks only its backend's shard and the
-      // round-trip sleep overlaps with other walkers' fetches to other
-      // backends. Walkers racing to `v` wait in ClaimFetch until
-      // ResolveFetch, i.e. until the response "arrived".
-      for (auto& task : deferred->apply_tasks) task();
-      const bool ok = deferred->fetched[0] != 0;
-      ResolveFetch(v, ok);
-      if (!ok) return std::nullopt;
-      return MakeResult(v);
-    }
-  }
-  std::optional<QueryResult> r;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    r = base_->Query(v);  // ledger: cost, budget, backend-trip count
-  }
-  // Pay the round trip outside every lock; walkers racing to `v` wait in
-  // ClaimFetch until ResolveFetch, i.e. until the response "arrived".
-  if (r && simulated_latency().count() > 0) {
-    std::this_thread::sleep_for(simulated_latency());
-  }
-  ResolveFetch(v, r.has_value());
-  return r;
+  if (!Admit(v)) return std::nullopt;
+  return MakeResult(v);
 }
 
 std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
@@ -510,7 +461,7 @@ std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
     total_requests_.fetch_add(1, std::memory_order_relaxed);
     return MakeView(v);
   }
-  if (!Query(v)) return std::nullopt;  // full miss machinery (counts itself)
+  if (!Admit(v)) return std::nullopt;
   return MakeView(v);
 }
 
@@ -551,36 +502,41 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
   ObsRecord(metrics_.miss_batch, claimed.size());
 
   if (!claimed.empty()) {
-    std::optional<DeferredFetch> deferred;
-    if (AsyncActive()) {
+    FetchPlan& plan = ThreadPlan();
+    bool planned = false;
+    {
       std::lock_guard<std::mutex> lock(base_mutex_);
-      deferred = base_->PlanFetchMisses(claimed, simulated_latency());
+      planned = base_->PlanFetchMisses(claimed, plan);
     }
-    if (deferred) {
-      // One deferred task per backend touched: each applies its own
-      // ledger's ops and sleeps its own channel's round trips on a
-      // completion-queue worker, so trips served by *different* backends
-      // overlap in real time and this join costs the max over backends
-      // instead of the sum — the async tentpole (DESIGN.md §9).
-      fetch_queue_->Dispatch(std::move(deferred->apply_tasks));
+    if (planned) {
+      // One task per backend touched, each on its backend's lane: round
+      // trips served by *different* backends overlap in real time, so this
+      // join costs the max over backends instead of the sum.
+      struct Join {
+        std::mutex mutex;
+        std::condition_variable cv;
+        size_t remaining = 0;
+      } join;
+      join.remaining = plan.batches.size();
+      for (const FetchPlan::Batch& batch : plan.batches) {
+        PostApplyTask(batch, 0, [&join] {
+          // Notify under the lock: `join` dies as soon as the waiter wakes.
+          std::lock_guard<std::mutex> lock(join.mutex);
+          --join.remaining;
+          join.cv.notify_all();
+        });
+      }
+      {
+        std::unique_lock<std::mutex> lock(join.mutex);
+        join.cv.wait(lock, [&join] { return join.remaining == 0; });
+      }
       for (size_t i = 0; i < claimed.size(); ++i) {
-        const bool ok = deferred->fetched[i] != 0;
+        const bool ok = plan.fetched[i] != 0;
         ResolveFetch(claimed[i], ok);
         if (ok) fetched[claimed[i]] = MakeResult(claimed[i]);
       }
     } else {
-      uint64_t trips = 0;
-      std::vector<std::optional<QueryResult>> backend;
-      {
-        std::lock_guard<std::mutex> lock(base_mutex_);
-        const uint64_t before = base_->BackendRequests();
-        backend = base_->BatchQuery(claimed);
-        trips = base_->BackendRequests() - before;
-      }
-      if (simulated_latency().count() > 0) {
-        std::this_thread::sleep_for(simulated_latency() *
-                                    static_cast<int64_t>(trips));
-      }
+      auto backend = LockedBatchFetch(claimed);
       for (size_t i = 0; i < claimed.size(); ++i) {
         ResolveFetch(claimed[i], backend[i].has_value());
         fetched[claimed[i]] = std::move(backend[i]);

@@ -17,7 +17,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/serial_channels.h"
-#include "src/util/task_queue.h"
 
 namespace mto {
 
@@ -40,37 +39,34 @@ namespace mto {
 ///    touched under one mutex, and simulated latency is paid *outside* that
 ///    mutex so concurrent misses to different nodes overlap their round
 ///    trips — the effect the throughput bench measures.
-///  * **Async fetch overlap (`SetFetchMode(kAsync)`).** When the wrapped
-///    session supports two-phase fetches (a service/BackendPool), a miss
-///    group is only *planned* under the ledger mutex — routing, budget,
-///    outcomes, cost — and the per-backend ledger/latency work runs outside
-///    it: a single miss applies on the calling walker's thread, a batched
-///    frontier dispatches one task per backend to a small completion queue
-///    and blocks on the join. Round trips served by different backends
-///    overlap in real time; results stay bit-identical to kSync because
-///    sync and async share the plan (see DESIGN.md §9).
-///  * **Pipelined rounds (`SetPipelineDepth(k)`, k >= 1).** The async path
-///    still joins every frontier before the round continues, so round R+1
-///    waits on round R's slowest backend. The pipelined engine drops that
-///    join: `PipelinedFetch` plans the frontier exactly like sync/async
-///    (same coordinator thread, same order, identical state mutations) but
-///    posts the per-backend ledger/latency tasks onto per-backend FIFO
-///    channels (util/SerialChannels) and returns immediately — commits read
-///    the planned outcomes from the cache while the round trips are still
-///    "in flight" as wall time on the channels. A lag-k join bounds
-///    run-ahead: before round R's tasks are posted, round R-k must have
-///    drained. `PostPrefetchHints` turns sampler peeks into wall-clock-only
-///    prefetch *tickets* — a ticket occupies its predicted backend's
-///    channel for one RTT and lets the real fetch's apply task discount one
+///  * **One fetch engine (DESIGN.md §9).** When the wrapped session can
+///    plan (`PlanFetchMisses`, e.g. a service/BackendPool), every miss is
+///    only *planned* under the ledger mutex — routing, budget, outcomes,
+///    cost — and its per-backend ledger batches are applied outside it. A
+///    single miss applies its batches on the calling walker's thread and
+///    sleeps its round trips there. A batch (a coalesced frontier or a
+///    BatchQuery) posts one apply-and-sleep task per backend to that
+///    backend's FIFO lane (util/SerialChannels), so round trips served by
+///    different backends overlap in real time. Sessions that cannot plan
+///    (the paper's one perfect backend) run their ledger under the mutex.
+///  * **Frontier pipelining (`SetPipelineDepth(k)`).** `FetchFrontier`
+///    plans the coordinator's frontier, posts its lane tasks and then
+///    joins with lag k: before it returns, round R-k must have drained.
+///    With k = 0 that is the frontier's own tasks — commits see a fully
+///    settled round. With k >= 1, commits read the planned outcomes from
+///    the cache while the round trips are still "in flight" as wall time on
+///    the lanes. `PostPrefetchHints` turns sampler peeks into
+///    wall-clock-only prefetch *tickets* — a ticket occupies its predicted
+///    backend's lane for one RTT and lets the real fetch discount one
 ///    prepaid trip; a wrong or stale prediction is cancelled. Tickets never
 ///    touch ledger, cache, or cost state, so samples/trace/estimate/ledgers
-///    stay bitwise equal to sync mode by construction (DESIGN.md §10).
+///    are bitwise independent of the depth by construction (DESIGN.md §10).
 ///
 /// The wrapper takes over latency simulation from the wrapped session (the
 /// session's own latency is zeroed at construction) so a round trip is
 /// never paid twice.
 ///
-/// `Reset()` and `SetFetchMode()` are *not* thread-safe: call them only
+/// `Reset()` and `SetPipelineDepth()` are *not* thread-safe: call them only
 /// while no walker is running.
 class ConcurrentInterfaceCache final : public RestrictedInterface {
  public:
@@ -81,61 +77,41 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// `base` is honored (its flags are imported).
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
 
-  /// Selects the miss-fetch execution mode. kAsync spawns a completion
-  /// queue of `fetch_threads` workers used to join batched frontier
-  /// fetches; 0 falls back to kMaxFetchThreads — the cache cannot see the
-  /// backend fleet, so callers that can (CrawlService sizes one worker
-  /// per backend) should pass the real channel count. kAsync silently
-  /// behaves like kSync when the wrapped session has no async-capable
-  /// backend model. Call between rounds only.
-  void SetFetchMode(FetchMode mode, size_t fetch_threads = 0);
-  FetchMode fetch_mode() const { return fetch_mode_; }
-
-  /// Upper bound on async fetch workers (backend channels worth of
-  /// overlap; more would only contend on the ledger shards).
-  static constexpr size_t kMaxFetchThreads = 16;
-
-  /// Enables (depth >= 1) or disables (depth == 0) the pipelined engine:
-  /// `depth` rounds of deferred per-backend work may be in flight behind
-  /// the crawl (the lag-k join), and samplers are asked for up to `depth`
-  /// prefetch candidates per walker. `channels` sizes the per-backend FIFO
-  /// lane set (0 falls back to kMaxFetchThreads; pass the backend count).
-  /// Drains any active pipeline first. Call between rounds only.
-  void SetPipelineDepth(size_t depth, size_t channels = 0);
+  /// Sets the lag of FetchFrontier's join: `depth` rounds of posted
+  /// per-backend work may stay in flight behind the crawl, and with
+  /// depth >= 1 samplers are asked for up to `depth` prefetch candidates
+  /// per walker. Drains the lanes first. Call between rounds only.
+  void SetPipelineDepth(size_t depth);
   size_t pipeline_depth() const { return pipeline_depth_; }
 
-  /// True iff PipelinedFetch/PostPrefetchHints are live.
-  bool PipelineActive() const {
-    return pipeline_depth_ > 0 && channels_ != nullptr;
-  }
-
-  /// Pipelined replacement for the coordinator's frontier BatchQuery
-  /// (CrawlScheduler only): plans the whole frontier under the ledger mutex
-  /// — consuming matching prefetch tickets — marks planned-fetched nodes
-  /// cached, posts each backend's ledger/latency task to its channel, and
-  /// returns without joining. Requires PipelineActive(); must be called
-  /// from a single coordinator thread with no concurrent query-path calls
-  /// (CrawlScheduler's phase barriers guarantee this). Falls back to
-  /// sync-identical inline behavior when the wrapped session cannot plan.
-  void PipelinedFetch(std::span<const NodeId> frontier);
+  /// The coordinator's frontier fetch (CrawlScheduler only): plans the
+  /// whole frontier under the ledger mutex — consuming matching prefetch
+  /// tickets — marks planned-fetched nodes cached, posts each backend's
+  /// apply task to its lane, and runs the lag-k join. `frontier` must be
+  /// distinct, uncached ids; must be called from a single coordinator
+  /// thread with no concurrent query-path calls (CrawlScheduler's phase
+  /// barriers guarantee this). When the wrapped session cannot plan, the
+  /// frontier runs through its BatchQuery under the mutex instead.
+  void FetchFrontier(std::span<const NodeId> frontier);
 
   /// Publishes the next round's predicted targets as prefetch tickets:
   /// routes each valid, uncached, deduplicated prediction via the wrapped
   /// session's PlanPrefetch and posts a one-RTT wall-clock ticket on the
-  /// predicted backend's channel. First cancels every ticket left from the
+  /// predicted backend's lane. First cancels every ticket left from the
   /// previous prediction window (the deterministic stale-invalidation
   /// point). Tickets mutate no session state whatsoever. Coordinator-only,
-  /// like PipelinedFetch; a no-op when the session cannot preview routes.
+  /// like FetchFrontier; a no-op at depth 0 or when the session cannot
+  /// preview routes.
   void PostPrefetchHints(std::span<const NodeId> predicted);
 
-  /// Cancels all outstanding tickets and drains every channel; after this
+  /// Cancels all outstanding tickets and drains every lane; after this
   /// the ledgers are quiescent (checkpoint/stat-read safe). Coordinator
-  /// only. No-op when the pipeline is inactive.
+  /// only.
   void DrainPipeline();
 
   std::optional<QueryResult> Query(NodeId v) override;
   /// Allocation-free read path: cache hits return a borrowed view without
-  /// taking any lock; misses fall back to the full Query machinery.
+  /// taking any lock; misses run the same fetch as Query.
   std::optional<QueryView> QueryRef(NodeId v) override;
   std::vector<std::optional<QueryResult>> BatchQuery(
       std::span<const NodeId> ids) override;
@@ -167,8 +143,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Attaches (or detaches, with nulls) passive telemetry. Resolves metric
   /// pointers once so the hot paths pay a null check + one relaxed
   /// increment; never draws randomness, queries, or mutates session state.
-  /// Forwarded to the pipelined engine's SerialChannels (existing and
-  /// future). Call between rounds only, like the other mode switches.
+  /// Forwarded to the fetch lanes. Call between rounds only.
   ///
   /// Metric catalog (docs/observability.md): cache.hits (gauge, derived at
   /// PublishMetrics time), cache.misses (fetch claims, refusals included;
@@ -200,12 +175,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Publishes the outcome of a claimed fetch and wakes waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
-  /// True iff misses should go through the two-phase plan/apply path.
-  bool AsyncActive() const {
-    return fetch_mode_ == FetchMode::kAsync && fetch_queue_ != nullptr;
-  }
-
-  /// A wall-clock-only prefetch reservation: its channel task sleeps one
+  /// A wall-clock-only prefetch reservation: its lane task sleeps one
   /// RTT (or until cancelled) on the predicted backend's lane. Carries no
   /// ledger, cache, or cost effect — that is the whole determinism
   /// argument. Guarded by its own mutex; the tickets_ map by base_mutex_.
@@ -218,20 +188,31 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   static void CancelTicket(PrefetchTicket& ticket);
 
-  /// Posts one backend's deferred apply task to its channel: ledger math
-  /// first (the plan carried zero latency), then the wall-clock price of
-  /// its round trips minus `prepaid` ticket trips. `on_done` (optional)
-  /// fires after the sleep — the single-miss path joins on it.
-  void PostApplyTask(std::function<void()> task, uint32_t backend,
-                     uint32_t trips, uint32_t prepaid,
-                     std::function<void()> on_done);
+  /// Counts one request for `v` and, on a miss, claims and fetches it.
+  /// Returns true iff `v` is cached afterwards. The shared front half of
+  /// Query and QueryRef.
+  bool Admit(NodeId v);
 
-  /// Single-miss fetch through the channels (commit-phase walker misses
-  /// while the pipeline is live): plans under the ledger mutex, consumes a
-  /// matching ticket, posts per-backend tasks, joins on its own fetch.
-  /// Returns whether `v` was fetched, or std::nullopt when the wrapped
-  /// session cannot plan (caller falls back to the sync path).
-  std::optional<bool> PipelinedQueryMiss(NodeId v);
+  /// Fetches one claimed miss: plans it under the ledger mutex (consuming
+  /// a matching prefetch ticket), applies its batches on this thread, and
+  /// sleeps its round trips — minus one trip a matching ticket already
+  /// slept on the lane. Ledger order holds behind in-flight frontier
+  /// batches at any depth: the session applies ops in plan order. Returns
+  /// whether `v` was fetched.
+  bool FetchOne(NodeId v);
+
+  /// The fetch of a session that cannot plan: runs `ids` through the
+  /// wrapped BatchQuery under the ledger mutex, then sleeps the round
+  /// trips it paid outside it.
+  std::vector<std::optional<QueryResult>> LockedBatchFetch(
+      std::span<const NodeId> ids);
+
+  /// Posts one planned batch to its backend's lane: ledger apply first,
+  /// then the wall-clock price of its round trips minus `prepaid` ticket
+  /// trips. `on_done` (optional) fires after the sleep — BatchQuery joins
+  /// on it.
+  void PostApplyTask(const FetchPlan::Batch& batch, uint32_t prepaid,
+                     std::function<void()> on_done);
 
   /// Cache-hit predicate for the query paths: one acquire load of the
   /// per-node flag (0 = uncached, 1 = cached).
@@ -258,18 +239,14 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   std::unique_ptr<std::atomic<uint8_t>[]> cached_flags_;
   std::atomic<uint64_t> total_requests_{0};
   CacheMetrics metrics_;
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::TraceLog* trace_ = nullptr;
   mutable std::mutex base_mutex_;
   Shard shards_[kShards];
-  FetchMode fetch_mode_ = FetchMode::kSync;
-  std::unique_ptr<TaskQueue> fetch_queue_;
 
-  // Pipelined engine state. channels_/pipeline_depth_ change only between
-  // rounds (SetPipelineDepth); tickets_ and round_marks_ are touched under
-  // base_mutex_ / by the coordinator respectively.
+  // Lane state. One lane per FetchLanes() of the wrapped session, created
+  // at construction; pipeline_depth_ changes only between rounds; tickets_
+  // and round_marks_ are touched under base_mutex_ / by the coordinator.
   size_t pipeline_depth_ = 0;
-  std::unique_ptr<SerialChannels> channels_;
+  std::unique_ptr<SerialChannels> lanes_;
   std::unordered_map<NodeId, std::shared_ptr<PrefetchTicket>> tickets_;
   std::deque<SerialChannels::Marker> round_marks_;
 };

@@ -18,14 +18,12 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   if (!factory) {
     throw std::invalid_argument("CrawlScheduler: null walker factory");
   }
-  // The scheduler owns the execution shape (threads, stepping mode, fetch
-  // mode); when the session is the concurrent cache, configure its fetch
-  // path here so every construction site inherits the CrawlConfig choice.
+  // The scheduler owns the execution shape (threads, stepping mode,
+  // pipeline depth); when the session is the concurrent cache, configure
+  // its join lag here so every construction site inherits the CrawlConfig
+  // choice.
   cache_ = dynamic_cast<ConcurrentInterfaceCache*>(&interface);
-  if (cache_ != nullptr) {
-    cache_->SetFetchMode(config.fetch_mode, config.fetch_threads);
-    cache_->SetPipelineDepth(config.pipeline_depth, config.fetch_threads);
-  }
+  if (cache_ != nullptr) cache_->SetPipelineDepth(config.pipeline_depth);
   // Fork per-walker streams in index order: walker i's stream is a function
   // of (seed, i) only, never of num_walkers' layout or num_threads.
   Rng parent(seed);
@@ -85,19 +83,14 @@ void CrawlScheduler::RefreshSpeculationGauges() {
 void CrawlScheduler::RunRounds(size_t rounds,
                                std::vector<double>* diagnostics) {
   obs::TraceSpan span(trace_, "scheduler.rounds", rounds);
-  const bool pipelined = cache_ != nullptr && cache_->PipelineActive();
   if (config_.coalesce_frontier) {
-    if (pipelined) {
-      for (size_t r = 0; r < rounds; ++r) RunPipelinedRound(diagnostics);
-    } else {
-      for (size_t r = 0; r < rounds; ++r) RunCoalescedRound(diagnostics);
-    }
+    for (size_t r = 0; r < rounds; ++r) RunCoalescedRound(diagnostics);
   } else {
     RunFreeRounds(rounds, diagnostics);
   }
   // RunRounds boundaries are unit boundaries for the service layer
-  // (checkpoints, ledger/stat reads): leave the pipeline quiescent.
-  if (pipelined) cache_->DrainPipeline();
+  // (checkpoints, ledger/stat reads): leave the lanes quiescent.
+  if (cache_ != nullptr) cache_->DrainPipeline();
   total_steps_ += rounds * walkers_.size();
   ObsAdd(metrics_.rounds, rounds);
   ObsAdd(metrics_.steps, rounds * walkers_.size());
@@ -149,8 +142,12 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
     }
   });
   // Phase 2 (coordinator): fetch the deduplicated frontier in bulk. Only
-  // uncached targets go to the backend; the bulk endpoint chunks them into
-  // max_batch_size() ids per round trip.
+  // uncached targets go to the backend. Through the concurrent cache the
+  // frontier is planned here and its round trips ride the fetch lanes;
+  // with pipeline_depth k >= 1 the fetch returns once the outcomes are
+  // *planned* (cache marked, costs charged), leaving up to k rounds of
+  // latency in flight while phase 3 commits. A bare interface serves the
+  // frontier through its bulk endpoint, max_batch_size() ids per trip.
   frontier_.clear();
   {
     std::unordered_set<NodeId> seen;
@@ -164,7 +161,11 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
   }
   if (!frontier_.empty()) {
     obs::TraceSpan fetch_span(trace_, "frontier.fetch", frontier_.size());
-    interface_->BatchQuery(frontier_);
+    if (cache_ != nullptr) {
+      cache_->FetchFrontier(frontier_);
+    } else {
+      interface_->BatchQuery(frontier_);
+    }
   }
   // Phase 3 (parallel): commit against the now-warm cache. kTwoPhase walks
   // move (only) to their announced target; kSpeculative walks re-validate
@@ -199,74 +200,13 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
       }
     }
   });
-}
-
-void CrawlScheduler::RunPipelinedRound(std::vector<double>* diagnostics) {
-  obs::TraceSpan round_span(trace_, "round.pipelined");
-  const size_t W = walkers_.size();
-  // Phases 1 and 2 are identical to the lock-step round — same coordinator
-  // thread, same frontier order, identical state mutations — except that
-  // PipelinedFetch returns as soon as the frontier's outcomes are *planned*
-  // (cache marked, costs charged): the per-backend latency stays in flight
-  // on the lanes while phase 3 commits against the planned outcomes.
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
-                          ? std::nullopt
-                          : w.ProposeStep();
-    }
-  });
-  frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (size_t i = 0; i < W; ++i) {
-      if (!proposals_[i]) continue;
-      const NodeId v = *proposals_[i];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
-      }
-    }
-  }
-  if (!frontier_.empty()) {
-    obs::TraceSpan fetch_span(trace_, "frontier.plan", frontier_.size());
-    cache_->PipelinedFetch(frontier_);
-  }
-  size_t diag_base = 0;
-  if (diagnostics != nullptr) {
-    diag_base = diagnostics->size();
-    diagnostics->resize(diag_base + W);
-  }
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
-      if (diagnostics != nullptr) {
-        (*diagnostics)[diag_base + i] = w.CurrentDegreeForDiagnostic();
-      }
-    }
-  });
-  // Phase 4 (parallel peek, then coordinator publish): ask each walker for
-  // its predicted next targets — pure reads on saved RNG state, so this
-  // perturbs nothing — and turn them into prefetch tickets. The hints call
-  // runs even when empty: it is the deterministic invalidation point for
-  // the previous round's stale tickets.
+  // Phase 4 (pipeline_depth >= 1 only; parallel peek, then coordinator
+  // publish): ask each walker for its predicted next targets — pure reads
+  // on saved RNG state, so this perturbs nothing — and turn them into
+  // prefetch tickets. The hints call runs even when empty: it is the
+  // deterministic invalidation point for the previous round's stale
+  // tickets.
+  if (cache_ == nullptr || config_.pipeline_depth == 0) return;
   const size_t width = config_.pipeline_depth;
   pool_->Run([&](size_t t) {
     auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);

@@ -30,24 +30,15 @@ struct CrawlConfig {
   /// the winning mode when the crawl is CPU-bound. Trajectories are
   /// bit-identical either way.
   bool coalesce_frontier = false;
-  /// Miss-fetch execution mode, applied to the interface when it is a
-  /// ConcurrentInterfaceCache: kAsync overlaps round trips of misses
-  /// served by different backends (multi-backend sessions only; a
-  /// single-backend session silently behaves like kSync). Samples, costs,
-  /// and per-backend ledgers are bit-identical across modes — the fetch
-  /// mode, like num_threads, is pure execution shape (DESIGN.md §9).
-  FetchMode fetch_mode = FetchMode::kSync;
-  /// Async fetch workers; 0 = auto (see ConcurrentInterfaceCache).
-  size_t fetch_threads = 0;
-  /// Pipelined rounds (coalesced stepping over a ConcurrentInterfaceCache
-  /// only; ignored otherwise): with depth k >= 1, up to k rounds of
-  /// deferred per-backend latency work stay in flight behind the crawl on
-  /// per-backend FIFO lanes, and each round ends with a speculative peek
-  /// phase that prefetches up to k predicted targets per walker as
-  /// wall-clock-only tickets. 0 (default) keeps the lock-step round shape.
-  /// Like fetch_mode and num_threads this is pure execution shape: samples,
-  /// trace, estimates, costs, and per-backend ledgers are bit-identical to
-  /// sync mode (DESIGN.md §10).
+  /// Lag of the frontier join (coalesced stepping over a
+  /// ConcurrentInterfaceCache only; ignored otherwise): with depth k >= 1,
+  /// up to k rounds of deferred per-backend latency work stay in flight
+  /// behind the crawl on the per-backend fetch lanes, and each round ends
+  /// with a speculative peek phase that prefetches up to k predicted
+  /// targets per walker as wall-clock-only tickets. 0 (default) joins every
+  /// frontier before the commit phase. Like num_threads this is pure
+  /// execution shape: samples, trace, estimates, costs, and per-backend
+  /// ledgers are bit-identical across depths (DESIGN.md §10).
   size_t pipeline_depth = 0;
   /// Walk-program label for per-program metric twins
   /// (scheduler.rounds{program=...} / scheduler.steps{program=...});
@@ -151,10 +142,9 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
+  /// Propose, fetch the frontier, commit — plus, at pipeline_depth >= 1,
+  /// a trailing peek/prefetch phase (DESIGN.md §10).
   void RunCoalescedRound(std::vector<double>* diagnostics);
-  /// RunCoalescedRound with the lock-step frontier join replaced by
-  /// PipelinedFetch and a trailing peek/prefetch phase (DESIGN.md §10).
-  void RunPipelinedRound(std::vector<double>* diagnostics);
 
   RestrictedInterface* interface_;
   /// Non-null iff `interface_` is the concurrent cache (then they alias).

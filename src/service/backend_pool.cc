@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/util/rng.h"
@@ -87,6 +86,8 @@ BackendPool::BackendPool(const SocialNetwork& network,
   }
   ledger_mutexes_ = std::make_unique<std::mutex[]>(configs_.size());
   plan_scratch_.resize(configs_.size());
+  pending_.resize(configs_.size());
+  pending_head_.assign(configs_.size(), 0);
   name_hashes_.reserve(configs_.size());
   for (const BackendConfig& config : configs_) {
     name_hashes_.push_back(HashName(config.name));
@@ -195,6 +196,7 @@ void BackendPool::RestoreBackends(const PoolSnapshot& snapshot) {
   ledgers_ = snapshot.ledgers;
   round_robin_cursor_ = snapshot.round_robin_cursor;
   failed_fetches_ = snapshot.failed_fetches;
+  ClearPending();
   SyncRoutingCounters();
 }
 
@@ -206,7 +208,15 @@ void BackendPool::Reset() {
   }
   round_robin_cursor_ = 0;
   failed_fetches_ = 0;
+  ClearPending();
   SyncRoutingCounters();
+}
+
+void BackendPool::ClearPending() {
+  for (size_t b = 0; b < pending_.size(); ++b) {
+    pending_[b].clear();
+    pending_head_[b] = 0;
+  }
 }
 
 uint64_t BackendPool::RendezvousScore(size_t b, NodeId v) const {
@@ -343,9 +353,9 @@ BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
 
 bool BackendPool::PlanOne(NodeId v,
                           std::vector<std::vector<LedgerOp>>& per_backend,
-                          uint32_t* first_request_backend) {
+                          uint32_t& first_request_backend) {
   SelectionOrder(v, order_scratch_);
-  if (first_request_backend != nullptr) *first_request_backend = UINT32_MAX;
+  first_request_backend = UINT32_MAX;
   uint64_t attempt = 0;
   for (size_t b : order_scratch_) {
     const BackendConfig& config = configs_[b];
@@ -355,9 +365,8 @@ bool BackendPool::PlanOne(NodeId v,
             {v, static_cast<uint32_t>(attempt), 1, AttemptDraw{}});
         break;  // this key is spent; fail over
       }
-      if (first_request_backend != nullptr &&
-          *first_request_backend == UINT32_MAX) {
-        *first_request_backend = static_cast<uint32_t>(b);
+      if (first_request_backend == UINT32_MAX) {
+        first_request_backend = static_cast<uint32_t>(b);
       }
       ++routed_requests_[b];
       const AttemptDraw draw = DrawAttempt(b, v, attempt);
@@ -373,96 +382,97 @@ bool BackendPool::PlanOne(NodeId v,
   return false;
 }
 
-void BackendPool::ApplyOps(size_t b, std::span<const LedgerOp> ops,
-                           std::chrono::microseconds per_trip_latency) {
-  int64_t trips = 0;
-  {
-    std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
-    const BackendConfig& config = configs_[b];
-    BackendLedger& ledger = ledgers_[b];
-    for (const LedgerOp& op : ops) {
-      if (op.refusal != 0) {
-        ++ledger.stats.budget_refusals;
-        continue;
-      }
-      PaceRequest(b);
-      const AttemptDraw& draw = op.draw;
-      ledger.clock_us += draw.latency_us;
-      ledger.stats.simulated_us += draw.latency_us;
-      ++ledger.stats.requests;
-      ++trips;
-      if (draw.fault == Fault::kNone) {
-        ++ledger.stats.unique_queries;
-        continue;
-      }
-      ++ledger.stats.failed_requests;
-      switch (draw.fault) {
-        case Fault::kTimeout:
-          ++ledger.stats.timeouts;
-          ledger.clock_us += config.timeout_us;
-          ledger.stats.simulated_us += config.timeout_us;
-          break;
-        case Fault::kTransientError:
-          ++ledger.stats.transient_errors;
-          break;
-        case Fault::kQuotaRejected:
-          ++ledger.stats.quota_rejections;
-          break;
-        case Fault::kNone:
-          break;
-      }
-      const uint64_t backoff_us =
-          retry_.BackoffUs(fault_seed_, op.node, op.attempt);
-      ledger.clock_us += backoff_us;
-      ledger.stats.simulated_us += backoff_us;
-    }
+void BackendPool::ApplyFetchBatch(const FetchPlan::Batch& batch) {
+  const size_t b = batch.backend;
+  std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
+  std::vector<LedgerOp>& queue = pending_[b];
+  size_t& head = pending_head_[b];
+  if (queue.size() - head < batch.ops) {
+    throw std::logic_error("ApplyFetchBatch: batch was never planned");
   }
-  // The real-time price of this backend's round trips, paid outside the
-  // ledger lock so only same-backend trips serialize on the ledger math.
-  if (per_trip_latency.count() > 0 && trips > 0) {
-    std::this_thread::sleep_for(per_trip_latency * trips);
+  const BackendConfig& config = configs_[b];
+  BackendLedger& ledger = ledgers_[b];
+  for (size_t i = head; i < head + batch.ops; ++i) {
+    const LedgerOp& op = queue[i];
+    if (op.refusal != 0) {
+      ++ledger.stats.budget_refusals;
+      continue;
+    }
+    PaceRequest(b);
+    const AttemptDraw& draw = op.draw;
+    ledger.clock_us += draw.latency_us;
+    ledger.stats.simulated_us += draw.latency_us;
+    ++ledger.stats.requests;
+    if (draw.fault == Fault::kNone) {
+      ++ledger.stats.unique_queries;
+      continue;
+    }
+    ++ledger.stats.failed_requests;
+    switch (draw.fault) {
+      case Fault::kTimeout:
+        ++ledger.stats.timeouts;
+        ledger.clock_us += config.timeout_us;
+        ledger.stats.simulated_us += config.timeout_us;
+        break;
+      case Fault::kTransientError:
+        ++ledger.stats.transient_errors;
+        break;
+      case Fault::kQuotaRejected:
+        ++ledger.stats.quota_rejections;
+        break;
+      case Fault::kNone:
+        break;
+    }
+    const uint64_t backoff_us =
+        retry_.BackoffUs(fault_seed_, op.node, op.attempt);
+    ledger.clock_us += backoff_us;
+    ledger.stats.simulated_us += backoff_us;
+  }
+  head += batch.ops;
+  // Reuse the queue's storage: reset it whenever it drains, and compact a
+  // long-lived backlog so a queue that never quite empties stays bounded.
+  if (head == queue.size()) {
+    queue.clear();
+    head = 0;
+  } else if (head >= 1024 && 2 * head >= queue.size()) {
+    queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(head));
+    head = 0;
   }
 }
 
 void BackendPool::FetchMisses(std::span<const NodeId> misses) {
-  for (auto& ops : plan_scratch_) ops.clear();
-  for (NodeId v : misses) {
-    if (BudgetExhausted()) break;  // pool-wide cap, same as the base model
-    PlanOne(v, plan_scratch_);
-  }
-  for (size_t b = 0; b < plan_scratch_.size(); ++b) {
-    if (!plan_scratch_[b].empty()) {
-      ApplyOps(b, plan_scratch_[b], std::chrono::microseconds(0));
-    }
+  PlanFetchMisses(misses, inline_plan_);
+  for (const FetchPlan::Batch& batch : inline_plan_.batches) {
+    ApplyFetchBatch(batch);
   }
 }
 
-std::optional<DeferredFetch> BackendPool::PlanFetchMisses(
-    std::span<const NodeId> misses,
-    std::chrono::microseconds per_trip_latency) {
-  DeferredFetch out;
-  out.fetched.assign(misses.size(), 0);
-  out.first_backend.assign(misses.size(), UINT32_MAX);
-  std::vector<std::vector<LedgerOp>> per_backend(configs_.size());
+bool BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
+                                  FetchPlan& plan) {
+  for (auto& ops : plan_scratch_) ops.clear();
+  plan.batches.clear();
+  plan.fetched.assign(misses.size(), 0);
+  plan.first_backend.assign(misses.size(), UINT32_MAX);
   for (size_t i = 0; i < misses.size(); ++i) {
-    if (BudgetExhausted()) break;
-    out.fetched[i] =
-        PlanOne(misses[i], per_backend, &out.first_backend[i]) ? 1 : 0;
+    if (BudgetExhausted()) break;  // pool-wide cap, same as the base model
+    plan.fetched[i] =
+        PlanOne(misses[i], plan_scratch_, plan.first_backend[i]) ? 1 : 0;
   }
-  for (size_t b = 0; b < per_backend.size(); ++b) {
-    if (per_backend[b].empty()) continue;
+  for (size_t b = 0; b < plan_scratch_.size(); ++b) {
+    const std::vector<LedgerOp>& ops = plan_scratch_[b];
+    if (ops.empty()) continue;
     uint32_t trips = 0;
-    for (const LedgerOp& op : per_backend[b]) {
+    for (const LedgerOp& op : ops) {
       if (op.refusal == 0) ++trips;
     }
-    out.task_backend.push_back(static_cast<uint32_t>(b));
-    out.task_trips.push_back(trips);
-    out.apply_tasks.push_back(
-        [this, b, ops = std::move(per_backend[b]), per_trip_latency] {
-          ApplyOps(b, ops, per_trip_latency);
-        });
+    {
+      std::lock_guard<std::mutex> lock(ledger_mutexes_[b]);
+      pending_[b].insert(pending_[b].end(), ops.begin(), ops.end());
+    }
+    plan.batches.push_back(
+        {static_cast<uint32_t>(b), static_cast<uint32_t>(ops.size()), trips});
   }
-  return out;
+  return true;
 }
 
 std::optional<std::vector<uint32_t>> BackendPool::PlanPrefetch(

@@ -132,19 +132,18 @@ const char* BackendSelectionName(BackendSelection selection);
 ///  * **per-backend ledger application** — pacing, virtual clocks, stats —
 ///    behind one fine-grained mutex per backend, with no cross-backend
 ///    state, so ledgers of different backends can be applied concurrently.
-/// The sync path (`FetchMisses`) runs both halves inline; the async path
-/// (`PlanFetchMisses`) returns the second half as per-backend tasks for a
-/// concurrent executor. Because the two paths share the plan verbatim and
-/// a backend's ledger evolution depends only on its own op sequence, the
-/// async path's outcomes, costs, and ledgers are bit-identical to sync.
+/// `PlanFetchMisses` runs the front and queues each backend's ledger ops;
+/// `ApplyFetchBatch` pops and applies them. The queue keeps every ledger's
+/// op sequence in plan order no matter which thread applies a batch or
+/// when, and a backend's ledger evolution depends only on that sequence.
+/// The inline path (`FetchMisses`, a bare pool) plans and applies at once.
 ///
 /// Like the base class, routing is single-threaded: serialize query-path
 /// entry points externally (runtime/ConcurrentInterfaceCache does). Only
-/// the deferred apply tasks may run concurrently. Simulated time (latency,
-/// backoff, pacing) is charged to per-backend virtual clocks, not slept,
-/// so scenario sweeps run at full CPU speed; the async path additionally
-/// sleeps the wrapper-provided per-trip latency inside each backend's
-/// apply task, which is what makes distinct backends overlap in real time.
+/// `ApplyFetchBatch` may run concurrently. Simulated time (latency,
+/// backoff, pacing) is charged to per-backend virtual clocks, never slept,
+/// so scenario sweeps run at full CPU speed; a concurrent wrapper sleeps
+/// real round trips itself, outside the pool.
 class BackendPool final : public RestrictedInterface {
  public:
   /// `backends` must be non-empty; configs are validated.
@@ -155,7 +154,7 @@ class BackendPool final : public RestrictedInterface {
   size_t num_backends() const { return configs_.size(); }
   const BackendConfig& backend_config(size_t b) const { return configs_[b]; }
   /// Copied under the backend's ledger mutex (safe against in-flight
-  /// async applies, though steady only at quiescence).
+  /// batch applies, though steady only at quiescence).
   BackendStats backend_stats(size_t b) const;
   std::vector<BackendStats> AllBackendStats() const;
   BackendSelection selection() const { return selection_; }
@@ -194,12 +193,18 @@ class BackendPool final : public RestrictedInterface {
   /// quiescent points (between rounds / at snapshot time).
   void PublishMetrics(obs::MetricsRegistry& registry) const;
 
-  /// The async fetch entry point (see RestrictedInterface): plans every
-  /// miss on the calling thread and returns one deferred ledger/latency
-  /// task per backend touched, in-plan-order within each backend.
-  std::optional<DeferredFetch> PlanFetchMisses(
-      std::span<const NodeId> misses,
-      std::chrono::microseconds per_trip_latency) override;
+  /// Plans every miss on the calling thread (see RestrictedInterface) and
+  /// queues each touched backend's ledger ops; `plan.batches` lists the
+  /// backends in ascending order.
+  bool PlanFetchMisses(std::span<const NodeId> misses,
+                       FetchPlan& plan) override;
+
+  /// Applies the oldest `batch.ops` queued ops of `batch.backend` under
+  /// that backend's ledger mutex.
+  void ApplyFetchBatch(const FetchPlan::Batch& batch) override;
+
+  /// One fetch lane per backend.
+  size_t FetchLanes() const override { return configs_.size(); }
 
   /// Routing preview for the pipelined prefetcher: answers for the pure
   /// per-node policies (kSharded, kRendezvous) with each id's first
@@ -211,9 +216,9 @@ class BackendPool final : public RestrictedInterface {
       std::span<const NodeId> ids) const override;
 
  protected:
-  /// The sync multi-backend fetch path: each miss runs the select →
-  /// budget → fault-draw plan, and its ledger work (pace, latency,
-  /// backoff) is applied inline. Same plan/apply code as the async path.
+  /// The inline multi-backend fetch path (a bare pool): plans the misses
+  /// and applies every batch at once. Same plan/apply code as the split
+  /// path a concurrent wrapper drives.
   void FetchMisses(std::span<const NodeId> misses) override;
 
  private:
@@ -257,18 +262,12 @@ class BackendPool final : public RestrictedInterface {
 
   /// Routing front for one node: runs the retry/failover loop against the
   /// routing counters, appends the resulting ledger ops per backend, and
-  /// on success marks the node fetched. Returns true iff fetched. When
-  /// `first_request_backend` is non-null it receives the backend of the
-  /// node's first real (non-refusal) request, or UINT32_MAX if none was
-  /// issued — the prefetch-prediction ground truth.
+  /// on success marks the node fetched. Returns true iff fetched.
+  /// `first_request_backend` receives the backend of the node's first real
+  /// (non-refusal) request, or UINT32_MAX if none was issued — the
+  /// prefetch-prediction ground truth.
   bool PlanOne(NodeId v, std::vector<std::vector<LedgerOp>>& per_backend,
-               uint32_t* first_request_backend = nullptr);
-
-  /// Applies one backend's planned ops to its ledger, under that ledger's
-  /// mutex, then sleeps `per_trip_latency` once per applied request (the
-  /// real-time cost of this backend's round trips, paid outside the lock).
-  void ApplyOps(size_t b, std::span<const LedgerOp> ops,
-                std::chrono::microseconds per_trip_latency);
+               uint32_t& first_request_backend);
 
   /// Token-bucket pacing on the backend's virtual clock. Caller holds the
   /// backend's ledger mutex.
@@ -278,11 +277,18 @@ class BackendPool final : public RestrictedInterface {
   /// Reset, RestoreBackends — all quiescent points where they agree).
   void SyncRoutingCounters();
 
+  /// Drops every queued op (Reset, RestoreBackends — quiescent points).
+  void ClearPending();
+
   std::vector<BackendConfig> configs_;
   std::vector<BackendLedger> ledgers_;
-  /// One lock per ledger; never held across backends, so apply tasks of
-  /// different backends are fully independent.
+  /// One lock per ledger; never held across backends, so batches of
+  /// different backends apply fully independently.
   mutable std::unique_ptr<std::mutex[]> ledger_mutexes_;
+  /// Per backend: ops planned but not yet applied, oldest first from
+  /// `pending_head_`. Guarded by that backend's ledger mutex.
+  std::vector<std::vector<LedgerOp>> pending_;
+  std::vector<size_t> pending_head_;
   RetryPolicy retry_;
   BackendSelection selection_;
   uint64_t fault_seed_;
@@ -298,6 +304,7 @@ class BackendPool final : public RestrictedInterface {
   std::vector<uint64_t> name_hashes_;
   std::vector<size_t> order_scratch_;
   std::vector<std::vector<LedgerOp>> plan_scratch_;
+  FetchPlan inline_plan_;  ///< FetchMisses' reused plan
 };
 
 }  // namespace mto

@@ -36,12 +36,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   crawl.num_walkers = config_.num_walkers;
   crawl.num_threads = config_.num_threads;
   crawl.coalesce_frontier = config_.coalesce_frontier;
-  crawl.fetch_mode = config_.fetch_mode;
-  // Auto-size the async fetch pool to the backend fleet: one worker per
-  // backend channel is exactly the overlap the pool's sharded ledgers
-  // admit.
-  crawl.fetch_threads = config_.fetch_threads != 0 ? config_.fetch_threads
-                                                   : pool_->num_backends();
   crawl.pipeline_depth = config_.pipeline_depth;
   crawl.program_label = config_.ProgramName();
   scheduler_ = std::make_unique<CrawlScheduler>(

@@ -44,12 +44,15 @@ void CheckKeys(const JsonValue& obj, const char* where,
   }
 }
 
-SamplerKind ParseSamplerKind(const std::string& s) {
-  if (s == "srw") return SamplerKind::kSrw;
-  if (s == "mhrw") return SamplerKind::kMhrw;
-  if (s == "random_jump" || s == "rj") return SamplerKind::kRandomJump;
-  if (s == "mto") return SamplerKind::kMto;
-  throw std::invalid_argument("ScenarioConfig: unknown sampler \"" + s + "\"");
+/// An `mto` uint knob whose MtoConfig field is 32 bits wide: values that
+/// would wrap are rejected instead of silently truncated.
+uint32_t MtoUint32(const JsonValue& mto, const char* key) {
+  const uint64_t value = mto.At(key).AsUint();
+  if (value > UINT32_MAX) {
+    throw std::invalid_argument(std::string("ScenarioConfig: mto.") + key +
+                                " must be <= 4294967295");
+  }
+  return static_cast<uint32_t>(value);
 }
 
 Attribute ParseAttribute(const std::string& s) {
@@ -60,20 +63,13 @@ Attribute ParseAttribute(const std::string& s) {
                               "\"");
 }
 
-FetchMode ParseFetchMode(const std::string& s) {
-  if (s == "sync") return FetchMode::kSync;
-  if (s == "async") return FetchMode::kAsync;
-  throw std::invalid_argument("ScenarioConfig: unknown fetch_mode \"" + s +
-                              "\"");
-}
-
 BackendSelection ParseSelection(const std::string& s) {
   if (s == "sharded") return BackendSelection::kSharded;
   if (s == "rendezvous") return BackendSelection::kRendezvous;
   if (s == "round_robin") return BackendSelection::kRoundRobin;
   if (s == "least_loaded") return BackendSelection::kLeastLoaded;
   if (s == "budget_aware") return BackendSelection::kBudgetAware;
-  throw std::invalid_argument("ScenarioConfig: unknown strategy \"" + s +
+  throw std::invalid_argument("ScenarioConfig: unknown routing \"" + s +
                               "\"");
 }
 
@@ -138,25 +134,15 @@ const char* AttributeKey(Attribute attribute) {
 
 ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
-            {"dataset", "seed", "sampler", "program", "mto", "attribute",
+            {"dataset", "seed", "program", "mto", "attribute",
              "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "fetch_mode", "fetch_threads", "pipeline_depth", "queue_capacity",
-             "geweke", "max_burn_in_rounds", "num_samples", "thinning",
-             "total_budget", "backends", "strategy", "routing", "retry",
-             "fault_seed", "checkpoint", "observability"});
+             "pipeline_depth", "queue_capacity", "geweke",
+             "max_burn_in_rounds", "num_samples", "thinning", "total_budget",
+             "backends", "routing", "retry", "fault_seed", "checkpoint",
+             "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
-  // "program" subsumes the historical "sampler" key; like
-  // "strategy"/"routing", naming both is a contradiction waiting to happen.
-  if (root.Has("sampler") && root.Has("program")) {
-    throw std::invalid_argument(
-        "ScenarioConfig: \"sampler\" and \"program\" are aliases; "
-        "specify only one");
-  }
-  if (root.Has("sampler")) {
-    config.sampler = ParseSamplerKind(root.At("sampler").AsString());
-  }
   if (root.Has("program")) {
     const JsonValue& program = root.At("program");
     CheckKeys(program, "program", {"name", "p", "q", "restart"});
@@ -213,8 +199,7 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
           ParseCriterionBasis(mto.At("criterion_basis").AsString());
     }
     if (mto.Has("min_overlay_degree")) {
-      config.mto.min_overlay_degree =
-          static_cast<uint32_t>(mto.At("min_overlay_degree").AsUint());
+      config.mto.min_overlay_degree = MtoUint32(mto, "min_overlay_degree");
     }
     if (mto.Has("enable_replacement")) {
       config.mto.enable_replacement = mto.At("enable_replacement").AsBool();
@@ -232,12 +217,10 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
       config.mto.weight_mode = ParseWeightMode(mto.At("weight_mode").AsString());
     }
     if (mto.Has("degree_probe")) {
-      config.mto.degree_probe =
-          static_cast<uint32_t>(mto.At("degree_probe").AsUint());
+      config.mto.degree_probe = MtoUint32(mto, "degree_probe");
     }
     if (mto.Has("max_inner_iterations")) {
-      config.mto.max_inner_iterations =
-          static_cast<uint32_t>(mto.At("max_inner_iterations").AsUint());
+      config.mto.max_inner_iterations = MtoUint32(mto, "max_inner_iterations");
     }
   }
   if (root.Has("attribute")) {
@@ -250,12 +233,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   if (root.Has("threads")) config.num_threads = root.At("threads").AsUint();
   if (root.Has("coalesce_frontier")) {
     config.coalesce_frontier = root.At("coalesce_frontier").AsBool();
-  }
-  if (root.Has("fetch_mode")) {
-    config.fetch_mode = ParseFetchMode(root.At("fetch_mode").AsString());
-  }
-  if (root.Has("fetch_threads")) {
-    config.fetch_threads = root.At("fetch_threads").AsUint();
   }
   if (root.Has("pipeline_depth")) {
     config.pipeline_depth = root.At("pipeline_depth").AsUint();
@@ -291,16 +268,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
     for (size_t i = 0; i < array.size(); ++i) {
       config.backends.push_back(ParseBackend(array[i], i));
     }
-  }
-  // "routing" is the preferred alias of the historical "strategy" key;
-  // naming both is a config contradiction waiting to happen, so reject it.
-  if (root.Has("strategy") && root.Has("routing")) {
-    throw std::invalid_argument(
-        "ScenarioConfig: \"strategy\" and \"routing\" are aliases; "
-        "specify only one");
-  }
-  if (root.Has("strategy")) {
-    config.strategy = ParseSelection(root.At("strategy").AsString());
   }
   if (root.Has("routing")) {
     config.strategy = ParseSelection(root.At("routing").AsString());
@@ -472,7 +439,8 @@ uint64_t ScenarioConfig::Fingerprint() const {
   fnv.Mix(dataset);
   fnv.Mix(seed);
   // The resolved program name replaces the historical sampler-enum mix, so
-  // "sampler": "srw" and "program": {"name": "srw"} fingerprint alike.
+  // a config that sets only the `sampler` field and one that names the same
+  // program fingerprint alike (checkpoints written either way still load).
   fnv.Mix(ProgramName());
   fnv.Mix(program.p);
   fnv.Mix(program.q);
@@ -519,14 +487,14 @@ uint64_t ScenarioConfig::Fingerprint() const {
     fnv.Mix(backend.quota_rate);
     fnv.Mix(backend.timeout_us);
   }
-  // num_threads, coalesce_frontier, fetch_mode, fetch_threads,
-  // pipeline_depth, and queue_capacity are deliberately excluded: results
-  // are bit-identical across them (the runtime contract), so a checkpoint
-  // from a 1-thread sync run may resume on 8 threads with pipelined async
-  // fetches, and vice versa. The observability block is excluded for the
-  // same reason — telemetry is strictly passive (no RNG draws, no queries,
-  // no session-state mutation), so a run may be resumed with observability
-  // toggled either way. The routing strategy is excluded too — not
+  // num_threads, coalesce_frontier, pipeline_depth, and queue_capacity are
+  // deliberately excluded: results are bit-identical across them (the
+  // runtime contract), so a checkpoint from a 1-thread free-run crawl may
+  // resume on 8 threads with a pipelined frontier, and vice versa. The
+  // observability block is excluded for the same reason — telemetry is
+  // strictly passive (no RNG draws, no queries, no session-state
+  // mutation), so a run may be resumed with observability toggled either
+  // way. The routing strategy is excluded too — not
   // because results match across policies (they don't), but because
   // resuming under a different policy is a legitimate live rotation: the
   // ledgers, cache, and walker states are policy-independent facts, and

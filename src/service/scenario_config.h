@@ -19,13 +19,11 @@ struct CheckpointConfig {
   size_t every_units = 0;    ///< save every N Advance() units; 0 = disabled
 };
 
-/// Walk-program selection (the scenario's `"program"` object). Subsumes the
-/// historical `"sampler"` enum key: `name` is resolved through the
-/// WalkProgram registry (src/walk/walk_program.h), so new programs need no
-/// enum surgery. `"sampler"` and `"program"` are aliases of the same choice
-/// and naming both is an error.
+/// Walk-program selection (the scenario's `"program"` object): `name` is
+/// resolved through the WalkProgram registry (src/walk/walk_program.h), so
+/// new programs need no enum surgery.
 struct ProgramConfig {
-  std::string name;       ///< empty = fall back to the `sampler` key
+  std::string name;       ///< empty = fall back to the `sampler` field
   double p = 1.0;         ///< node2vec return parameter (> 0)
   double q = 1.0;         ///< node2vec in-out parameter (> 0)
   double restart = 0.15;  ///< pagerank teleport probability ([0, 1])
@@ -73,10 +71,10 @@ struct ObservabilityConfig {
 /// {
 ///   "dataset": "epinions_small",
 ///   "seed": 42,
-///   "sampler": "srw",
+///   "program": {"name": "srw"},
 ///   "attribute": "degree",
 ///   "walkers": 16, "threads": 4, "coalesce_frontier": false,
-///   "fetch_mode": "async", "fetch_threads": 0, "pipeline_depth": 0,
+///   "pipeline_depth": 0,
 ///   "geweke": {"threshold": 0.1, "min_length": 200, "check_every": 50},
 ///   "max_burn_in_rounds": 2000,
 ///   "num_samples": 200, "thinning": 25,
@@ -107,10 +105,9 @@ struct ScenarioConfig {
   Attribute attribute = Attribute::kDegree;
   double jump_probability = 0.5;  ///< used when sampler == random_jump
 
-  /// Walk-program selection (`"program"` object; preferred over the
-  /// historical `"sampler"` key, which it aliases — naming both is an
-  /// error). When `program.name` is one of the four legacy names the
-  /// `sampler` enum is kept in sync for downstream consumers.
+  /// Walk-program selection (`"program"` object). When `program.name` is
+  /// one of the four legacy names the `sampler` enum is kept in sync for
+  /// downstream consumers (run reports, experiment harness helpers).
   ProgramConfig program;
   /// The paper's MTO ablation knobs (`"mto"` object); consumed only when
   /// the resolved program is "mto" — setting the block for any other
@@ -124,18 +121,10 @@ struct ScenarioConfig {
   size_t num_walkers = 8;
   size_t num_threads = 1;
   bool coalesce_frontier = false;
-  /// Miss-fetch execution: "sync" serializes backend fetches under the
-  /// session ledger lock; "async" plans them there but overlaps the
-  /// round-trip work of distinct backends on a completion queue. Results
-  /// are bit-identical across modes (fetch_equivalence_test pins this), so
-  /// like num_threads it is excluded from the checkpoint fingerprint.
-  FetchMode fetch_mode = FetchMode::kSync;
-  /// Async fetch workers; 0 = one per backend (capped by the runtime).
-  size_t fetch_threads = 0;
   /// Pipelined rounds (coalesced stepping only): with depth k >= 1, up to
   /// k rounds of deferred backend latency stay in flight behind the crawl
   /// and each round prefetches up to k predicted targets per walker as
-  /// wall-clock-only tickets. Pure execution shape like fetch_mode —
+  /// wall-clock-only tickets. Pure execution shape like num_threads —
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
@@ -151,8 +140,7 @@ struct ScenarioConfig {
   /// Pool-wide unique-query cap on top of per-backend budgets; 0 = none.
   uint64_t total_budget = 0;
   std::vector<BackendConfig> backends;  ///< empty = one perfect backend
-  /// Backend routing policy. JSON accepts either "strategy" (historical)
-  /// or "routing" (preferred alias) — naming both is an error. Excluded
+  /// Backend routing policy (the `"routing"` key). Excluded
   /// from the checkpoint fingerprint: resuming under a different policy is
   /// a live rotation, the trajectory simply becomes hybrid.
   BackendSelection strategy = BackendSelection::kSharded;

@@ -17,13 +17,13 @@
 namespace mto {
 
 /// A fixed set of single-worker FIFO lanes ("channels"), one per backend
-/// connection in the pipelined fetch engine (DESIGN.md §10).
+/// connection in the cache's fetch engine (DESIGN.md §9, §10).
 ///
 /// Each channel runs its tasks strictly in post order on its own dedicated
 /// worker, so tasks posted to the *same* channel serialize (one backend
 /// serves one round trip at a time — the bandwidth model) while tasks on
-/// *different* channels overlap freely. Unlike util/TaskQueue there is no
-/// per-dispatch join: posting is fire-and-forget, and progress is observed
+/// *different* channels overlap freely. There is no per-post join:
+/// posting is fire-and-forget, and progress is observed
 /// through markers — `Mark()` snapshots the per-channel posted counts, and
 /// `WaitUntil(marker)` blocks until every channel has completed at least
 /// that much. This is exactly what a lag-k pipeline needs: the poster keeps

@@ -172,6 +172,58 @@ TEST(BackendPoolTest, TokenBucketPacesOnSimulatedClock) {
   EXPECT_EQ(stats.unique_queries, 10u);
 }
 
+TEST(BackendPoolTest, SplitFetchAppliesLedgerOpsInPlanOrder) {
+  // A concurrent wrapper may apply planned batches in any order from any
+  // thread; each backend's ledger must still see its ops in plan order.
+  // A one-token bucket whose refill interval (400us) sits inside the
+  // latency spread makes the ledger order-sensitive — a request waits
+  // only when its predecessor's latency was short — so applying the
+  // batches in reverse must still reproduce the inline twin exactly.
+  SocialNetwork net = TestNet();
+  std::vector<BackendConfig> backends(1);
+  backends[0].latency_mean_us = 400;
+  backends[0].latency_sigma = 0.8;
+  backends[0].rate_per_sec = 2500.0;
+  backends[0].burst = 1.0;
+  const NodeId nodes[] = {3, 5, 8, 13, 21};
+  BackendPool inline_pool(net, backends, RetryPolicy{},
+                          BackendSelection::kSharded, kFaultSeed);
+  for (NodeId v : nodes) ASSERT_TRUE(inline_pool.Query(v).has_value());
+
+  BackendPool split(net, backends, RetryPolicy{}, BackendSelection::kSharded,
+                    kFaultSeed);
+  std::vector<FetchPlan> plans(std::size(nodes));
+  for (size_t i = 0; i < std::size(nodes); ++i) {
+    ASSERT_TRUE(split.PlanFetchMisses({&nodes[i], 1}, plans[i]));
+    ASSERT_EQ(plans[i].batches.size(), 1u);
+    EXPECT_EQ(plans[i].fetched[0], 1);
+    EXPECT_EQ(plans[i].first_backend[0], 0u);
+  }
+  EXPECT_EQ(split.QueryCost(), std::size(nodes));  // charged at plan time
+  for (size_t i = std::size(nodes); i-- > 0;) {
+    split.ApplyFetchBatch(plans[i].batches[0]);
+  }
+
+  const BackendLedger want = inline_pool.SnapshotBackends().ledgers[0];
+  const BackendLedger got = split.SnapshotBackends().ledgers[0];
+  EXPECT_EQ(got.stats.requests, want.stats.requests);
+  EXPECT_EQ(got.stats.pacing_waits, want.stats.pacing_waits);
+  EXPECT_EQ(got.stats.simulated_us, want.stats.simulated_us);
+  EXPECT_EQ(got.clock_us, want.clock_us);
+  EXPECT_EQ(got.bucket_tokens, want.bucket_tokens);  // bitwise double
+  EXPECT_EQ(got.last_refill_us, want.last_refill_us);
+  // Not vacuous: serving the same fetches in reverse order inline moves
+  // the pacing-bearing fields.
+  BackendPool reversed(net, backends, RetryPolicy{},
+                       BackendSelection::kSharded, kFaultSeed);
+  for (size_t i = std::size(nodes); i-- > 0;) {
+    ASSERT_TRUE(reversed.Query(nodes[i]).has_value());
+  }
+  EXPECT_NE(reversed.SnapshotBackends().ledgers[0].clock_us, want.clock_us);
+  // Every queued op is spoken for: a batch that was never planned throws.
+  EXPECT_THROW(split.ApplyFetchBatch(plans[0].batches[0]), std::logic_error);
+}
+
 TEST(BackendPoolTest, LatencyDistributionIsDeterministicAndCharged) {
   SocialNetwork net = TestNet();
   std::vector<BackendConfig> backends(1);

@@ -1,186 +1,240 @@
-// Sync/async fetch equivalence — the async tentpole's headline invariant
-// (DESIGN.md §9): `fetch_mode` is pure execution shape. For every stepping
-// mode, thread count, and fault setting, an async crawl must produce
-// bit-identical samples, trace, estimates, costs, and per-backend ledgers
-// to the sync crawl, because both execute the same plan — async merely
-// overlaps the deferred per-backend ledger/latency work.
+// One-fetch-engine equivalence (DESIGN.md §9): how a miss is executed is
+// pure execution shape. The reference is the plainest crawl there is — a
+// 1-thread free-run CrawlScheduler over a *bare* BackendPool, with no cache
+// in between, so every miss runs the pool's inline FetchMisses. The same
+// crawl through ConcurrentInterfaceCache (misses planned under the ledger
+// lock and applied outside it, frontier batches on per-backend lanes, lag-k
+// joins, prefetch tickets) must reproduce the reference's positions,
+// diagnostic stream, QueryCost, BackendRequests, FailedFetches and full
+// per-backend ledgers for 1 and 4 threads x {plain, coalesced, MTO
+// speculative, pipelined depth 2} x {clean, faults}.
 //
 // Ledger caveat, pinned precisely: with token-bucket pacing enabled the
 // pacing fields (bucket level, clocks, waits) depend on per-backend arrival
-// order, which multi-threaded stepping does not fix in either mode — so the
-// full-ledger assertion covers every pacing-free case plus all 1-thread
-// cases, and pacing runs are compared 1-thread only.
+// order, which multi-threaded stepping does not fix — so 1-thread sweep
+// points run with pacing on and compare every field, while 4-thread points
+// run pacing-free, where every ledger field is a pure sum of
+// per-(backend, node, attempt) draws. Pacing runs compare against a
+// reference with the same stepping (free-run steps walker-major within a
+// RunRounds call, coalesced rounds round-major, so the two present the
+// pool different arrival orders).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
+#include "src/runtime/concurrent_interface_cache.h"
+#include "src/runtime/crawl_scheduler.h"
+#include "src/service/backend_pool.h"
 #include "src/service/crawl_service.h"
+#include "src/walk/walk_program.h"
 
 namespace mto {
 namespace {
 
-enum class Stepping { kPlain, kCoalesced, kSpeculative };
+constexpr uint64_t kSeed = 0x5EED5;
+constexpr uint64_t kFaultSeed = 0xFA17;
+constexpr size_t kWalkers = 8;
+constexpr size_t kChunks = 6;
+constexpr size_t kRoundsPerChunk = 20;
 
-const char* SteppingName(Stepping stepping) {
-  switch (stepping) {
-    case Stepping::kPlain: return "plain";
-    case Stepping::kCoalesced: return "coalesced";
-    case Stepping::kSpeculative: return "speculative";
-  }
-  return "?";
-}
+/// An execution shape of the cached crawl.
+struct Shape {
+  const char* name;
+  const char* program;
+  bool coalesce;
+  size_t pipeline_depth;
+};
+
+constexpr Shape kShapes[] = {
+    {"plain", "srw", false, 0},
+    {"coalesced", "srw", true, 0},
+    {"speculative", "mto", true, 0},
+    {"pipelined", "mto", true, 2},
+};
 
 struct Sweep {
+  size_t shape;  ///< index into kShapes
   size_t threads;
-  Stepping stepping;
   bool faults;
 };
 
 std::string SweepName(const testing::TestParamInfo<Sweep>& info) {
-  return std::string(SteppingName(info.param.stepping)) + "_" +
+  return std::string(kShapes[info.param.shape].name) + "_" +
          std::to_string(info.param.threads) + "threads_" +
          (info.param.faults ? "faults" : "clean");
 }
 
-/// Three-backend scenario; pacing off so per-backend ledgers are pure sums
-/// of per-(backend,node,attempt) draws — order-independent, hence exactly
-/// comparable even under multi-threaded stepping (see file comment).
-ScenarioConfig BaseScenario(const Sweep& sweep) {
-  ScenarioConfig config;
-  config.dataset = "epinions_small";
-  config.seed = 0x5EED5;
-  config.num_walkers = 8;
-  config.num_threads = sweep.threads;
-  config.coalesce_frontier = sweep.stepping != Stepping::kPlain;
-  config.sampler = sweep.stepping == Stepping::kSpeculative
-                       ? SamplerKind::kMto
-                       : SamplerKind::kSrw;
-  config.geweke_check_every = 20;
-  config.geweke_min_length = 40;
-  config.max_burn_in_rounds = 120;
-  config.num_samples = 16;
-  config.thinning = 3;
-  config.fault_seed = 0xFA17;
-  config.retry.max_attempts_per_backend = 10;
-  config.backends.resize(3);
-  config.backends[0].latency_mean_us = 150;
-  config.backends[0].latency_sigma = 0.4;
-  config.backends[1].latency_mean_us = 80;
-  config.backends[2].latency_mean_us = 200;
-  if (sweep.faults) {
-    config.backends[0].error_rate = 0.2;
-    config.backends[1].timeout_rate = 0.1;
-    config.backends[2].quota_rate = 0.15;
-  }
-  return config;
+const SocialNetwork& Network() {
+  static const SocialNetwork& net =
+      *new SocialNetwork(MakeDataset("epinions_small"));
+  return net;
 }
 
-void ExpectResultsBitIdentical(const ServiceResult& sync,
-                               const ServiceResult& async) {
-  EXPECT_EQ(sync.samples, async.samples);
-  ASSERT_EQ(sync.trace.size(), async.trace.size());
-  for (size_t i = 0; i < sync.trace.size(); ++i) {
-    EXPECT_EQ(sync.trace[i].query_cost, async.trace[i].query_cost)
-        << "trace " << i;
-    EXPECT_EQ(sync.trace[i].estimate, async.trace[i].estimate) << "trace " << i;
+/// Three backends with distinct latency draws; faults and pacing optional.
+std::vector<BackendConfig> Backends(bool faults, bool pacing) {
+  std::vector<BackendConfig> backends(3);
+  backends[0].latency_mean_us = 150;
+  backends[0].latency_sigma = 0.4;
+  backends[1].latency_mean_us = 80;
+  backends[2].latency_mean_us = 200;
+  if (faults) {
+    backends[0].error_rate = 0.2;
+    backends[1].timeout_rate = 0.1;
+    backends[2].quota_rate = 0.15;
   }
-  EXPECT_EQ(sync.final_estimate, async.final_estimate);  // bitwise, not NEAR
-  EXPECT_EQ(sync.burn_in_converged, async.burn_in_converged);
-  EXPECT_EQ(sync.burn_in_rounds, async.burn_in_rounds);
-  EXPECT_EQ(sync.burn_in_query_cost, async.burn_in_query_cost);
-  EXPECT_EQ(sync.total_rounds, async.total_rounds);
-  EXPECT_EQ(sync.total_steps, async.total_steps);
-  EXPECT_EQ(sync.total_query_cost, async.total_query_cost);
-  EXPECT_EQ(sync.backend_requests, async.backend_requests);
-  EXPECT_EQ(sync.failed_fetches, async.failed_fetches);
-  EXPECT_EQ(sync.simulated_time_us, async.simulated_time_us);
+  if (pacing) {
+    // Slow refill, small burst: the bucket drains within a handful of
+    // ~80us-latency requests, so waits actually occur.
+    backends[1].rate_per_sec = 1000.0;
+    backends[1].burst = 4.0;
+  }
+  return backends;
 }
 
-void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& sync,
-                               const BackendPool::PoolSnapshot& async) {
-  EXPECT_EQ(sync.round_robin_cursor, async.round_robin_cursor);
-  EXPECT_EQ(sync.failed_fetches, async.failed_fetches);
-  ASSERT_EQ(sync.ledgers.size(), async.ledgers.size());
-  for (size_t b = 0; b < sync.ledgers.size(); ++b) {
-    SCOPED_TRACE("backend " + std::to_string(b));
-    const BackendLedger& s = sync.ledgers[b];
-    const BackendLedger& a = async.ledgers[b];
-    EXPECT_EQ(s.stats.unique_queries, a.stats.unique_queries);
-    EXPECT_EQ(s.stats.requests, a.stats.requests);
-    EXPECT_EQ(s.stats.failed_requests, a.stats.failed_requests);
-    EXPECT_EQ(s.stats.timeouts, a.stats.timeouts);
-    EXPECT_EQ(s.stats.transient_errors, a.stats.transient_errors);
-    EXPECT_EQ(s.stats.quota_rejections, a.stats.quota_rejections);
-    EXPECT_EQ(s.stats.budget_refusals, a.stats.budget_refusals);
-    EXPECT_EQ(s.stats.pacing_waits, a.stats.pacing_waits);
-    EXPECT_EQ(s.stats.simulated_us, a.stats.simulated_us);
-    EXPECT_EQ(s.clock_us, a.clock_us);
-    EXPECT_EQ(s.bucket_tokens, a.bucket_tokens);  // bitwise double
-    EXPECT_EQ(s.last_refill_us, a.last_refill_us);
-  }
-}
-
-struct RunOutput {
-  ServiceResult result;
+struct Crawl {
+  std::vector<NodeId> positions;
+  std::vector<double> diagnostics;
+  uint64_t query_cost = 0;
+  uint64_t backend_requests = 0;
+  uint64_t failed_fetches = 0;
   BackendPool::PoolSnapshot ledgers;
 };
 
-RunOutput RunWithMode(ScenarioConfig config, FetchMode mode) {
-  config.fetch_mode = mode;
-  CrawlService service(config);
-  RunOutput out;
-  out.result = service.Run();
-  out.ledgers = service.pool().SnapshotBackends();
+/// Runs kChunks x kRoundsPerChunk rounds of `program` over a fresh pool,
+/// through a ConcurrentInterfaceCache when `cached`, else over the bare
+/// pool (1 thread only).
+Crawl RunCrawl(const char* program, bool coalesce, size_t pipeline_depth,
+               size_t threads, bool faults, bool pacing, bool cached) {
+  RetryPolicy retry;
+  retry.max_attempts_per_backend = 10;
+  BackendPool pool(Network(), Backends(faults, pacing), retry,
+                   BackendSelection::kSharded, kFaultSeed);
+  // Real (small) round trips, so lane sleeps and ticket sleeps are live.
+  pool.SetSimulatedLatency(std::chrono::microseconds(cached ? 5 : 0));
+  std::unique_ptr<ConcurrentInterfaceCache> cache;
+  if (cached) cache = std::make_unique<ConcurrentInterfaceCache>(pool);
+  RestrictedInterface& session =
+      cached ? static_cast<RestrictedInterface&>(*cache) : pool;
+  CrawlConfig config;
+  config.num_walkers = kWalkers;
+  config.num_threads = threads;
+  config.coalesce_frontier = coalesce;
+  config.pipeline_depth = pipeline_depth;
+  const WalkProgram& walk = GetWalkProgram(program);
+  CrawlScheduler scheduler(
+      session, config, kSeed,
+      [&walk](RestrictedInterface& iface, Rng& rng, size_t) {
+        const NodeId start =
+            static_cast<NodeId>(rng.UniformInt(iface.num_users()));
+        return walk.MakeWalker(iface, rng, start, WalkProgramParams{});
+      });
+  Crawl out;
+  for (size_t chunk = 0; chunk < kChunks; ++chunk) {
+    scheduler.RunRounds(kRoundsPerChunk, &out.diagnostics);
+  }
+  out.positions = scheduler.Positions();
+  out.query_cost = session.QueryCost();
+  out.backend_requests = session.BackendRequests();
+  out.failed_fetches = pool.FailedFetches();
+  out.ledgers = pool.SnapshotBackends();
   return out;
+}
+
+/// The bare-pool 1-thread reference, computed once per key.
+const Crawl& Reference(const char* program, bool coalesce, bool faults,
+                       bool pacing) {
+  using Key = std::tuple<std::string, bool, bool, bool>;
+  static std::map<Key, Crawl>& cache = *new std::map<Key, Crawl>();
+  const Key key{program, coalesce, faults, pacing};
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    it = cache
+             .emplace(key, RunCrawl(program, coalesce, 0, 1, faults, pacing,
+                                    /*cached=*/false))
+             .first;
+  }
+  return it->second;
+}
+
+void ExpectLedgersBitIdentical(const BackendPool::PoolSnapshot& want,
+                               const BackendPool::PoolSnapshot& got) {
+  EXPECT_EQ(want.round_robin_cursor, got.round_robin_cursor);
+  EXPECT_EQ(want.failed_fetches, got.failed_fetches);
+  ASSERT_EQ(want.ledgers.size(), got.ledgers.size());
+  for (size_t b = 0; b < want.ledgers.size(); ++b) {
+    SCOPED_TRACE("backend " + std::to_string(b));
+    const BackendLedger& w = want.ledgers[b];
+    const BackendLedger& g = got.ledgers[b];
+    EXPECT_EQ(w.stats.unique_queries, g.stats.unique_queries);
+    EXPECT_EQ(w.stats.requests, g.stats.requests);
+    EXPECT_EQ(w.stats.failed_requests, g.stats.failed_requests);
+    EXPECT_EQ(w.stats.timeouts, g.stats.timeouts);
+    EXPECT_EQ(w.stats.transient_errors, g.stats.transient_errors);
+    EXPECT_EQ(w.stats.quota_rejections, g.stats.quota_rejections);
+    EXPECT_EQ(w.stats.budget_refusals, g.stats.budget_refusals);
+    EXPECT_EQ(w.stats.pacing_waits, g.stats.pacing_waits);
+    EXPECT_EQ(w.stats.simulated_us, g.stats.simulated_us);
+    EXPECT_EQ(w.clock_us, g.clock_us);
+    EXPECT_EQ(w.bucket_tokens, g.bucket_tokens);  // bitwise double
+    EXPECT_EQ(w.last_refill_us, g.last_refill_us);
+  }
+}
+
+void ExpectCrawlsBitIdentical(const Crawl& want, const Crawl& got) {
+  EXPECT_EQ(want.positions, got.positions);
+  EXPECT_EQ(want.diagnostics, got.diagnostics);  // bitwise doubles
+  EXPECT_EQ(want.query_cost, got.query_cost);
+  EXPECT_EQ(want.backend_requests, got.backend_requests);
+  EXPECT_EQ(want.failed_fetches, got.failed_fetches);
+  ExpectLedgersBitIdentical(want.ledgers, got.ledgers);
 }
 
 class FetchEquivalenceTest : public testing::TestWithParam<Sweep> {};
 
-TEST_P(FetchEquivalenceTest, AsyncIsBitIdenticalToSync) {
-  const ScenarioConfig config = BaseScenario(GetParam());
-  const RunOutput sync = RunWithMode(config, FetchMode::kSync);
-  const RunOutput async = RunWithMode(config, FetchMode::kAsync);
-  ExpectResultsBitIdentical(sync.result, async.result);
-  ExpectLedgersBitIdentical(sync.ledgers, async.ledgers);
+TEST_P(FetchEquivalenceTest, CachedCrawlMatchesBarePoolReference) {
+  const Sweep& sweep = GetParam();
+  const Shape& shape = kShapes[sweep.shape];
+  const bool pacing = sweep.threads == 1;
+  const Crawl got =
+      RunCrawl(shape.program, shape.coalesce, shape.pipeline_depth,
+               sweep.threads, sweep.faults, pacing, /*cached=*/true);
+  // Pacing fields follow arrival order, so a pacing run needs a reference
+  // that presents the pool the same order: same stepping, 1 thread.
+  const Crawl& reference =
+      Reference(shape.program, pacing && shape.coalesce, sweep.faults, pacing);
+  ExpectCrawlsBitIdentical(reference, got);
+  if (sweep.faults) {
+    EXPECT_GT(got.ledgers.ledgers[0].stats.failed_requests, 0u);
+  }
+  // The pacing path actually fired, or the 1-thread points pin nothing.
+  if (pacing) {
+    EXPECT_GT(got.ledgers.ledgers[1].stats.pacing_waits, 0u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FetchEquivalenceTest,
-    testing::Values(Sweep{1, Stepping::kPlain, false},
-                    Sweep{1, Stepping::kPlain, true},
-                    Sweep{1, Stepping::kCoalesced, false},
-                    Sweep{1, Stepping::kCoalesced, true},
-                    Sweep{1, Stepping::kSpeculative, false},
-                    Sweep{1, Stepping::kSpeculative, true},
-                    Sweep{4, Stepping::kPlain, false},
-                    Sweep{4, Stepping::kPlain, true},
-                    Sweep{4, Stepping::kCoalesced, false},
-                    Sweep{4, Stepping::kCoalesced, true},
-                    Sweep{4, Stepping::kSpeculative, false},
-                    Sweep{4, Stepping::kSpeculative, true}),
-    SweepName);
-
-TEST(FetchEquivalenceExtrasTest, PacingLedgersMatchSingleThreaded) {
-  // Token-bucket pacing makes ledger state arrival-order dependent; with
-  // one thread the order is deterministic, so sync and async must agree on
-  // every pacing field too (bucket level bitwise included).
-  Sweep sweep{1, Stepping::kCoalesced, true};
-  ScenarioConfig config = BaseScenario(sweep);
-  // Slow refill, small burst: the bucket drains within a handful of
-  // ~80us-latency requests, so waits actually occur (asserted below).
-  config.backends[1].rate_per_sec = 1000.0;
-  config.backends[1].burst = 4.0;
-  const RunOutput sync = RunWithMode(config, FetchMode::kSync);
-  const RunOutput async = RunWithMode(config, FetchMode::kAsync);
-  ExpectResultsBitIdentical(sync.result, async.result);
-  ExpectLedgersBitIdentical(sync.ledgers, async.ledgers);
-  // The pacing path actually fired, or this test pins nothing.
-  EXPECT_GT(sync.ledgers.ledgers[1].stats.pacing_waits, 0u);
+std::vector<Sweep> AllSweeps() {
+  std::vector<Sweep> sweeps;
+  for (size_t shape = 0; shape < std::size(kShapes); ++shape) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (bool faults : {false, true}) {
+        sweeps.push_back({shape, threads, faults});
+      }
+    }
+  }
+  return sweeps;
 }
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FetchEquivalenceTest,
+                         testing::ValuesIn(AllSweeps()), SweepName);
 
 TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {
   // The pinned counterexample behind the 1-thread-only pacing assertion
@@ -226,18 +280,37 @@ TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {
             ba.SnapshotBackends().ledgers[0].clock_us);
 }
 
+/// Three-backend service scenario for the observability twin below.
+ScenarioConfig ObservedScenario() {
+  ScenarioConfig config;
+  config.dataset = "epinions_small";
+  config.seed = kSeed;
+  config.num_walkers = kWalkers;
+  config.num_threads = 4;
+  config.coalesce_frontier = true;
+  config.sampler = SamplerKind::kMto;
+  config.geweke_check_every = 20;
+  config.geweke_min_length = 40;
+  config.max_burn_in_rounds = 120;
+  config.num_samples = 16;
+  config.thinning = 3;
+  config.fault_seed = kFaultSeed;
+  config.retry.max_attempts_per_backend = 10;
+  config.backends = Backends(/*faults=*/true, /*pacing=*/false);
+  return config;
+}
+
 TEST(FetchEquivalenceExtrasTest, ObservabilityOnIsBitIdenticalToOff) {
   // The observability passivity contract (DESIGN.md §11): metrics,
   // tracing, periodic snapshots, and the run report draw no randomness,
   // issue no queries, and mutate no session state, so a fully observed
-  // async crawl is bit-identical — results and per-backend ledgers — to
-  // the unobserved one.
-  Sweep sweep{4, Stepping::kSpeculative, true};
-  const ScenarioConfig config = BaseScenario(sweep);
-  const RunOutput plain = RunWithMode(config, FetchMode::kAsync);
+  // crawl is bit-identical — results and per-backend ledgers — to the
+  // unobserved one.
+  const ScenarioConfig config = ObservedScenario();
+  CrawlService plain(config);
+  const ServiceResult plain_result = plain.Run();
 
   ScenarioConfig observed_config = config;
-  observed_config.fetch_mode = FetchMode::kAsync;
   observed_config.observability.metrics = true;
   observed_config.observability.snapshot_every_units = 2;
   observed_config.observability.http_port = 0;  // live exporter on too
@@ -250,8 +323,22 @@ TEST(FetchEquivalenceExtrasTest, ObservabilityOnIsBitIdenticalToOff) {
   CrawlService observed(observed_config);
   const ServiceResult observed_result = observed.Run();
 
-  ExpectResultsBitIdentical(plain.result, observed_result);
-  ExpectLedgersBitIdentical(plain.ledgers, observed.pool().SnapshotBackends());
+  EXPECT_EQ(plain_result.samples, observed_result.samples);
+  ASSERT_EQ(plain_result.trace.size(), observed_result.trace.size());
+  for (size_t i = 0; i < plain_result.trace.size(); ++i) {
+    EXPECT_EQ(plain_result.trace[i].query_cost,
+              observed_result.trace[i].query_cost);
+    EXPECT_EQ(plain_result.trace[i].estimate,
+              observed_result.trace[i].estimate);
+  }
+  EXPECT_EQ(plain_result.final_estimate, observed_result.final_estimate);
+  EXPECT_EQ(plain_result.total_query_cost, observed_result.total_query_cost);
+  EXPECT_EQ(plain_result.backend_requests, observed_result.backend_requests);
+  EXPECT_EQ(plain_result.failed_fetches, observed_result.failed_fetches);
+  EXPECT_EQ(plain_result.simulated_time_us,
+            observed_result.simulated_time_us);
+  ExpectLedgersBitIdentical(plain.pool().SnapshotBackends(),
+                            observed.pool().SnapshotBackends());
   // Telemetry actually materialized: snapshots were taken and both output
   // files exist and parse as JSON.
   EXPECT_FALSE(observed.snapshots().empty());
@@ -259,35 +346,6 @@ TEST(FetchEquivalenceExtrasTest, ObservabilityOnIsBitIdenticalToOff) {
   EXPECT_NO_THROW(ParseJsonFile(report_path));
   std::remove(trace_path.c_str());
   std::remove(report_path.c_str());
-}
-
-TEST(FetchEquivalenceExtrasTest, AsyncResumesSyncCheckpointBitIdentically) {
-  // fetch_mode is excluded from the checkpoint fingerprint (execution
-  // shape, like num_threads): a sync victim's checkpoint resumes under
-  // async fetching, and vice versa, to the same bits.
-  Sweep sweep{4, Stepping::kSpeculative, true};
-  ScenarioConfig config = BaseScenario(sweep);
-  const RunOutput reference = RunWithMode(config, FetchMode::kSync);
-  const std::string path =
-      testing::TempDir() + "/fetch_equivalence_cross_mode.ckpt";
-  {
-    ScenarioConfig victim_config = config;
-    victim_config.fetch_mode = FetchMode::kSync;
-    CrawlService victim(victim_config);
-    for (int i = 0; i < 3 && victim.Advance(); ++i) {
-    }
-    victim.SaveCheckpoint(path);
-  }
-  ScenarioConfig resumed_config = config;
-  resumed_config.fetch_mode = FetchMode::kAsync;
-  CrawlService resumed(resumed_config);
-  resumed.LoadCheckpoint(path);
-  while (resumed.Advance()) {
-  }
-  ExpectResultsBitIdentical(reference.result, resumed.Finish());
-  ExpectLedgersBitIdentical(reference.ledgers,
-                            resumed.pool().SnapshotBackends());
-  std::remove(path.c_str());
 }
 
 }  // namespace

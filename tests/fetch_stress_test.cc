@@ -1,7 +1,7 @@
 // Backend-pool contention stress: many walkers hammering few backends
-// through the async fetch path with fault injection on, checked for
-// conservation invariants rather than exact values (exact equivalence is
-// fetch_equivalence_test's job). Runs under ThreadSanitizer via the
+// through the cache's plan/apply fetch path with fault injection on,
+// checked for conservation invariants rather than exact values (exact
+// equivalence is fetch_equivalence_test's job). Runs under ThreadSanitizer via the
 // `runtime` ctest label, which is where the fine-grained ledger locking
 // earns its keep.
 
@@ -63,7 +63,6 @@ TEST(FetchStressTest, WalkersHammeringBackendsKeepLedgersConserved) {
   BackendPool pool(net, FaultyBackends(3, std::nullopt), retry,
                    BackendSelection::kSharded, kFaultSeed);
   ConcurrentInterfaceCache session(pool);
-  session.SetFetchMode(FetchMode::kAsync, 3);
 
   constexpr size_t kWalkers = 8;
   constexpr size_t kStepsPerWalker = 400;
@@ -122,7 +121,6 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
                    BackendSelection::kBudgetAware, kFaultSeed);
   pool.SetBudget(400);
   ConcurrentInterfaceCache session(pool);
-  session.SetFetchMode(FetchMode::kAsync, 4);
 
   std::vector<std::thread> walkers;
   for (size_t w = 0; w < 8; ++w) {
@@ -147,13 +145,13 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
   EXPECT_GT(pool.FailedFetches(), 0u);
 }
 
-TEST(FetchStressTest, AsyncModeFallsBackOnPlainInterface) {
-  // A session without an async-capable backend model (the base class'
-  // perfect backend) must behave exactly like sync mode under kAsync.
+TEST(FetchStressTest, PlainInterfaceFallsBackToLockedFetch) {
+  // A session that cannot plan (the base class' perfect backend) runs its
+  // ledger under the cache's lock instead: single misses, batches, and
+  // cost accounting all still work.
   SocialNetwork net(Cycle(32));
   RestrictedInterface plain(net);
   ConcurrentInterfaceCache session(plain);
-  session.SetFetchMode(FetchMode::kAsync, 2);
   for (NodeId v = 0; v < 32; ++v) {
     EXPECT_TRUE(session.Query(v).has_value());
   }

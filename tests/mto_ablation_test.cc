@@ -54,7 +54,7 @@ TEST(MtoAblationConfigTest, EveryKnobRoundTripsThroughJson) {
   EXPECT_EQ(config.mto.max_inner_iterations, 64u);
   // The remaining enum spellings parse too.
   EXPECT_EQ(ScenarioConfig::FromJsonText(
-                R"({"sampler": "mto",
+                R"({"program": {"name": "mto"},
                     "mto": {"weight_mode": "probe",
                             "criterion_basis": "overlay"}})")
                 .mto.weight_mode,
@@ -72,11 +72,11 @@ TEST(MtoAblationConfigTest, UnknownKeysFailLoudly) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"mto": {"criterion_basis": "imaginary"},
-                       "sampler": "mto"})"),
+                       "program": {"name": "mto"}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"mto": {"weight_mode": "psychic"},
-                       "sampler": "mto"})"),
+                       "program": {"name": "mto"}})"),
                std::invalid_argument);
 }
 
@@ -88,17 +88,9 @@ TEST(MtoAblationConfigTest, MtoBlockRequiresTheMtoProgram) {
   // ...including via the implicit default program (srw).
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"mto": {"lazy": true}})"),
                std::invalid_argument);
-  // Both selection spellings work when the program *is* mto.
-  EXPECT_NO_THROW(ScenarioConfig::FromJsonText(
-      R"({"sampler": "mto", "mto": {"lazy": true}})"));
+  // The block is accepted when the program *is* mto.
   EXPECT_NO_THROW(ScenarioConfig::FromJsonText(
       R"({"program": {"name": "mto"}, "mto": {"lazy": true}})"));
-}
-
-TEST(MtoAblationConfigTest, SamplerAndProgramAreExclusiveAliases) {
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "mto", "program": {"name": "mto"}})"),
-               std::invalid_argument);
 }
 
 TEST(MtoAblationConfigTest, EveryKnobLandsInTheFingerprint) {
@@ -138,7 +130,6 @@ TEST(MtoAblationConfigTest, EveryKnobLandsInTheFingerprint) {
   // Execution-shape knobs stay excluded: same experiment, different engine.
   ScenarioConfig shape = base;
   shape.num_threads = 8;
-  shape.fetch_mode = FetchMode::kAsync;
   shape.pipeline_depth = 2;
   shape.coalesce_frontier = true;
   EXPECT_EQ(shape.Fingerprint(), reference);

@@ -1,16 +1,16 @@
-// Pipelined/sync equivalence — the pipelining tentpole's headline invariant
-// (DESIGN.md §10): `pipeline_depth`, like `fetch_mode` and `num_threads`,
-// is pure execution shape. For every stepping mode, thread count, depth,
-// and fault setting, a pipelined crawl must produce bit-identical samples,
-// trace, estimates, costs, and per-backend ledgers to the depth-0 sync
-// crawl: the pipelined engine executes the same plan in the same coordinator
-// order — prefetch tickets are wall-clock-only, stale tickets are cancelled
-// at a deterministic point, and only the latency *payment* is deferred onto
-// the per-backend channels.
+// Pipelined/depth-0 equivalence — the pipelining tentpole's headline
+// invariant (DESIGN.md §10): `pipeline_depth`, like `num_threads`, is pure
+// execution shape. For every stepping mode, thread count, depth, and fault
+// setting, a pipelined crawl must produce bit-identical samples, trace,
+// estimates, costs, and per-backend ledgers to the depth-0 crawl ("sync" in
+// the test names: every frontier joined before its commit phase). Both run
+// the same plan in the same coordinator order — prefetch tickets are
+// wall-clock-only, stale tickets are cancelled at a deterministic point,
+// and only the latency *payment* stays in flight on the per-backend lanes.
 //
 // Pacing stays off in the sweep scenario for the same reason as in
 // fetch_equivalence_test: pacing fields are arrival-order dependent under
-// multi-threaded stepping in every mode (see DESIGN.md §9 and the pinned
+// multi-threaded stepping at every depth (see DESIGN.md §9 and the pinned
 // counterexample there).
 
 #include <gtest/gtest.h>
@@ -51,8 +51,8 @@ std::string SweepName(const testing::TestParamInfo<Sweep>& info) {
          (info.param.faults ? "faults" : "clean");
 }
 
-/// Three-backend scenario, pacing off (see file comment). Identical to the
-/// fetch_equivalence_test scenario so the two suites pin the same crawl.
+/// Three-backend scenario, pacing off (see file comment). Its fleet matches
+/// fetch_equivalence_test's, so the two suites pin the same backends.
 ScenarioConfig BaseScenario(size_t threads, Stepping stepping, bool faults) {
   ScenarioConfig config;
   config.dataset = "epinions_small";
@@ -142,7 +142,7 @@ RunOutput RunWithDepth(ScenarioConfig config, size_t depth) {
   return out;
 }
 
-/// Depth-0 sync baselines, computed once per (threads, stepping, faults):
+/// Depth-0 baselines, computed once per (threads, stepping, faults):
 /// every pipelined sweep point compares against the matching one.
 const RunOutput& Baseline(size_t threads, Stepping stepping, bool faults) {
   using Key = std::tuple<size_t, Stepping, bool>;
@@ -188,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipelineEquivalenceTest,
 TEST(PipelineEquivalenceExtrasTest, RendezvousPipelinedMatchesRendezvousSync) {
   // The equivalence contract is routing-policy independent: under
   // rendezvous routing (different trajectory than sharded, same purity) the
-  // pipelined engine must still match its own sync baseline bit-for-bit.
+  // pipelined engine must still match its own depth-0 baseline bit-for-bit.
   ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
   config.strategy = BackendSelection::kRendezvous;
   const RunOutput sync = RunWithDepth(config, 0);
@@ -200,7 +200,7 @@ TEST(PipelineEquivalenceExtrasTest, RendezvousPipelinedMatchesRendezvousSync) {
 TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
   // Passivity under the deepest execution shape: a depth-2 pipelined crawl
   // with full observability (metrics, lane-depth gauges, tracing, periodic
-  // snapshots, run report) is bit-identical to the unobserved depth-0 sync
+  // snapshots, run report) is bit-identical to the unobserved depth-0
   // baseline — telemetry on the lanes and in the prefetcher perturbs
   // nothing (DESIGN.md §11).
   ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
@@ -226,8 +226,8 @@ TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
 
 TEST(PipelineEquivalenceExtrasTest, PipelinedResumesSyncCheckpointBitIdentically) {
   // pipeline_depth is excluded from the checkpoint fingerprint (execution
-  // shape): a sync victim's checkpoint resumes under a depth-2 pipeline to
-  // the same bits. RunRounds drains the pipeline at unit boundaries, so the
+  // shape): a depth-0 victim's checkpoint resumes under a depth-2 pipeline
+  // to the same bits. RunRounds drains the pipeline at unit boundaries, so the
   // ledgers a checkpoint captures are quiescent in both modes.
   ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
   const RunOutput reference = RunWithDepth(config, 0);
@@ -255,7 +255,7 @@ TEST(PipelineEquivalenceExtrasTest, PipelinedResumesSyncCheckpointBitIdentically
 
 TEST(PipelineEquivalenceExtrasTest, SyncResumesPipelinedCheckpointBitIdentically) {
   // And the reverse direction: a checkpoint written mid-crawl by a
-  // pipelined service resumes under plain sync fetching to the same bits.
+  // pipelined service resumes at depth 0 to the same bits.
   ScenarioConfig config = BaseScenario(4, Stepping::kCoalesced, true);
   const RunOutput reference = RunWithDepth(config, 0);
   const std::string path =

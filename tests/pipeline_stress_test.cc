@@ -65,7 +65,7 @@ TEST(PipelineStressTest, PrefetchHintsAloneChargeNothing) {
   BackendPool pool(net, FaultyBackends(3, std::nullopt), RetryPolicy{},
                    BackendSelection::kRendezvous, kFaultSeed);
   ConcurrentInterfaceCache session(pool);
-  session.SetPipelineDepth(2, 3);
+  session.SetPipelineDepth(2);
   const NodeId n = session.num_users();
   std::vector<NodeId> hints = {1, 2, 3, 2, 1, n, n + 17, 42};
   session.PostPrefetchHints(hints);
@@ -85,8 +85,8 @@ TEST(PipelineStressTest, PrefetchHintsAloneChargeNothing) {
   }
 }
 
-TEST(PipelineStressTest, InvalidationStormMatchesSyncTwinExactly) {
-  // Hostile coordinator schedule against a sequential sync twin: every
+TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
+  // Hostile coordinator schedule against a sequential depth-0 twin: every
   // round pipeline-fetches a frontier, hammers the commit-phase Query path
   // from four threads (disjoint per-thread node sets, so logical fetch
   // sequences are comparable), then posts deliberately wrong predictions —
@@ -100,10 +100,10 @@ TEST(PipelineStressTest, InvalidationStormMatchesSyncTwinExactly) {
   BackendPool pipelined_pool(net, FaultyBackends(3, std::nullopt), retry,
                              BackendSelection::kRendezvous, kFaultSeed);
   ConcurrentInterfaceCache pipelined(pipelined_pool);
-  pipelined.SetPipelineDepth(2, 3);
-  BackendPool sync_pool(net, FaultyBackends(3, std::nullopt), retry,
+  pipelined.SetPipelineDepth(2);
+  BackendPool twin_pool(net, FaultyBackends(3, std::nullopt), retry,
                         BackendSelection::kRendezvous, kFaultSeed);
-  ConcurrentInterfaceCache sync(sync_pool);
+  ConcurrentInterfaceCache twin(twin_pool);
 
   const NodeId n = net.num_users();
   const NodeId quarter = n / 4;
@@ -133,9 +133,10 @@ TEST(PipelineStressTest, InvalidationStormMatchesSyncTwinExactly) {
     for (NodeId v : frontier_of(r)) {
       if (!pipelined.IsCached(v)) misses.push_back(v);
     }
-    if (!misses.empty()) pipelined.PipelinedFetch(misses);
+    if (!misses.empty()) pipelined.FetchFrontier(misses);
     // Commit phase: concurrent single-node queries through the live
-    // pipeline (ticket consumption, channel-joined misses, cache hits).
+    // pipeline (ticket consumption, inline misses applied behind in-flight
+    // lane batches, cache hits).
     std::vector<std::thread> workers;
     for (size_t t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
@@ -163,22 +164,22 @@ TEST(PipelineStressTest, InvalidationStormMatchesSyncTwinExactly) {
   for (size_t r = 0; r < kRounds; ++r) {
     std::vector<NodeId> misses;
     for (NodeId v : frontier_of(r)) {
-      if (!sync.IsCached(v)) misses.push_back(v);
+      if (!twin.IsCached(v)) misses.push_back(v);
     }
-    if (!misses.empty()) sync.BatchQuery(misses);
+    if (!misses.empty()) twin.BatchQuery(misses);
     for (size_t t = 0; t < 4; ++t) {
-      for (NodeId v : burst_of(r, t)) sync.Query(v);
+      for (NodeId v : burst_of(r, t)) twin.Query(v);
     }
   }
 
   ExpectBackendConservation(pipelined_pool);
-  EXPECT_EQ(pipelined.QueryCost(), sync.QueryCost());
-  EXPECT_EQ(pipelined.BackendRequests(), sync.BackendRequests());
-  EXPECT_EQ(pipelined_pool.FailedFetches(), sync_pool.FailedFetches());
+  EXPECT_EQ(pipelined.QueryCost(), twin.QueryCost());
+  EXPECT_EQ(pipelined.BackendRequests(), twin.BackendRequests());
+  EXPECT_EQ(pipelined_pool.FailedFetches(), twin_pool.FailedFetches());
   for (size_t b = 0; b < pipelined_pool.num_backends(); ++b) {
     SCOPED_TRACE("backend " + std::to_string(b));
     const BackendStats p = pipelined_pool.backend_stats(b);
-    const BackendStats s = sync_pool.backend_stats(b);
+    const BackendStats s = twin_pool.backend_stats(b);
     EXPECT_EQ(p.unique_queries, s.unique_queries);
     EXPECT_EQ(p.requests, s.requests);
     EXPECT_EQ(p.failed_requests, s.failed_requests);
@@ -228,10 +229,10 @@ TEST(PipelineStressTest, PipelinedCrawlUnderFaultsAndTightBudgetsConserves) {
 }
 
 TEST(PipelineStressTest, FreeRunPipelineUnderBudgetsConserves) {
-  // Plain (non-coalesced) stepping with a live pipeline: walker misses go
-  // through PipelinedQueryMiss concurrently from four threads. Budgets are
-  // tight and faults on — the single-miss channel join must neither lose
-  // nor double-charge a request.
+  // Plain (non-coalesced) stepping with a pipeline depth set: walker
+  // misses plan and apply concurrently from four threads. Budgets are
+  // tight and faults on — the single-miss path must neither lose nor
+  // double-charge a request.
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0xF4EE;

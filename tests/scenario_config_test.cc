@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "src/util/rng.h"
 
 namespace mto {
 namespace {
@@ -13,7 +19,7 @@ namespace {
 constexpr const char* kFullDocument = R"({
   "dataset": "epinions_small",
   "seed": 42,
-  "sampler": "mhrw",
+  "program": {"name": "mhrw"},
   "attribute": "description_length",
   "walkers": 16,
   "threads": 4,
@@ -23,7 +29,7 @@ constexpr const char* kFullDocument = R"({
   "num_samples": 64,
   "thinning": 10,
   "total_budget": 9000,
-  "strategy": "budget_aware",
+  "routing": "budget_aware",
   "fault_seed": 1337,
   "retry": {"max_attempts_per_backend": 5, "base_backoff_us": 2000,
             "multiplier": 1.5, "max_backoff_us": 50000, "jitter": 0.25},
@@ -98,7 +104,7 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
                    R"({"program": {"name": "srw", "nmae": "srw"}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "mto", "mto": {"lzay": true}})"),
+                   R"({"program": {"name": "mto"}, "mto": {"lzay": true}})"),
                std::invalid_argument);
   // The removed block-major scheduler's keys are unknown keys now, so a
   // scenario written for it is refused instead of silently running
@@ -107,6 +113,11 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"block": {"size": 4096, "resident": 4}})"),
+               std::invalid_argument);
+  // Likewise the dropped duplicate spellings of "program" and "routing".
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"sampler": "srw"})"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"strategy": "sharded"})"),
                std::invalid_argument);
 }
 
@@ -138,8 +149,7 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
                 .ProgramName(),
             "random_jump");
   // A program name must name a registered program; a knob must belong to
-  // the chosen program; name is required; and the legacy "sampler" key is
-  // an exclusive alias.
+  // the chosen program; and name is required.
   EXPECT_THROW(
       ScenarioConfig::FromJsonText(R"({"program": {"name": "deepwalk"}})"),
       std::invalid_argument);
@@ -150,9 +160,6 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
                    R"({"program": {"name": "node2vec", "restart": 0.1}})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"program": {"p": 0.5}})"),
-               std::invalid_argument);
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"sampler": "srw", "program": {"name": "srw"}})"),
                std::invalid_argument);
   // Out-of-range program parameters fail validation.
   EXPECT_THROW(ScenarioConfig::FromJsonText(
@@ -166,8 +173,18 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
 TEST(ScenarioConfigTest, SemanticValidation) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"walkers": 0})"),
                std::invalid_argument);
-  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"sampler": "bogus"})"),
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"threads": 0})"),
                std::invalid_argument);
+  // 32-bit MTO knobs reject values that would wrap (2^32 + 1 is not 1).
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"program": {"name": "mto"},
+                       "mto": {"max_inner_iterations": 4294967297}})"),
+               std::invalid_argument);
+  EXPECT_EQ(ScenarioConfig::FromJsonText(
+                R"({"program": {"name": "mto"},
+                    "mto": {"degree_probe": 4294967295}})")
+                .mto.degree_probe,
+            4294967295u);
   // Checkpointing requires a path...
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"checkpoint": {"every_units": 2}})"),
@@ -176,12 +193,10 @@ TEST(ScenarioConfigTest, SemanticValidation) {
   // checkpointed MTO scenario is a valid configuration.
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
-        R"({"sampler": "mto", "checkpoint": {"path": "x.ckpt"}})");
+        R"({"program": {"name": "mto"}, "checkpoint": {"path": "x.ckpt"}})");
     EXPECT_EQ(config.sampler, SamplerKind::kMto);
     EXPECT_EQ(config.checkpoint.path, "x.ckpt");
   }
-  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"sampler": "mto"})").sampler,
-            SamplerKind::kMto);
 }
 
 TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
@@ -200,12 +215,9 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   b.coalesce_frontier = false;
   b.queue_capacity = 16;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  // Same for the whole execution-shape family: fetch mode, fetch worker
-  // count, and pipeline depth (pipeline_equivalence_test pins the bitwise
-  // equivalence these exclusions rely on)...
+  // Same for the pipeline depth (pipeline_equivalence_test pins the
+  // bitwise equivalence this exclusion relies on)...
   b = a;
-  b.fetch_mode = FetchMode::kAsync;
-  b.fetch_threads = 7;
   b.pipeline_depth = 2;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // ...and for the routing strategy, excluded on live-rotation grounds: a
@@ -216,12 +228,14 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // Program parameters are behavioral: a node2vec crawl with different
   // bias, or a pagerank crawl with a different restart, is a different
-  // experiment. (The program *name* is mixed as the registry string, so
-  // "sampler": "mhrw" and "program": {"name": "mhrw"} fingerprint alike —
-  // asserted via `a`, which uses the legacy key.)
-  ScenarioConfig via_program = a;
-  via_program.program.name = "mhrw";
-  EXPECT_EQ(a.Fingerprint(), via_program.Fingerprint());
+  // experiment. (The program *name* is mixed as the registry string, so a
+  // config that selects mhrw only through the legacy `sampler` field — as
+  // checkpoints written before the "program" key did — fingerprints like
+  // `a`, which names it in "program".)
+  ScenarioConfig via_enum = a;
+  via_enum.program.name.clear();
+  via_enum.sampler = SamplerKind::kMhrw;
+  EXPECT_EQ(a.Fingerprint(), via_enum.Fingerprint());
   b = a;
   b.program.name = "node2vec";
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
@@ -236,19 +250,6 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   const uint64_t pagerank_reference = b.Fingerprint();
   b.program.restart = 0.3;
   EXPECT_NE(b.Fingerprint(), pagerank_reference);
-}
-
-TEST(ScenarioConfigTest, RoutingIsAnAliasOfStrategy) {
-  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"routing": "rendezvous"})")
-                .strategy,
-            BackendSelection::kRendezvous);
-  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"strategy": "rendezvous"})")
-                .strategy,
-            BackendSelection::kRendezvous);
-  // Naming both is a contradiction, even when the values agree.
-  EXPECT_THROW(ScenarioConfig::FromJsonText(
-                   R"({"strategy": "sharded", "routing": "sharded"})"),
-               std::invalid_argument);
 }
 
 TEST(ScenarioConfigTest, ParsesPipelineDepth) {
@@ -269,6 +270,84 @@ TEST(ScenarioConfigTest, FromFileRoundTrips) {
   EXPECT_EQ(config.backends.size(), 2u);
   std::remove(path.c_str());
   EXPECT_THROW(ScenarioConfig::FromFile(path), std::runtime_error);
+}
+
+/// Every shipped scenario document (examples/scenarios/*.json), sorted.
+std::vector<std::string> ShippedScenarioPaths() {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(MTO_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TEST(ShippedScenarioTest, EveryExampleScenarioParsesAndValidates) {
+  // A key removal that the shipped examples still use must fail here, not
+  // only when someone runs the example.
+  const std::vector<std::string> paths = ShippedScenarioPaths();
+  ASSERT_GE(paths.size(), 3u);
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    ScenarioConfig config;
+    ASSERT_NO_THROW(config = ScenarioConfig::FromFile(path));
+    EXPECT_NO_THROW(config.Validate());
+  }
+}
+
+// Seeded hostile-input fuzz over the shipped scenario texts, in
+// checkpoint_test's style: ~1k mutants made of random byte flips (1-8
+// bytes), truncations, and appends (1-8 random bytes). The parser's
+// contract is "reject loudly or validate": every mutant must either throw
+// a std::exception (JSON syntax, unknown key, wrong type, out of range) or
+// yield a config that passes Validate(). It must never crash, hang, or
+// throw anything else; the sanitizer CI jobs run it too.
+TEST(ScenarioFuzzTest, MutatedScenarioTextsRejectLoudlyOrValidate) {
+  std::vector<std::string> texts;
+  for (const std::string& path : ShippedScenarioPaths()) {
+    std::ifstream in(path);
+    std::ostringstream body;
+    body << in.rdbuf();
+    texts.push_back(body.str());
+  }
+  ASSERT_FALSE(texts.empty());
+
+  Rng rng(0x5CE7A);
+  size_t rejected = 0, accepted = 0;
+  constexpr size_t kMutants = 1200;
+  for (size_t m = 0; m < kMutants; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    std::string text = texts[m % texts.size()];
+    if (m % 4 == 0) {
+      text.resize(rng.UniformInt(text.size()));
+    } else if (m % 8 == 6) {
+      const uint64_t extra = 1 + rng.UniformInt(8);
+      for (uint64_t e = 0; e < extra; ++e) {
+        text.push_back(static_cast<char>(rng.UniformInt(256)));
+      }
+    } else {
+      const uint64_t flips = 1 + rng.UniformInt(8);
+      for (uint64_t f = 0; f < flips; ++f) {
+        const size_t offset = static_cast<size_t>(rng.UniformInt(text.size()));
+        text[offset] = static_cast<char>(text[offset] ^
+                                         (1 + rng.UniformInt(255)));
+      }
+    }
+    try {
+      const ScenarioConfig config = ScenarioConfig::FromJsonText(text);
+      config.Validate();
+      ++accepted;
+    } catch (const std::exception&) {
+      ++rejected;  // loud rejection is the expected common case
+    }
+  }
+  // Both arms are exercised: most mutants break syntax or a key, while
+  // flips confined to string values (names, paths) still validate.
+  EXPECT_GT(rejected, kMutants / 2);
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

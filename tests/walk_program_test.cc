@@ -2,13 +2,12 @@
 // the programs that arrived through the WalkProgram registry (node2vec's
 // second-order walk, PageRank mass estimation) obey the exact determinism
 // contract the built-ins are pinned to. For each program, every execution
-// shape — thread count, stepping mode (plain / coalesced / pipelined),
-// fetch engine — must produce bit-identical samples, trace, estimates,
-// costs, and per-backend ledgers to the 1-thread plain sync reference,
-// and a checkpoint taken under one engine must resume under any other to
-// the same bits. Second-order state (node2vec's (prev, cur) frontier) is
-// the new thing a checkpoint must carry; these tests are the proof it
-// does.
+// shape — thread count, stepping mode (plain / coalesced / pipelined) —
+// must produce bit-identical samples, trace, estimates, costs, and
+// per-backend ledgers to the 1-thread plain reference, and a checkpoint
+// taken under one shape must resume under any other to the same bits.
+// Second-order state (node2vec's (prev, cur) frontier) is the new thing a
+// checkpoint must carry; these tests are the proof it does.
 
 #include <gtest/gtest.h>
 
@@ -140,7 +139,7 @@ RunOutput RunScenario(const ScenarioConfig& config) {
   return out;
 }
 
-/// 1-thread plain sync reference, computed once per program: the canonical
+/// 1-thread plain reference, computed once per program: the canonical
 /// trajectory every execution shape must reproduce bit-for-bit.
 const RunOutput& Reference(const std::string& program) {
   static std::map<std::string, RunOutput>& cache =
@@ -186,19 +185,6 @@ INSTANTIATE_TEST_SUITE_P(
                     Sweep{"pagerank", 8, Stepping::kPipelined}),
     SweepName);
 
-TEST(WalkProgramEquivalenceExtrasTest, AsyncFetchMatchesReference) {
-  // The third fetch engine: async miss-overlap under multi-threaded
-  // coalesced stepping, for both new programs.
-  for (const char* program : {"node2vec", "pagerank"}) {
-    SCOPED_TRACE(program);
-    ScenarioConfig config = BaseScenario(program, 4, Stepping::kCoalesced);
-    config.fetch_mode = FetchMode::kAsync;
-    const RunOutput got = RunScenario(config);
-    ExpectResultsBitIdentical(Reference(program).result, got.result);
-    ExpectLedgersBitIdentical(Reference(program).ledgers, got.ledgers);
-  }
-}
-
 TEST(WalkProgramEquivalenceExtrasTest, SeedIsTheOnlySourceOfVariation) {
   for (const char* program : {"node2vec", "pagerank"}) {
     SCOPED_TRACE(program);
@@ -218,19 +204,11 @@ TEST(WalkProgramEquivalenceExtrasTest, SeedIsTheOnlySourceOfVariation) {
 
 TEST(WalkProgramEquivalenceExtrasTest, CheckpointResumesAcrossEveryEngine) {
   // Kill/resume sweep: a victim crawl advances 3 units under the plainest
-  // engine (sync, 1 thread, coalesced), checkpoints — second-order walker
-  // registers included for node2vec — and the image resumes under every
-  // fetch engine x thread count to bits identical to the uninterrupted
-  // reference. Execution shape is excluded from the fingerprint, so every
-  // combination must load.
-  struct Engine {
-    FetchMode fetch_mode;
-    size_t pipeline_depth;
-    const char* name;
-  };
-  const Engine engines[] = {{FetchMode::kSync, 0, "sync"},
-                            {FetchMode::kAsync, 0, "async"},
-                            {FetchMode::kSync, 2, "pipelined"}};
+  // shape (depth 0, 1 thread, coalesced), checkpoints — second-order
+  // walker registers included for node2vec — and the image resumes under
+  // every pipeline depth x thread count to bits identical to the
+  // uninterrupted reference. Execution shape is excluded from the
+  // fingerprint, so every combination must load.
   for (const char* program : {"node2vec", "pagerank"}) {
     SCOPED_TRACE(program);
     const std::string path = testing::TempDir() + "/walk_program_" +
@@ -243,14 +221,13 @@ TEST(WalkProgramEquivalenceExtrasTest, CheckpointResumesAcrossEveryEngine) {
       }
       victim.SaveCheckpoint(path);
     }
-    for (const Engine& engine : engines) {
+    for (size_t depth : {size_t{0}, size_t{2}}) {
       for (size_t threads : {size_t{1}, size_t{4}}) {
-        SCOPED_TRACE(std::string(engine.name) + " x " +
+        SCOPED_TRACE("depth " + std::to_string(depth) + " x " +
                      std::to_string(threads) + " threads");
         ScenarioConfig resumed_config =
             BaseScenario(program, threads, Stepping::kCoalesced);
-        resumed_config.fetch_mode = engine.fetch_mode;
-        resumed_config.pipeline_depth = engine.pipeline_depth;
+        resumed_config.pipeline_depth = depth;
         CrawlService resumed(resumed_config);
         resumed.LoadCheckpoint(path);
         while (resumed.Advance()) {
