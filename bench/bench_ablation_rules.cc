@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const double truth = net.TrueAverageDegree();
 
   WalkRunConfig base;
-  base.kind = SamplerKind::kMto;
+  base.program = "mto";
   base.num_samples = 1000;
   base.thinning = 4;
   base.max_burn_in_steps = 8000;
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   }
   {
     auto v = base;
-    v.kind = SamplerKind::kSrw;
+    v.program = "srw";
     variants.push_back({"SRW baseline", v});
   }
 

@@ -22,12 +22,21 @@ namespace {
 
 using namespace mto;
 
+/// The two compared samplers: registry name, legend, and the offset that
+/// derives each one's base seed.
+struct Sampled {
+  const char* program;
+  const char* legend;
+  int seed_offset;
+};
+constexpr Sampled kSamplers[] = {{"srw", "SRW", 0}, {"mto", "MTO", 3}};
+
 void Trajectories(const SocialNetwork& net) {
   PrintBanner(std::cout, "Fig 11(a): estimated average degree vs query cost");
   Table table({"sampler", "query cost", "estimate"});
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+  for (const Sampled& sampled : kSamplers) {
     WalkRunConfig config;
-    config.kind = kind;
+    config.program = sampled.program;
     config.num_samples = 900;
     config.thinning = 3;
     config.geweke_min_length = 100;
@@ -36,7 +45,7 @@ void Trajectories(const SocialNetwork& net) {
     // Subsample the trace to ~15 printed points per sampler.
     size_t stride = run.trace.size() / 15 + 1;
     for (size_t i = 0; i < run.trace.size(); i += stride) {
-      table.AddRow({SamplerName(kind),
+      table.AddRow({sampled.legend,
                     std::to_string(run.trace[i].query_cost),
                     Table::Num(run.trace[i].estimate, 3)});
     }
@@ -47,7 +56,6 @@ void Trajectories(const SocialNetwork& net) {
 double ConvergedValue(const SocialNetwork& net, Attribute attribute,
                       uint64_t seed) {
   WalkRunConfig config;
-  config.kind = SamplerKind::kSrw;
   config.attribute = attribute;
   config.num_samples = 20000;
   config.thinning = 3;
@@ -65,16 +73,16 @@ void ErrorCurve(const SocialNetwork& net, Attribute attribute,
   Table table({"rel. error", "SRW query cost", "MTO query cost"});
   std::vector<double> thresholds{0.50, 0.40, 0.30, 0.20, 0.15, 0.10};
   std::vector<std::vector<double>> cols;
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+  for (const Sampled& sampled : kSamplers) {
     WalkRunConfig config;
-    config.kind = kind;
+    config.program = sampled.program;
     config.attribute = attribute;
     config.restart_per_sample = true;  // Algorithm 1's outer loop
     config.num_samples = 300;
     config.geweke_min_length = 100;
     config.max_burn_in_steps = 2500;
     auto curve = MeasureErrorVsCost(net, config, converged, thresholds, runs,
-                                    0xF11B + static_cast<int>(kind));
+                                    0xF11B + sampled.seed_offset);
     cols.push_back(curve.mean_query_cost);
   }
   for (size_t t = 0; t < thresholds.size(); ++t) {

@@ -24,6 +24,18 @@ namespace {
 
 using namespace mto;
 
+/// One column per sampler: its registry name, legend, and the offset that
+/// derives its base seed.
+struct Column {
+  const char* program;
+  const char* legend;
+  int seed_offset;
+};
+constexpr Column kColumns[] = {{"srw", "SRW", 0},
+                               {"mto", "MTO", 3},
+                               {"mhrw", "MHRW", 1},
+                               {"random_jump", "RJ", 2}};
+
 void RunDataset(const std::string& name, const std::string& figure,
                 const std::vector<double>& thresholds, size_t runs) {
   SocialNetwork net(MakeDataset(name));
@@ -33,23 +45,21 @@ void RunDataset(const std::string& name, const std::string& figure,
                              ", runs = " + std::to_string(runs) + ")");
   Table table([&] {
     std::vector<std::string> headers{"rel. error"};
-    for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto,
-                      SamplerKind::kMhrw, SamplerKind::kRandomJump}) {
-      headers.push_back(SamplerName(kind) + " query cost");
+    for (const Column& column : kColumns) {
+      headers.push_back(std::string(column.legend) + " query cost");
     }
     return headers;
   }());
   std::vector<std::vector<double>> columns;
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto, SamplerKind::kMhrw,
-                    SamplerKind::kRandomJump}) {
+  for (const Column& column : kColumns) {
     WalkRunConfig config;
-    config.kind = kind;
+    config.program = column.program;
     config.restart_per_sample = true;  // Algorithm 1's outer loop
     config.num_samples = 400;
     config.geweke_min_length = 100;
     config.max_burn_in_steps = 3000;
     auto curve = MeasureErrorVsCost(net, config, truth, thresholds, runs,
-                                    0xF16700 + static_cast<int>(kind));
+                                    0xF16700 + column.seed_offset);
     columns.push_back(curve.mean_query_cost);
   }
   for (size_t t = 0; t < thresholds.size(); ++t) {

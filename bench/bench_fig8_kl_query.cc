@@ -10,6 +10,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "bench/bench_flags.h"
 #include "src/experiments/harness.h"
@@ -31,15 +32,16 @@ int main(int argc, char** argv) {
   for (const char* name :
        {"epinions_small", "slashdot_a_small", "slashdot_b_small"}) {
     SocialNetwork net(MakeDataset(name));
-    for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+    for (const auto& [program, legend] :
+         {std::pair{"srw", "SRW"}, std::pair{"mto", "MTO"}}) {
       WalkRunConfig config;
-      config.kind = kind;
+      config.program = program;
       config.num_samples = samples;
       config.thinning = 2;
       config.geweke_threshold = 0.1;
       config.max_burn_in_steps = 20000;
       KlRunResult result = RunKlExperiment(net, config, 0xF18000);
-      table.AddRow({name, SamplerName(kind),
+      table.AddRow({name, legend,
                     std::to_string(result.num_samples),
                     std::to_string(result.query_cost),
                     Table::Num(result.symmetrized_kl, 4)});

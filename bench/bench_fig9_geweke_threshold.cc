@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     double kl[2];
     uint64_t qc[2];
     int i = 0;
-    for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+    for (const char* program : {"srw", "mto"}) {
       WalkRunConfig config;
-      config.kind = kind;
+      config.program = program;
       config.num_samples = samples;
       config.restart_per_sample = true;  // Algorithm 1's outer loop
       config.geweke_threshold = threshold;

@@ -10,9 +10,9 @@
 #include <iostream>
 
 #include "src/estimate/estimators.h"
-#include "src/experiments/harness.h"
 #include "src/graph/datasets.h"
 #include "src/util/table.h"
+#include "src/walk/walk_program.h"
 
 int main() {
   using namespace mto;
@@ -32,11 +32,11 @@ int main() {
   Table table({"sampler", "avg degree", "avg age", "avg posts",
                "# users with 50+ posts", "unique queries"});
 
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMhrw,
-                    SamplerKind::kRandomJump, SamplerKind::kMto}) {
+  for (const char* program : {"srw", "mhrw", "random_jump", "mto"}) {
     RestrictedInterface api(network);
     Rng rng(7);
-    auto sampler = MakeSampler(kind, api, rng, 0, MtoConfig{});
+    auto sampler =
+        GetWalkProgram(program).MakeWalker(api, rng, 0, WalkProgramParams{});
     // Fixed-budget session: walk until ~2500 unique queries are spent.
     api.SetBudget(2500);
     for (int i = 0; i < 800; ++i) sampler->Step();  // burn-in
@@ -53,7 +53,7 @@ int main() {
     // COUNT = population * AVG of the 0/1 selection indicator.
     double active_count =
         SumFromMean(active.Estimate(), network.num_users());
-    table.AddRow({SamplerName(kind), Table::Num(degree.Estimate(), 2),
+    table.AddRow({sampler->name(), Table::Num(degree.Estimate(), 2),
                   Table::Num(age.Estimate(), 2),
                   Table::Num(posts.Estimate(), 1),
                   Table::Num(active_count, 0),

@@ -13,6 +13,7 @@
 #include "src/experiments/harness.h"
 #include "src/graph/datasets.h"
 #include "src/util/table.h"
+#include "src/walk/walk_program.h"
 
 int main() {
   using namespace mto;
@@ -26,10 +27,11 @@ int main() {
                          " (truth " + Table::Num(truth, 1) + ")");
   Table table({"day", "sampler", "unique queries", "estimate", "rel. error"});
 
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMto}) {
+  for (const char* program : {"srw", "mto"}) {
     RestrictedInterface api(network);
     Rng rng(13);
-    auto sampler = MakeSampler(kind, api, rng, 0, MtoConfig{});
+    auto sampler =
+        GetWalkProgram(program).MakeWalker(api, rng, 0, WalkProgramParams{});
     RunningImportanceMean estimate;
     int samples_between = 0;
     for (int day = 1; day <= kDays; ++day) {
@@ -49,7 +51,7 @@ int main() {
         last_cost = api.QueryCost();
       }
       double est = estimate.Valid() ? estimate.Estimate() : 0.0;
-      table.AddRow({std::to_string(day), SamplerName(kind),
+      table.AddRow({std::to_string(day), sampler->name(),
                     std::to_string(api.QueryCost()), Table::Num(est, 1),
                     Table::Num(RelativeError(est, truth), 3)});
     }

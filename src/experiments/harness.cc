@@ -1,6 +1,9 @@
 #include "src/experiments/harness.h"
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "src/estimate/estimators.h"
 #include "src/estimate/metrics.h"
@@ -9,20 +12,6 @@
 #include "src/walk/walk_program.h"
 
 namespace mto {
-
-std::string SamplerName(SamplerKind kind) {
-  switch (kind) {
-    case SamplerKind::kSrw:
-      return "SRW";
-    case SamplerKind::kMhrw:
-      return "MHRW";
-    case SamplerKind::kRandomJump:
-      return "RJ";
-    case SamplerKind::kMto:
-      return "MTO";
-  }
-  throw std::invalid_argument("SamplerName: unknown kind");
-}
 
 double AttributeValue(Sampler& sampler, Attribute attribute) {
   switch (attribute) {
@@ -36,27 +25,18 @@ double AttributeValue(Sampler& sampler, Attribute attribute) {
   throw std::invalid_argument("AttributeValue: unknown attribute");
 }
 
-std::unique_ptr<Sampler> MakeSampler(SamplerKind kind,
-                                     RestrictedInterface& interface, Rng& rng,
-                                     NodeId start, const MtoConfig& mto_config,
-                                     double jump_probability) {
-  // The enum is a legacy facade over the WalkProgram registry (the single
-  // source of walk dispatch — see src/walk/walk_program.h).
-  const char* name = nullptr;
-  switch (kind) {
-    case SamplerKind::kSrw: name = "srw"; break;
-    case SamplerKind::kMhrw: name = "mhrw"; break;
-    case SamplerKind::kRandomJump: name = "random_jump"; break;
-    case SamplerKind::kMto: name = "mto"; break;
-  }
-  if (name == nullptr) throw std::invalid_argument("MakeSampler: unknown kind");
-  WalkProgramParams params;
-  params.mto = mto_config;
-  params.jump_probability = jump_probability;
-  return GetWalkProgram(name).MakeWalker(interface, rng, start, params);
-}
-
 namespace {
+
+/// Builds the run's walker through the WalkProgram registry.
+std::unique_ptr<Sampler> MakeRunWalker(const WalkRunConfig& config,
+                                       RestrictedInterface& interface,
+                                       Rng& rng, NodeId start) {
+  WalkProgramParams params;
+  params.mto = config.mto;
+  params.jump_probability = config.jump_probability;
+  return GetWalkProgram(config.program)
+      .MakeWalker(interface, rng, start, params);
+}
 
 /// Advances until the Geweke monitor converges or `cap` steps elapse.
 /// Returns the number of steps taken.
@@ -81,8 +61,7 @@ WalkRunResult RunAggregateEstimation(const SocialNetwork& network,
   Rng rng(seed);
   RestrictedInterface interface(network);
   const NodeId start = static_cast<NodeId>(rng.UniformInt(network.num_users()));
-  auto sampler = MakeSampler(config.kind, interface, rng, start, config.mto,
-                             config.jump_probability);
+  auto sampler = MakeRunWalker(config, interface, rng, start);
   GewekeMonitor monitor(config.geweke_threshold, config.geweke_min_length,
                         config.geweke_check_every);
 
@@ -130,11 +109,20 @@ WalkRunResult RunAggregateEstimation(const SocialNetwork& network,
 KlRunResult RunKlExperiment(const SocialNetwork& network,
                             const WalkRunConfig& config, uint64_t seed,
                             double epsilon) {
+  // The sampler's own ideal stationary distribution is chosen by program;
+  // refuse a program without one before spending the run.
+  const std::string_view program = GetWalkProgram(config.program).name();
+  const bool degree_ideal = program == "srw";
+  const bool uniform_ideal = program == "mhrw" || program == "random_jump";
+  if (!degree_ideal && !uniform_ideal && program != "mto") {
+    throw std::invalid_argument(
+        "RunKlExperiment: no ideal distribution for program \"" +
+        std::string(program) + "\"");
+  }
   Rng rng(seed);
   RestrictedInterface interface(network);
   const NodeId start = static_cast<NodeId>(rng.UniformInt(network.num_users()));
-  auto sampler = MakeSampler(config.kind, interface, rng, start, config.mto,
-                             config.jump_probability);
+  auto sampler = MakeRunWalker(config, interface, rng, start);
   GewekeMonitor monitor(config.geweke_threshold, config.geweke_min_length,
                         config.geweke_check_every);
   BurnIn(*sampler, monitor, config.max_burn_in_steps);
@@ -154,34 +142,27 @@ KlRunResult RunKlExperiment(const SocialNetwork& network,
     }
   }
 
-  // The sampler's own ideal stationary distribution.
   std::vector<double> ideal;
-  switch (config.kind) {
-    case SamplerKind::kSrw:
-      ideal = IdealDegreeDistribution(network.graph());
-      break;
-    case SamplerKind::kMhrw:
-    case SamplerKind::kRandomJump:
-      ideal = UniformDistribution(network.num_users());
-      break;
-    case SamplerKind::kMto: {
-      // τ*(v) = k*_v / Σ k*: overlay degrees from the learned rewiring.
-      auto* mto = dynamic_cast<MtoSampler*>(sampler.get());
-      auto deltas = mto->overlay().DegreeDeltas();
-      const Graph& g = network.graph();
-      ideal.resize(g.num_nodes());
-      double total = 0.0;
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        double k = static_cast<double>(g.Degree(v));
-        auto it = deltas.find(v);
-        if (it != deltas.end()) k += static_cast<double>(it->second);
-        if (k < 0.0) k = 0.0;
-        ideal[v] = k;
-        total += k;
-      }
-      for (double& x : ideal) x /= total;
-      break;
+  if (degree_ideal) {
+    ideal = IdealDegreeDistribution(network.graph());
+  } else if (uniform_ideal) {
+    ideal = UniformDistribution(network.num_users());
+  } else {
+    // τ*(v) = k*_v / Σ k*: overlay degrees from the learned rewiring.
+    auto* mto = dynamic_cast<MtoSampler*>(sampler.get());
+    auto deltas = mto->overlay().DegreeDeltas();
+    const Graph& g = network.graph();
+    ideal.resize(g.num_nodes());
+    double total = 0.0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      double k = static_cast<double>(g.Degree(v));
+      auto it = deltas.find(v);
+      if (it != deltas.end()) k += static_cast<double>(it->second);
+      if (k < 0.0) k = 0.0;
+      ideal[v] = k;
+      total += k;
     }
+    for (double& x : ideal) x /= total;
   }
   // Smooth both sides so the symmetrized KL is finite: nodes the walk can
   // never reach (e.g. overlay degree 0) would otherwise zero out `ideal`.

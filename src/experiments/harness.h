@@ -11,12 +11,6 @@
 
 namespace mto {
 
-/// The four samplers compared in the paper's evaluation (Section V-A.3).
-enum class SamplerKind { kSrw, kMhrw, kRandomJump, kMto };
-
-/// Display name matching the paper's figure legends.
-std::string SamplerName(SamplerKind kind);
-
 /// Aggregate attributes used across the experiments.
 enum class Attribute {
   kDegree,             ///< average degree (local datasets, Fig 7/11b)
@@ -28,15 +22,12 @@ enum class Attribute {
 /// node's cached query, so it never consumes extra budget.
 double AttributeValue(Sampler& sampler, Attribute attribute);
 
-/// Factory for samplers. `start` defaults to node 0 when out of range.
-std::unique_ptr<Sampler> MakeSampler(SamplerKind kind,
-                                     RestrictedInterface& interface, Rng& rng,
-                                     NodeId start, const MtoConfig& mto_config,
-                                     double jump_probability = 0.5);
-
 /// Parameters of one aggregate-estimation run.
 struct WalkRunConfig {
-  SamplerKind kind = SamplerKind::kSrw;
+  /// WalkProgram registry name (src/walk/walk_program.h); the paper's four
+  /// samplers are "srw", "mhrw", "random_jump" and "mto". An unknown name
+  /// throws std::invalid_argument when a run starts.
+  std::string program = "srw";
   Attribute attribute = Attribute::kDegree;
   double geweke_threshold = 0.1;   ///< paper default
   size_t geweke_min_length = 200;
@@ -45,12 +36,12 @@ struct WalkRunConfig {
   size_t num_samples = 200;          ///< samples collected after burn-in
   size_t thinning = 25;              ///< walk steps between samples
   bool restart_per_sample = false;   ///< Algorithm 1's literal per-sample loop
-  MtoConfig mto;                     ///< used when kind == kMto
+  MtoConfig mto;                     ///< used when program == "mto"
   /// Freeze the MTO overlay when burn-in ends, making the sampling chain a
   /// genuine SRW on a fixed G* (unbiased importance weights). See
   /// MtoSampler::FreezeTopology(); ablated in bench_ablation_rules.
   bool mto_freeze_after_burn_in = true;
-  double jump_probability = 0.5;     ///< used when kind == kRandomJump
+  double jump_probability = 0.5;     ///< used when program == "random_jump"
 };
 
 /// One point of an estimate-vs-cost trajectory.
@@ -89,7 +80,8 @@ struct KlRunResult {
 /// `num_samples` sampled nodes and compare the empirical distribution with
 /// the sampler's own ideal stationary distribution (π for SRW; τ* over the
 /// learned overlay for MTO; uniform for MHRW/RJ), using additive smoothing
-/// `epsilon` on the empirical side.
+/// `epsilon` on the empirical side. Any other program has no ideal here and
+/// throws std::invalid_argument.
 KlRunResult RunKlExperiment(const SocialNetwork& network,
                             const WalkRunConfig& config, uint64_t seed,
                             double epsilon = 0.5);

@@ -41,17 +41,12 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   scheduler_ = std::make_unique<CrawlScheduler>(
       *session_, crawl, config_.seed,
       [this](RestrictedInterface& iface, Rng& rng, size_t) {
-        // Walker i's start is the first draw of its own (seed, i) stream,
-        // exactly like the parallel harness.
+        // Walker i's start is the first draw of its own (seed, i) stream —
+        // a function of (seed, i) only, like everything downstream.
         const NodeId start =
             static_cast<NodeId>(rng.UniformInt(network_.num_users()));
-        WalkProgramParams params;
-        params.jump_probability = config_.jump_probability;
-        params.p = config_.program.p;
-        params.q = config_.program.q;
-        params.restart = config_.program.restart;
-        params.mto = config_.mto;
-        return program_->MakeWalker(iface, rng, start, params);
+        return program_->MakeWalker(iface, rng, start,
+                                    config_.program.params);
       });
 
   EstimationPipeline::Options options;

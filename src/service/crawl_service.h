@@ -21,7 +21,7 @@
 
 namespace mto {
 
-/// Result of a crawl-service run: the parallel-harness result surface plus
+/// Result of a crawl-service run: samples, estimate trace and costs, plus
 /// the service layer's fault/failover accounting.
 struct ServiceResult {
   std::vector<NodeId> samples;    ///< node ids, round-major in walker order

@@ -113,16 +113,6 @@ BackendConfig ParseBackend(const JsonValue& obj, size_t index) {
 
 }  // namespace
 
-const char* SamplerKindKey(SamplerKind kind) {
-  switch (kind) {
-    case SamplerKind::kSrw: return "srw";
-    case SamplerKind::kMhrw: return "mhrw";
-    case SamplerKind::kRandomJump: return "random_jump";
-    case SamplerKind::kMto: return "mto";
-  }
-  return "?";
-}
-
 const char* AttributeKey(Attribute attribute) {
   switch (attribute) {
     case Attribute::kDegree: return "degree";
@@ -134,18 +124,18 @@ const char* AttributeKey(Attribute attribute) {
 
 ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
-            {"dataset", "seed", "program", "mto", "attribute",
-             "jump_probability", "walkers", "threads", "coalesce_frontier",
-             "pipeline_depth", "queue_capacity", "geweke",
-             "max_burn_in_rounds", "num_samples", "thinning", "total_budget",
-             "backends", "routing", "retry", "fault_seed", "checkpoint",
-             "observability"});
+            {"dataset", "seed", "program", "mto", "attribute", "walkers",
+             "threads", "coalesce_frontier", "pipeline_depth",
+             "queue_capacity", "geweke", "max_burn_in_rounds", "num_samples",
+             "thinning", "total_budget", "backends", "routing", "retry",
+             "fault_seed", "checkpoint", "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
   if (root.Has("program")) {
     const JsonValue& program = root.At("program");
-    CheckKeys(program, "program", {"name", "p", "q", "restart"});
+    CheckKeys(program, "program",
+              {"name", "p", "q", "restart", "jump_probability"});
     if (!program.Has("name")) {
       throw std::invalid_argument("ScenarioConfig: program.name is required");
     }
@@ -169,19 +159,21 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
       throw std::invalid_argument(
           "ScenarioConfig: program.restart applies only to pagerank");
     }
-    if (program.Has("p")) config.program.p = program.At("p").AsDouble();
-    if (program.Has("q")) config.program.q = program.At("q").AsDouble();
+    if (program.Has("jump_probability") &&
+        config.program.name != "random_jump") {
+      throw std::invalid_argument(
+          "ScenarioConfig: program.jump_probability applies only to "
+          "random_jump");
+    }
+    WalkProgramParams& params = config.program.params;
+    if (program.Has("p")) params.p = program.At("p").AsDouble();
+    if (program.Has("q")) params.q = program.At("q").AsDouble();
     if (program.Has("restart")) {
-      config.program.restart = program.At("restart").AsDouble();
+      params.restart = program.At("restart").AsDouble();
     }
-    // Keep the legacy enum in sync when the program has one, so enum-based
-    // consumers (run reports, experiment harness helpers) agree.
-    if (config.program.name == "srw") config.sampler = SamplerKind::kSrw;
-    if (config.program.name == "mhrw") config.sampler = SamplerKind::kMhrw;
-    if (config.program.name == "random_jump") {
-      config.sampler = SamplerKind::kRandomJump;
+    if (program.Has("jump_probability")) {
+      params.jump_probability = program.At("jump_probability").AsDouble();
     }
-    if (config.program.name == "mto") config.sampler = SamplerKind::kMto;
   }
   if (root.Has("mto")) {
     const JsonValue& mto = root.At("mto");
@@ -191,43 +183,39 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
                "replace_probability", "weight_mode", "degree_probe",
                "max_inner_iterations"});
     config.mto_configured = true;
+    MtoConfig& knobs = config.program.params.mto;
     if (mto.Has("enable_removal")) {
-      config.mto.enable_removal = mto.At("enable_removal").AsBool();
+      knobs.enable_removal = mto.At("enable_removal").AsBool();
     }
     if (mto.Has("criterion_basis")) {
-      config.mto.criterion_basis =
+      knobs.criterion_basis =
           ParseCriterionBasis(mto.At("criterion_basis").AsString());
     }
     if (mto.Has("min_overlay_degree")) {
-      config.mto.min_overlay_degree = MtoUint32(mto, "min_overlay_degree");
+      knobs.min_overlay_degree = MtoUint32(mto, "min_overlay_degree");
     }
     if (mto.Has("enable_replacement")) {
-      config.mto.enable_replacement = mto.At("enable_replacement").AsBool();
+      knobs.enable_replacement = mto.At("enable_replacement").AsBool();
     }
     if (mto.Has("use_degree_extension")) {
-      config.mto.use_degree_extension =
-          mto.At("use_degree_extension").AsBool();
+      knobs.use_degree_extension = mto.At("use_degree_extension").AsBool();
     }
-    if (mto.Has("lazy")) config.mto.lazy = mto.At("lazy").AsBool();
+    if (mto.Has("lazy")) knobs.lazy = mto.At("lazy").AsBool();
     if (mto.Has("replace_probability")) {
-      config.mto.replace_probability =
-          mto.At("replace_probability").AsDouble();
+      knobs.replace_probability = mto.At("replace_probability").AsDouble();
     }
     if (mto.Has("weight_mode")) {
-      config.mto.weight_mode = ParseWeightMode(mto.At("weight_mode").AsString());
+      knobs.weight_mode = ParseWeightMode(mto.At("weight_mode").AsString());
     }
     if (mto.Has("degree_probe")) {
-      config.mto.degree_probe = MtoUint32(mto, "degree_probe");
+      knobs.degree_probe = MtoUint32(mto, "degree_probe");
     }
     if (mto.Has("max_inner_iterations")) {
-      config.mto.max_inner_iterations = MtoUint32(mto, "max_inner_iterations");
+      knobs.max_inner_iterations = MtoUint32(mto, "max_inner_iterations");
     }
   }
   if (root.Has("attribute")) {
     config.attribute = ParseAttribute(root.At("attribute").AsString());
-  }
-  if (root.Has("jump_probability")) {
-    config.jump_probability = root.At("jump_probability").AsDouble();
   }
   if (root.Has("walkers")) config.num_walkers = root.At("walkers").AsUint();
   if (root.Has("threads")) config.num_threads = root.At("threads").AsUint();
@@ -367,26 +355,28 @@ void ScenarioConfig::Validate() const {
   if (queue_capacity == 0) {
     throw std::invalid_argument("ScenarioConfig: queue_capacity must be >= 1");
   }
-  if (jump_probability < 0.0 || jump_probability > 1.0) {
-    throw std::invalid_argument(
-        "ScenarioConfig: jump_probability must be in [0, 1]");
-  }
-  if (!program.name.empty() && FindWalkProgram(program.name) == nullptr) {
+  if (FindWalkProgram(program.name) == nullptr) {
     throw std::invalid_argument("ScenarioConfig: unknown program \"" +
                                 program.name + "\"");
   }
-  if (!(program.p > 0.0) || !(program.q > 0.0)) {
+  const WalkProgramParams& params = program.params;
+  if (params.jump_probability < 0.0 || params.jump_probability > 1.0) {
+    throw std::invalid_argument(
+        "ScenarioConfig: program.jump_probability must be in [0, 1]");
+  }
+  if (!(params.p > 0.0) || !(params.q > 0.0)) {
     throw std::invalid_argument(
         "ScenarioConfig: program.p and program.q must be > 0");
   }
-  if (program.restart < 0.0 || program.restart > 1.0) {
+  if (params.restart < 0.0 || params.restart > 1.0) {
     throw std::invalid_argument(
         "ScenarioConfig: program.restart must be in [0, 1]");
   }
-  if (mto_configured && ProgramName() != "mto") {
+  if (mto_configured && program.name != "mto") {
     throw std::invalid_argument(
         "ScenarioConfig: the \"mto\" block requires the mto program");
   }
+  const MtoConfig& mto = params.mto;
   if (mto.replace_probability < 0.0 || mto.replace_probability > 1.0) {
     throw std::invalid_argument(
         "ScenarioConfig: mto.replace_probability must be in [0, 1]");
@@ -429,22 +419,18 @@ void ScenarioConfig::Validate() const {
   }
 }
 
-std::string ScenarioConfig::ProgramName() const {
-  return program.name.empty() ? std::string(SamplerKindKey(sampler))
-                              : program.name;
-}
-
 uint64_t ScenarioConfig::Fingerprint() const {
   Fnv fnv;
   fnv.Mix(dataset);
   fnv.Mix(seed);
-  // The resolved program name replaces the historical sampler-enum mix, so
-  // a config that sets only the `sampler` field and one that names the same
-  // program fingerprint alike (checkpoints written either way still load).
-  fnv.Mix(ProgramName());
-  fnv.Mix(program.p);
-  fnv.Mix(program.q);
-  fnv.Mix(program.restart);
+  // The mix order and values are pinned (FingerprintIsStableAcrossVersions):
+  // a reordering would orphan every checkpoint already on disk.
+  const WalkProgramParams& params = program.params;
+  const MtoConfig& mto = params.mto;
+  fnv.Mix(program.name);
+  fnv.Mix(params.p);
+  fnv.Mix(params.q);
+  fnv.Mix(params.restart);
   // MTO ablation knobs: every one changes the walk's trajectory, so every
   // one invalidates checkpoints. Mixed unconditionally (they sit at their
   // defaults for non-MTO programs).
@@ -459,7 +445,7 @@ uint64_t ScenarioConfig::Fingerprint() const {
   fnv.Mix(static_cast<uint64_t>(mto.degree_probe));
   fnv.Mix(static_cast<uint64_t>(mto.max_inner_iterations));
   fnv.Mix(static_cast<uint64_t>(attribute));
-  fnv.Mix(jump_probability);
+  fnv.Mix(params.jump_probability);
   fnv.Mix(static_cast<uint64_t>(num_walkers));
   fnv.Mix(geweke_threshold);
   fnv.Mix(static_cast<uint64_t>(geweke_min_length));

@@ -10,6 +10,7 @@
 #include "src/service/backend_pool.h"
 #include "src/service/retry_policy.h"
 #include "src/util/json.h"
+#include "src/walk/walk_program.h"
 
 namespace mto {
 
@@ -20,13 +21,12 @@ struct CheckpointConfig {
 };
 
 /// Walk-program selection (the scenario's `"program"` object): `name` is
-/// resolved through the WalkProgram registry (src/walk/walk_program.h), so
-/// new programs need no enum surgery.
+/// resolved through the WalkProgram registry (src/walk/walk_program.h) and
+/// `params` is handed to the program's MakeWalker unchanged. The JSON
+/// `"mto"` block parses into `params.mto`.
 struct ProgramConfig {
-  std::string name;       ///< empty = fall back to the `sampler` field
-  double p = 1.0;         ///< node2vec return parameter (> 0)
-  double q = 1.0;         ///< node2vec in-out parameter (> 0)
-  double restart = 0.15;  ///< pagerank teleport probability ([0, 1])
+  std::string name = "srw";
+  WalkProgramParams params;
 };
 
 /// Passive telemetry of a CrawlService run (all off by default). Strictly
@@ -59,9 +59,9 @@ struct ObservabilityConfig {
 };
 
 /// Complete description of a crawl-service run, loadable from JSON: the
-/// dataset, the sampler and estimation parameters, the crawl-runtime shape
-/// (walkers/threads/stepping mode), the backend fleet with its retry and
-/// selection policies, and optional periodic checkpointing.
+/// dataset, the walk program and estimation parameters, the crawl-runtime
+/// shape (walkers/threads/stepping mode), the backend fleet with its retry
+/// and selection policies, and optional periodic checkpointing.
 ///
 /// Strictness: unknown keys anywhere in the document are an error (config
 /// typos should fail loudly, not silently run a different scenario).
@@ -101,19 +101,14 @@ struct ObservabilityConfig {
 struct ScenarioConfig {
   std::string dataset = "epinions_small";
   uint64_t seed = 1;
-  SamplerKind sampler = SamplerKind::kSrw;
   Attribute attribute = Attribute::kDegree;
-  double jump_probability = 0.5;  ///< used when sampler == random_jump
 
-  /// Walk-program selection (`"program"` object). When `program.name` is
-  /// one of the four legacy names the `sampler` enum is kept in sync for
-  /// downstream consumers (run reports, experiment harness helpers).
+  /// Walk-program selection (`"program"` object). `program.params.mto`
+  /// holds the paper's MTO ablation knobs (`"mto"` object); setting that
+  /// block for any program but "mto" is an error. Every knob is part of
+  /// the checkpoint fingerprint: resuming under a different ablation fails
+  /// loudly.
   ProgramConfig program;
-  /// The paper's MTO ablation knobs (`"mto"` object); consumed only when
-  /// the resolved program is "mto" — setting the block for any other
-  /// program is an error. Every knob is part of the checkpoint
-  /// fingerprint: resuming under a different ablation fails loudly.
-  MtoConfig mto;
   /// True when the document carried an `"mto"` block (the defaults are
   /// indistinguishable from an empty block, so validation needs the bit).
   bool mto_configured = false;
@@ -156,21 +151,19 @@ struct ScenarioConfig {
   static ScenarioConfig FromJsonText(std::string_view text);
   static ScenarioConfig FromFile(const std::string& path);
 
-  /// Semantic validation (ranges, sampler/checkpoint compatibility).
+  /// Semantic validation (ranges, program/knob compatibility).
   void Validate() const;
 
-  /// The resolved walk-program registry name: `program.name` when the
-  /// document selected one, else the legacy `sampler` key's name. This is
-  /// what CrawlService resolves through GetWalkProgram, what the
-  /// fingerprint mixes, and what metric labels carry.
-  std::string ProgramName() const;
+  /// The walk-program registry name (`program.name`): what CrawlService
+  /// resolves through GetWalkProgram, what the fingerprint mixes, and what
+  /// metric labels carry.
+  std::string ProgramName() const { return program.name; }
 
   /// Stable hash of the fields that determine crawl behavior; stored in
   /// checkpoints so resuming under a different scenario fails loudly.
   uint64_t Fingerprint() const;
 };
 
-const char* SamplerKindKey(SamplerKind kind);
 const char* AttributeKey(Attribute attribute);
 
 }  // namespace mto

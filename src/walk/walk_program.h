@@ -43,9 +43,8 @@ struct WalkProgramParams {
 /// lives in the Sampler instances they build.
 ///
 /// Built-in programs: "srw", "mhrw", "random_jump" (alias "rj"), "mto",
-/// "node2vec", "pagerank". The registry is the single source of dispatch —
-/// the historical SamplerKind enum now resolves through it (see
-/// experiments/harness).
+/// "node2vec", "pagerank". The registry is the only walk dispatch: the
+/// experiment harness and the crawl service both build walkers through it.
 class WalkProgram {
  public:
   virtual ~WalkProgram() = default;
@@ -68,8 +67,7 @@ class WalkProgram {
   /// snapshot/restore in checkpoints and freeze at the end of burn-in.
   virtual bool uses_overlay() const { return false; }
 
-  /// Builds one walker. `start` is clamped to 0 when out of id range (the
-  /// historical MakeSampler contract).
+  /// Builds one walker. `start` is clamped to 0 when out of id range.
   virtual std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams& params) const = 0;

@@ -1,50 +1,11 @@
-// Include-hygiene pin: every public header in src/, included together in
-// alphabetical order (so no header can rely on a same-directory sibling
-// being included first). Keeping this list exhaustive is enforced by review;
-// a header that is not self-sufficient or collides with another (macro leak,
-// ODR clash) breaks this translation unit.
+// Include-hygiene pin: every public header in src/ (src/*/*.h), included
+// together in sorted order, so no header can rely on a same-directory
+// sibling being included first. tests/CMakeLists.txt generates the include
+// list from a glob at configure time, so the list is exhaustive by
+// construction; a header that is not self-sufficient or collides with
+// another (macro leak, ODR clash) breaks this translation unit.
 
-#include "src/core/edge_rules.h"
-#include "src/core/full_overlay.h"
-#include "src/core/mto_sampler.h"
-#include "src/core/overlay_graph.h"
-#include "src/estimate/estimators.h"
-#include "src/estimate/metrics.h"
-#include "src/estimate/sampling_distribution.h"
-#include "src/estimate/size_estimator.h"
-#include "src/experiments/error_vs_cost.h"
-#include "src/experiments/harness.h"
-#include "src/experiments/latent_space_theory.h"
-#include "src/experiments/parallel_harness.h"
-#include "src/graph/builder.h"
-#include "src/graph/datasets.h"
-#include "src/graph/generators.h"
-#include "src/graph/graph.h"
-#include "src/graph/graph_stats.h"
-#include "src/graph/io.h"
-#include "src/mcmc/diagnostics.h"
-#include "src/mcmc/geweke.h"
-#include "src/mcmc/stopping.h"
-#include "src/net/restricted_interface.h"
-#include "src/net/social_network.h"
-#include "src/runtime/concurrent_interface_cache.h"
-#include "src/runtime/crawl_scheduler.h"
-#include "src/runtime/estimation_pipeline.h"
-#include "src/runtime/spsc_queue.h"
-#include "src/spectral/conductance.h"
-#include "src/spectral/eigen.h"
-#include "src/spectral/mixing.h"
-#include "src/spectral/transition.h"
-#include "src/util/rng.h"
-#include "src/util/stats.h"
-#include "src/util/table.h"
-#include "src/util/thread_pool.h"
-#include "src/walk/mhrw.h"
-#include "src/walk/parallel_walkers.h"
-#include "src/walk/random_jump.h"
-#include "src/walk/sampler.h"
-#include "src/walk/snowball.h"
-#include "src/walk/srw.h"
+#include "all_public_headers.h"
 
 #include <gtest/gtest.h>
 

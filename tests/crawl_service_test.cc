@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -16,7 +17,7 @@ ScenarioConfig FaultyScenario() {
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0xABCD;
-  config.sampler = SamplerKind::kSrw;
+  config.program.name = "srw";
   config.num_walkers = 8;
   config.num_threads = 1;
   config.geweke_check_every = 20;
@@ -103,6 +104,42 @@ TEST(CrawlServiceTest, RunsFaultyScenarioToCompletion) {
   EXPECT_GT(result.simulated_time_us, 0u);
 }
 
+TEST(CrawlServiceTest, SampleCountRoundsUpToWholeCollectionRounds) {
+  // Every collection round reads one sample per walker, so a target that
+  // is not a multiple of the walker count is rounded up.
+  ScenarioConfig config = FaultyScenario();
+  config.num_samples = 10;  // not a multiple of 8 walkers
+  const ServiceResult result = CrawlService(config).Run();
+  EXPECT_EQ(result.samples.size(), 16u);  // 2 rounds x 8 walkers
+}
+
+TEST(CrawlServiceTest, EstimatesAverageDegreeAndFreezesMtoOverlays) {
+  // End to end through the multi-threaded service: both the plain walk and
+  // the paper's sampler estimate the population mean degree, and MTO
+  // samples from a frozen overlay once burn-in ends.
+  for (const char* program : {"srw", "mto"}) {
+    SCOPED_TRACE(program);
+    ScenarioConfig config = FaultyScenario();
+    config.program.name = program;
+    config.num_threads = 4;
+    config.num_samples = 400;
+    CrawlService service(config);
+    const ServiceResult result = service.Run();
+    EXPECT_TRUE(result.burn_in_converged);
+    EXPECT_LE(result.burn_in_query_cost, result.total_query_cost);
+    const double truth = service.network().TrueAverageDegree();
+    EXPECT_LT(std::abs(result.final_estimate - truth) / truth, 0.35);
+    for (size_t i = 0; i < service.scheduler().size(); ++i) {
+      const auto* mto =
+          dynamic_cast<const MtoSampler*>(&service.scheduler().walker(i));
+      EXPECT_EQ(mto != nullptr, config.program.name == "mto");
+      if (mto != nullptr) {
+        EXPECT_TRUE(mto->frozen()) << "walker " << i;
+      }
+    }
+  }
+}
+
 TEST(CrawlServiceTest, ResumeIsBitIdenticalAtEveryKillPoint) {
   ScenarioConfig config = FaultyScenario();
   const ServiceResult uninterrupted = CrawlService(config).Run();
@@ -174,7 +211,7 @@ TEST(CrawlServiceTest, PeriodicCheckpointsDuringRunAreResumable) {
 
 TEST(CrawlServiceTest, MhrwScenarioAlsoResumesBitIdentically) {
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMhrw;
+  config.program.name = "mhrw";
   config.num_threads = 2;
   const ServiceResult uninterrupted = CrawlService(config).Run();
   const std::string path = TempCheckpointPath("mhrw");
@@ -188,7 +225,7 @@ TEST(CrawlServiceTest, MtoScenarioResumesBitIdenticallyAtEveryKillPoint) {
   // half-classified work in progress) and the sampling phase (frozen
   // overlay), under injected faults.
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   const ServiceResult uninterrupted = CrawlService(config).Run();
   const std::string path = TempCheckpointPath("mto_kill_points");
   for (size_t kill_after : {0u, 1u, 2u, 5u, 9u, 20u}) {
@@ -206,7 +243,7 @@ TEST(CrawlServiceTest, MtoScenarioIsBitIdenticalAcrossThreadsAndModes) {
   // threads and both stepping modes — and a coalesced multi-thread victim
   // resumes bit-identically.
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   const ServiceResult reference = CrawlService(config).Run();
   for (size_t threads : {2u, 8u}) {
     for (bool coalesce : {false, true}) {
@@ -228,7 +265,7 @@ TEST(CrawlServiceTest, MtoScenarioIsBitIdenticalAcrossThreadsAndModes) {
 
 TEST(CrawlServiceTest, MtoPeriodicCheckpointsDuringRunAreResumable) {
   ScenarioConfig config = FaultyScenario();
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.checkpoint.path = TempCheckpointPath("mto_periodic");
   config.checkpoint.every_units = 3;
   const ServiceResult full = CrawlService(config).Run();

@@ -82,7 +82,7 @@ ScenarioConfig LiveScenario() {
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = true;
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 80;

@@ -1,5 +1,5 @@
-// Tests for the Section VI extensions: parallel walkers, the BFS (snowball)
-// baseline, and collision-based network-size estimation.
+// Tests for the Section VI extensions: parallel walkers and collision-based
+// network-size estimation.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/graph/generators.h"
 #include "src/mcmc/diagnostics.h"
 #include "src/walk/parallel_walkers.h"
-#include "src/walk/snowball.h"
 #include "src/walk/srw.h"
 
 namespace mto {
@@ -95,62 +94,6 @@ TEST(ParallelWalkersTest, CollectGathersWeightedSamples) {
   EXPECT_DOUBLE_EQ(values[0], 5.0);   // hub
   EXPECT_DOUBLE_EQ(weights[0], 0.2);  // 1/deg
   EXPECT_DOUBLE_EQ(values[1], 1.0);
-}
-
-TEST(SnowballTest, VisitsEachNodeOnce) {
-  Graph g = Barbell(5);
-  SocialNetwork net(g);
-  RestrictedInterface iface(net);
-  Rng rng(5);
-  SnowballCrawler bfs(iface, rng, 0);
-  std::vector<int> visits(g.num_nodes(), 0);
-  for (NodeId i = 0; i < g.num_nodes(); ++i) ++visits[bfs.Step()];
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(visits[v], 1) << "node " << v;
-  }
-  EXPECT_EQ(bfs.Visited(), g.num_nodes());
-  EXPECT_EQ(bfs.FrontierSize(), 0u);
-  // Exhausted frontier: the crawler stays put.
-  NodeId last = bfs.current();
-  EXPECT_EQ(bfs.Step(), last);
-}
-
-TEST(SnowballTest, BfsOrderFromSeed) {
-  Graph g = Path(6);
-  SocialNetwork net(g);
-  RestrictedInterface iface(net);
-  Rng rng(6);
-  SnowballCrawler bfs(iface, rng, 0);
-  for (NodeId expected = 0; expected < 6; ++expected) {
-    EXPECT_EQ(bfs.Step(), expected);  // a path is visited in order
-  }
-}
-
-TEST(SnowballTest, EarlySamplesAreDegreeBiasedNearSeed) {
-  // The textbook snowball bias: the first crawled nodes around a hub seed
-  // over-represent the hub's dense neighborhood relative to the population.
-  SocialNetwork net(MakeDataset("epinions_small"));
-  const Graph& g = net.graph();
-  NodeId hub = 0;
-  for (NodeId v = 1; v < g.num_nodes(); ++v) {
-    if (g.Degree(v) > g.Degree(hub)) hub = v;
-  }
-  RestrictedInterface iface(net);
-  Rng rng(7);
-  SnowballCrawler bfs(iface, rng, hub);
-  double sum = 0.0;
-  const int kEarly = 200;
-  for (int i = 0; i < kEarly; ++i) {
-    bfs.Step();
-    sum += bfs.CurrentDegreeForDiagnostic();
-  }
-  // The direction of the bias depends on what surrounds the seed (here the
-  // hub's neighborhood is dominated by lower-degree micro-clique members);
-  // the robust claim is that the unweighted early-crawl mean is *off*.
-  const double bias =
-      std::abs(sum / kEarly - net.TrueAverageDegree()) / net.TrueAverageDegree();
-  EXPECT_GT(bias, 0.08)
-      << "early snowball average should be biased away from the population mean";
 }
 
 TEST(SizeEstimatorTest, NotReadyBeforeCollision) {

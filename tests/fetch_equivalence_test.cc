@@ -288,7 +288,7 @@ ScenarioConfig ObservedScenario() {
   config.num_walkers = kWalkers;
   config.num_threads = 4;
   config.coalesce_frontier = true;
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 120;

@@ -85,17 +85,15 @@ TEST(PipelineTest, AllFourSamplersEstimateDegreeOnDataset) {
   SocialNetwork net =
       SocialNetwork::WithSyntheticProfiles(MakeDataset("epinions_small"), 3);
   const double truth = net.TrueAverageDegree();
-  for (auto kind : {SamplerKind::kSrw, SamplerKind::kMhrw,
-                    SamplerKind::kRandomJump, SamplerKind::kMto}) {
+  for (const char* program : {"srw", "mhrw", "random_jump", "mto"}) {
     WalkRunConfig config;
-    config.kind = kind;
+    config.program = program;
     config.num_samples = 1500;
     config.thinning = 4;
     config.max_burn_in_steps = 5000;
     auto result = RunAggregateEstimation(net, config, 1234);
-    EXPECT_NEAR(result.final_estimate, truth, truth * 0.3)
-        << SamplerName(kind);
-    EXPECT_EQ(result.samples.size(), 1500u) << SamplerName(kind);
+    EXPECT_NEAR(result.final_estimate, truth, truth * 0.3) << program;
+    EXPECT_EQ(result.samples.size(), 1500u) << program;
   }
 }
 
@@ -118,12 +116,12 @@ TEST(PipelineTest, MtoMatchesSrwAccuracyAtFixedBudget) {
   // accurate in absolute terms.
   SocialNetwork net(MakeDataset("slashdot_b_small"));
   const double truth = net.TrueAverageDegree();
-  auto mean_error = [&](SamplerKind kind) {
+  auto mean_error = [&](const char* program) {
     double total = 0.0;
     const int kRuns = 24;
     for (int r = 0; r < kRuns; ++r) {
       WalkRunConfig config;
-      config.kind = kind;
+      config.program = program;
       config.num_samples = 220;  // ~900-1200 unique queries per run
       config.thinning = 4;
       config.max_burn_in_steps = 4000;
@@ -132,8 +130,8 @@ TEST(PipelineTest, MtoMatchesSrwAccuracyAtFixedBudget) {
     }
     return total / kRuns;
   };
-  const double srw = mean_error(SamplerKind::kSrw);
-  const double mto = mean_error(SamplerKind::kMto);
+  const double srw = mean_error("srw");
+  const double mto = mean_error("mto");
   EXPECT_LT(mto, srw * 1.25);
   EXPECT_LT(mto, 0.15);
   EXPECT_LT(srw, 0.15);
@@ -182,7 +180,7 @@ TEST(PipelineTest, AttributeAggregatesOnGplusStandIn) {
   SocialNetwork net =
       SocialNetwork::WithSyntheticProfiles(MakeDataset("gplus_small"), 8);
   WalkRunConfig config;
-  config.kind = SamplerKind::kMto;
+  config.program = "mto";
   config.attribute = Attribute::kDescriptionLength;
   config.num_samples = 2500;
   config.thinning = 4;

@@ -41,23 +41,23 @@ TEST(MtoAblationConfigTest, EveryKnobRoundTripsThroughJson) {
   })");
   EXPECT_TRUE(config.mto_configured);
   EXPECT_EQ(config.ProgramName(), "mto");
-  EXPECT_EQ(config.sampler, SamplerKind::kMto);  // legacy enum stays in sync
-  EXPECT_FALSE(config.mto.enable_removal);
-  EXPECT_EQ(config.mto.criterion_basis, CriterionBasis::kOriginal);
-  EXPECT_EQ(config.mto.min_overlay_degree, 3u);
-  EXPECT_FALSE(config.mto.enable_replacement);
-  EXPECT_TRUE(config.mto.use_degree_extension);
-  EXPECT_TRUE(config.mto.lazy);
-  EXPECT_EQ(config.mto.replace_probability, 0.25);
-  EXPECT_EQ(config.mto.weight_mode, OverlayDegreeMode::kExact);
-  EXPECT_EQ(config.mto.degree_probe, 4u);
-  EXPECT_EQ(config.mto.max_inner_iterations, 64u);
+  const MtoConfig& mto = config.program.params.mto;
+  EXPECT_FALSE(mto.enable_removal);
+  EXPECT_EQ(mto.criterion_basis, CriterionBasis::kOriginal);
+  EXPECT_EQ(mto.min_overlay_degree, 3u);
+  EXPECT_FALSE(mto.enable_replacement);
+  EXPECT_TRUE(mto.use_degree_extension);
+  EXPECT_TRUE(mto.lazy);
+  EXPECT_EQ(mto.replace_probability, 0.25);
+  EXPECT_EQ(mto.weight_mode, OverlayDegreeMode::kExact);
+  EXPECT_EQ(mto.degree_probe, 4u);
+  EXPECT_EQ(mto.max_inner_iterations, 64u);
   // The remaining enum spellings parse too.
   EXPECT_EQ(ScenarioConfig::FromJsonText(
                 R"({"program": {"name": "mto"},
                     "mto": {"weight_mode": "probe",
                             "criterion_basis": "overlay"}})")
-                .mto.weight_mode,
+                .program.params.mto.weight_mode,
             OverlayDegreeMode::kProbe);
 }
 
@@ -96,34 +96,33 @@ TEST(MtoAblationConfigTest, MtoBlockRequiresTheMtoProgram) {
 TEST(MtoAblationConfigTest, EveryKnobLandsInTheFingerprint) {
   ScenarioConfig base;
   base.program.name = "mto";
-  base.sampler = SamplerKind::kMto;
   base.mto_configured = true;
   const uint64_t reference = base.Fingerprint();
 
-  using Mutator = std::function<void(ScenarioConfig&)>;
+  using Mutator = std::function<void(MtoConfig&)>;
   const std::vector<std::pair<const char*, Mutator>> knobs = {
-      {"enable_removal", [](ScenarioConfig& c) { c.mto.enable_removal = false; }},
+      {"enable_removal", [](MtoConfig& m) { m.enable_removal = false; }},
       {"criterion_basis",
-       [](ScenarioConfig& c) { c.mto.criterion_basis = CriterionBasis::kOriginal; }},
+       [](MtoConfig& m) { m.criterion_basis = CriterionBasis::kOriginal; }},
       {"min_overlay_degree",
-       [](ScenarioConfig& c) { c.mto.min_overlay_degree = 5; }},
+       [](MtoConfig& m) { m.min_overlay_degree = 5; }},
       {"enable_replacement",
-       [](ScenarioConfig& c) { c.mto.enable_replacement = false; }},
+       [](MtoConfig& m) { m.enable_replacement = false; }},
       {"use_degree_extension",
-       [](ScenarioConfig& c) { c.mto.use_degree_extension = true; }},
-      {"lazy", [](ScenarioConfig& c) { c.mto.lazy = true; }},
+       [](MtoConfig& m) { m.use_degree_extension = true; }},
+      {"lazy", [](MtoConfig& m) { m.lazy = true; }},
       {"replace_probability",
-       [](ScenarioConfig& c) { c.mto.replace_probability = 0.75; }},
+       [](MtoConfig& m) { m.replace_probability = 0.75; }},
       {"weight_mode",
-       [](ScenarioConfig& c) { c.mto.weight_mode = OverlayDegreeMode::kExact; }},
-      {"degree_probe", [](ScenarioConfig& c) { c.mto.degree_probe = 16; }},
+       [](MtoConfig& m) { m.weight_mode = OverlayDegreeMode::kExact; }},
+      {"degree_probe", [](MtoConfig& m) { m.degree_probe = 16; }},
       {"max_inner_iterations",
-       [](ScenarioConfig& c) { c.mto.max_inner_iterations = 32; }},
+       [](MtoConfig& m) { m.max_inner_iterations = 32; }},
   };
   for (const auto& [name, mutate] : knobs) {
     SCOPED_TRACE(name);
     ScenarioConfig changed = base;
-    mutate(changed);
+    mutate(changed.program.params.mto);
     EXPECT_NE(changed.Fingerprint(), reference)
         << "ablation knob invisible to the fingerprint";
   }
@@ -141,7 +140,6 @@ ScenarioConfig AblationScenario() {
   config.dataset = "epinions_small";
   config.seed = 0xAB1A7E;
   config.program.name = "mto";
-  config.sampler = SamplerKind::kMto;
   config.mto_configured = true;
   config.num_walkers = 8;
   config.geweke_check_every = 20;
@@ -179,8 +177,8 @@ TEST(MtoAblationServiceTest, RewiringKnobsReachTheWalkers) {
   // zero-rewiring arm turns off both rules.)
   ScenarioConfig with_rewiring = AblationScenario();
   ScenarioConfig without_rewiring = AblationScenario();
-  without_rewiring.mto.enable_removal = false;
-  without_rewiring.mto.enable_replacement = false;
+  without_rewiring.program.params.mto.enable_removal = false;
+  without_rewiring.program.params.mto.enable_replacement = false;
   const AblationOutcome on = RunAblation(with_rewiring);
   const AblationOutcome off = RunAblation(without_rewiring);
   EXPECT_GT(on.removed_edges, 0u);
@@ -192,7 +190,7 @@ TEST(MtoAblationServiceTest, LazyKnobCostsQueriesAtTheServiceLayer) {
   // scenario knob must surface as higher unique-query cost end to end.
   ScenarioConfig eager = AblationScenario();
   ScenarioConfig lazy = AblationScenario();
-  lazy.mto.lazy = true;
+  lazy.program.params.mto.lazy = true;
   const AblationOutcome eager_out = RunAblation(eager);
   const AblationOutcome lazy_out = RunAblation(lazy);
   EXPECT_GT(lazy_out.query_cost, eager_out.query_cost);
@@ -238,7 +236,8 @@ TEST(MtoAblationServiceTest, ResumeUnderADifferentAblationFailsLoudly) {
   }
   // ...any flipped knob does not.
   ScenarioConfig changed_config = victim_config;
-  changed_config.mto.criterion_basis = CriterionBasis::kOriginal;
+  changed_config.program.params.mto.criterion_basis =
+      CriterionBasis::kOriginal;
   CrawlService changed(changed_config);
   try {
     changed.LoadCheckpoint(path);

@@ -204,7 +204,7 @@ TEST(ConservationTest, FaultyMultiBackendCrawlBalancesItsBooks) {
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = true;
-  config.sampler = SamplerKind::kSrw;
+  config.program.name = "srw";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 80;

@@ -60,8 +60,7 @@ ScenarioConfig BaseScenario(size_t threads, Stepping stepping, bool faults) {
   config.num_walkers = 8;
   config.num_threads = threads;
   config.coalesce_frontier = stepping != Stepping::kPlain;
-  config.sampler = stepping == Stepping::kSpeculative ? SamplerKind::kMto
-                                                      : SamplerKind::kSrw;
+  config.program.name = stepping == Stepping::kSpeculative ? "mto" : "srw";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 120;

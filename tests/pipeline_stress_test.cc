@@ -207,7 +207,7 @@ TEST(PipelineStressTest, PipelinedCrawlUnderFaultsAndTightBudgetsConserves) {
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0x57E55;
-  config.sampler = SamplerKind::kMto;
+  config.program.name = "mto";
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = true;
@@ -236,7 +236,7 @@ TEST(PipelineStressTest, FreeRunPipelineUnderBudgetsConserves) {
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0xF4EE;
-  config.sampler = SamplerKind::kSrw;
+  config.program.name = "srw";
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = false;

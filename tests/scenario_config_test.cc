@@ -47,7 +47,7 @@ TEST(ScenarioConfigTest, ParsesFullDocument) {
   const ScenarioConfig config = ScenarioConfig::FromJsonText(kFullDocument);
   EXPECT_EQ(config.dataset, "epinions_small");
   EXPECT_EQ(config.seed, 42u);
-  EXPECT_EQ(config.sampler, SamplerKind::kMhrw);
+  EXPECT_EQ(config.ProgramName(), "mhrw");
   EXPECT_EQ(config.attribute, Attribute::kDescriptionLength);
   EXPECT_EQ(config.num_walkers, 16u);
   EXPECT_EQ(config.num_threads, 4u);
@@ -74,7 +74,7 @@ TEST(ScenarioConfigTest, ParsesFullDocument) {
 
 TEST(ScenarioConfigTest, EmptyDocumentYieldsDefaults) {
   const ScenarioConfig config = ScenarioConfig::FromJsonText("{}");
-  EXPECT_EQ(config.sampler, SamplerKind::kSrw);
+  EXPECT_EQ(config.ProgramName(), "srw");
   EXPECT_EQ(config.num_walkers, 8u);
   EXPECT_TRUE(config.backends.empty());
   EXPECT_EQ(config.strategy, BackendSelection::kSharded);
@@ -119,30 +119,38 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"strategy": "sharded"})"),
                std::invalid_argument);
+  // jump_probability lives in the program block, next to the other
+  // per-program knobs.
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"jump_probability": 0.5})"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
   // The "program" object resolves through the WalkProgram registry and
-  // carries per-program parameters; the legacy enum follows when a legacy
-  // name is chosen.
+  // carries per-program parameters.
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
         R"({"program": {"name": "node2vec", "p": 0.5, "q": 2.0}})");
     EXPECT_EQ(config.ProgramName(), "node2vec");
-    EXPECT_DOUBLE_EQ(config.program.p, 0.5);
-    EXPECT_DOUBLE_EQ(config.program.q, 2.0);
+    EXPECT_DOUBLE_EQ(config.program.params.p, 0.5);
+    EXPECT_DOUBLE_EQ(config.program.params.q, 2.0);
   }
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
         R"({"program": {"name": "pagerank", "restart": 0.3}})");
     EXPECT_EQ(config.ProgramName(), "pagerank");
-    EXPECT_DOUBLE_EQ(config.program.restart, 0.3);
+    EXPECT_DOUBLE_EQ(config.program.params.restart, 0.3);
   }
   {
     const ScenarioConfig config =
         ScenarioConfig::FromJsonText(R"({"program": {"name": "mhrw"}})");
     EXPECT_EQ(config.ProgramName(), "mhrw");
-    EXPECT_EQ(config.sampler, SamplerKind::kMhrw);
+  }
+  {
+    const ScenarioConfig config = ScenarioConfig::FromJsonText(
+        R"({"program": {"name": "random_jump", "jump_probability": 0.9}})");
+    EXPECT_EQ(config.ProgramName(), "random_jump");
+    EXPECT_DOUBLE_EQ(config.program.params.jump_probability, 0.9);
   }
   // The "rj" alias canonicalizes, so fingerprints never depend on spelling.
   EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"program": {"name": "rj"}})")
@@ -159,6 +167,12 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"program": {"name": "node2vec", "restart": 0.1}})"),
                std::invalid_argument);
+  // A teleport probability on a program that never teleports would be
+  // ignored by the walk yet still change the fingerprint.
+  EXPECT_THROW(
+      ScenarioConfig::FromJsonText(
+          R"({"program": {"name": "srw", "jump_probability": 0.9}})"),
+      std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"program": {"p": 0.5}})"),
                std::invalid_argument);
   // Out-of-range program parameters fail validation.
@@ -168,6 +182,10 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"program": {"name": "pagerank", "restart": 1.5}})"),
                std::invalid_argument);
+  EXPECT_THROW(
+      ScenarioConfig::FromJsonText(
+          R"({"program": {"name": "random_jump", "jump_probability": 1.5}})"),
+      std::invalid_argument);
 }
 
 TEST(ScenarioConfigTest, SemanticValidation) {
@@ -183,7 +201,7 @@ TEST(ScenarioConfigTest, SemanticValidation) {
   EXPECT_EQ(ScenarioConfig::FromJsonText(
                 R"({"program": {"name": "mto"},
                     "mto": {"degree_probe": 4294967295}})")
-                .mto.degree_probe,
+                .program.params.mto.degree_probe,
             4294967295u);
   // Checkpointing requires a path...
   EXPECT_THROW(ScenarioConfig::FromJsonText(
@@ -194,7 +212,7 @@ TEST(ScenarioConfigTest, SemanticValidation) {
   {
     const ScenarioConfig config = ScenarioConfig::FromJsonText(
         R"({"program": {"name": "mto"}, "checkpoint": {"path": "x.ckpt"}})");
-    EXPECT_EQ(config.sampler, SamplerKind::kMto);
+    EXPECT_EQ(config.ProgramName(), "mto");
     EXPECT_EQ(config.checkpoint.path, "x.ckpt");
   }
 }
@@ -228,28 +246,39 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // Program parameters are behavioral: a node2vec crawl with different
   // bias, or a pagerank crawl with a different restart, is a different
-  // experiment. (The program *name* is mixed as the registry string, so a
-  // config that selects mhrw only through the legacy `sampler` field — as
-  // checkpoints written before the "program" key did — fingerprints like
-  // `a`, which names it in "program".)
-  ScenarioConfig via_enum = a;
-  via_enum.program.name.clear();
-  via_enum.sampler = SamplerKind::kMhrw;
-  EXPECT_EQ(a.Fingerprint(), via_enum.Fingerprint());
+  // experiment.
   b = a;
   b.program.name = "node2vec";
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
   const uint64_t node2vec_reference = b.Fingerprint();
-  b.program.p = 0.5;
+  b.program.params.p = 0.5;
   EXPECT_NE(b.Fingerprint(), node2vec_reference);
-  b.program.p = 1.0;
-  b.program.q = 2.0;
+  b.program.params.p = 1.0;
+  b.program.params.q = 2.0;
   EXPECT_NE(b.Fingerprint(), node2vec_reference);
   b = a;
   b.program.name = "pagerank";
   const uint64_t pagerank_reference = b.Fingerprint();
-  b.program.restart = 0.3;
+  b.program.params.restart = 0.3;
   EXPECT_NE(b.Fingerprint(), pagerank_reference);
+}
+
+TEST(ScenarioConfigTest, FingerprintIsStableAcrossVersions) {
+  // Checkpoints carry the fingerprint, so a change to the mix order or to
+  // any mixed default orphans every checkpoint already written. These are
+  // the values v5 checkpoints on disk carry; they must never change.
+  EXPECT_EQ(ScenarioConfig::FromJsonText("{}").Fingerprint(),
+            0xe5673d93e9e4c908ULL);
+  EXPECT_EQ(ScenarioConfig::FromFile(std::string(MTO_SCENARIO_DIR) +
+                                     "/mto_crawl.json")
+                .Fingerprint(),
+            0x3734af9401171533ULL);
+  EXPECT_EQ(ScenarioConfig::FromFile(std::string(MTO_SCENARIO_DIR) +
+                                     "/node2vec_crawl.json")
+                .Fingerprint(),
+            0x617f89df20e986fbULL);
+  EXPECT_EQ(ScenarioConfig::FromJsonText(kFullDocument).Fingerprint(),
+            0x74e5ba7c30d82d98ULL);
 }
 
 TEST(ScenarioConfigTest, ParsesPipelineDepth) {

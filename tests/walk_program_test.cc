@@ -1,10 +1,10 @@
-// Walk-program equivalence tier — the plugin tentpole's headline invariant:
-// the programs that arrived through the WalkProgram registry (node2vec's
-// second-order walk, PageRank mass estimation) obey the exact determinism
-// contract the built-ins are pinned to. For each program, every execution
-// shape — thread count, stepping mode (plain / coalesced / pipelined) —
-// must produce bit-identical samples, trace, estimates, costs, and
-// per-backend ledgers to the 1-thread plain reference, and a checkpoint
+// Walk-program equivalence tier: the programs that arrived through the
+// WalkProgram registry (node2vec's second-order walk, PageRank mass
+// estimation) obey the exact determinism contract the built-ins are pinned
+// to, and so does srw, the plainest paper sampler. For each program, every
+// execution shape — thread count, stepping mode (plain / coalesced /
+// pipelined) — must produce bit-identical samples, trace, estimates, costs,
+// and per-backend ledgers to the 1-thread plain reference, and a checkpoint
 // taken under one shape must resume under any other to the same bits.
 // Second-order state (node2vec's (prev, cur) frontier) is the new thing a
 // checkpoint must carry; these tests are the proof it does.
@@ -14,8 +14,11 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/graph/generators.h"
 #include "src/service/crawl_service.h"
 #include "src/walk/node2vec.h"
 #include "src/walk/pagerank.h"
@@ -63,10 +66,10 @@ ScenarioConfig BaseScenario(const std::string& program, size_t threads,
   config.pipeline_depth = stepping == Stepping::kPipelined ? 2 : 0;
   config.program.name = program;
   if (program == "node2vec") {
-    config.program.p = 0.5;
-    config.program.q = 2.0;
+    config.program.params.p = 0.5;
+    config.program.params.q = 2.0;
   }
-  if (program == "pagerank") config.program.restart = 0.2;
+  if (program == "pagerank") config.program.params.restart = 0.2;
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 120;
@@ -182,7 +185,13 @@ INSTANTIATE_TEST_SUITE_P(
                     Sweep{"pagerank", 2, Stepping::kPipelined},
                     Sweep{"pagerank", 8, Stepping::kPlain},
                     Sweep{"pagerank", 8, Stepping::kCoalesced},
-                    Sweep{"pagerank", 8, Stepping::kPipelined}),
+                    Sweep{"pagerank", 8, Stepping::kPipelined},
+                    // The plainest paper sampler across thread counts and
+                    // stepping modes, through the same service driver.
+                    Sweep{"srw", 2, Stepping::kPlain},
+                    Sweep{"srw", 2, Stepping::kCoalesced},
+                    Sweep{"srw", 8, Stepping::kPlain},
+                    Sweep{"srw", 8, Stepping::kCoalesced}),
     SweepName);
 
 TEST(WalkProgramEquivalenceExtrasTest, SeedIsTheOnlySourceOfVariation) {
@@ -283,14 +292,44 @@ TEST(WalkProgramRegistryTest, RegistryResolvesEveryBuiltIn) {
   EXPECT_EQ(WalkProgramNames().size(), 6u);
 }
 
+TEST(WalkProgramRegistryTest, PaperProgramsBuildTheirNamedWalkers) {
+  // The four samplers of the paper's evaluation carry their figure-legend
+  // names on the walker itself.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface iface(net);
+  Rng rng(1);
+  const std::pair<const char*, const char*> programs[] = {
+      {"srw", "SRW"}, {"mhrw", "MHRW"}, {"random_jump", "RJ"}, {"mto", "MTO"}};
+  for (const auto& [program, legend] : programs) {
+    SCOPED_TRACE(program);
+    auto walker =
+        GetWalkProgram(program).MakeWalker(iface, rng, 0, WalkProgramParams{});
+    ASSERT_NE(walker, nullptr);
+    EXPECT_EQ(walker->name(), legend);
+  }
+}
+
+TEST(WalkProgramRegistryTest, MakeWalkerClampsStart) {
+  // An out-of-range start falls back to node 0 for every program.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface iface(net);
+  Rng rng(1);
+  for (std::string_view program : WalkProgramNames()) {
+    SCOPED_TRACE(std::string(program));
+    auto walker = GetWalkProgram(program).MakeWalker(iface, rng, 999,
+                                                     WalkProgramParams{});
+    EXPECT_EQ(walker->current(), 0u);
+  }
+}
+
 TEST(WalkProgramRegistryTest, ProgramParametersAreRangeChecked) {
   ScenarioConfig config = BaseScenario("node2vec", 1, Stepping::kPlain);
-  config.program.p = 0.0;
+  config.program.params.p = 0.0;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
   config = BaseScenario("pagerank", 1, Stepping::kPlain);
-  config.program.restart = 1.5;
+  config.program.params.restart = 1.5;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
-  config.program.restart = -0.1;
+  config.program.params.restart = -0.1;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
 }
 
