@@ -9,18 +9,28 @@ namespace mto {
 RestrictedInterface::RestrictedInterface(const SocialNetwork& network)
     : network_(&network), cached_(network.num_users(), false) {}
 
-bool RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
+void RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
                                           FetchPlan& plan) {
-  // The paper's one-perfect-backend model has a single serial channel and
-  // a counter for a ledger: there is nothing to defer.
-  (void)misses;
-  (void)plan;
-  return false;
+  plan.batches.clear();
+  plan.fetched.assign(misses.size(), 0);
+  plan.first_backend.assign(misses.size(), UINT32_MAX);
+  size_t admitted = 0;
+  for (; admitted < misses.size() && !BudgetExhausted(); ++admitted) {
+    MarkFetched(misses[admitted]);
+    plan.fetched[admitted] = 1;
+    plan.first_backend[admitted] = 0;
+  }
+  if (admitted == 0) return;
+  // The one perfect backend's ledger is a trip counter: charging it now
+  // leaves nothing for ApplyFetchBatch to defer.
+  const auto trips =
+      static_cast<uint32_t>((admitted + max_batch_size_ - 1) / max_batch_size_);
+  backend_requests_ += trips;
+  plan.batches.push_back({0, trips, trips});
 }
 
 void RestrictedInterface::ApplyFetchBatch(const FetchPlan::Batch& batch) {
-  (void)batch;
-  throw std::logic_error("ApplyFetchBatch: this interface never plans");
+  (void)batch;  // planning already settled the only ledger
 }
 
 std::optional<std::vector<uint32_t>> RestrictedInterface::PlanPrefetch(
@@ -44,22 +54,16 @@ QueryView RestrictedInterface::MakeView(NodeId v) const {
   return {v, &network_->profile(v), network_->graph().Neighbors(v)};
 }
 
-void RestrictedInterface::SimulateRoundTrip() {
-  ++backend_requests_;
-  if (simulated_latency_.count() > 0) {
-    std::this_thread::sleep_for(simulated_latency_);
+void RestrictedInterface::FetchInline(std::span<const NodeId> misses) {
+  PlanFetchMisses(misses, inline_plan_);
+  uint64_t trips = 0;
+  for (const FetchPlan::Batch& batch : inline_plan_.batches) {
+    ApplyFetchBatch(batch);
+    trips += batch.trips;
   }
-}
-
-void RestrictedInterface::FetchMisses(std::span<const NodeId> misses) {
-  // One round trip serves up to max_batch_size_ admitted misses; the trip
-  // is paid when its first miss is admitted.
-  size_t misses_in_trip = 0;
-  for (NodeId v : misses) {
-    if (BudgetExhausted()) return;
-    if (misses_in_trip == 0) SimulateRoundTrip();
-    misses_in_trip = (misses_in_trip + 1) % max_batch_size_;
-    MarkFetched(v);
+  if (simulated_latency_.count() > 0 && trips > 0) {
+    std::this_thread::sleep_for(simulated_latency_ *
+                                static_cast<int64_t>(trips));
   }
 }
 
@@ -70,7 +74,7 @@ bool RestrictedInterface::AdmitRequest(NodeId v, const char* what) {
   ++total_requests_;
   if (!cached_[v]) {
     const NodeId miss[1] = {v};
-    FetchMisses(miss);
+    FetchInline(miss);
   }
   return cached_[v];
 }
@@ -102,7 +106,7 @@ std::vector<std::optional<QueryResult>> RestrictedInterface::BatchQuery(
       if (!cached_[v] && seen.insert(v).second) misses.push_back(v);
     }
   }
-  if (!misses.empty()) FetchMisses(misses);
+  if (!misses.empty()) FetchInline(misses);
   std::vector<std::optional<QueryResult>> results(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     if (cached_[ids[i]]) results[i] = MakeResult(ids[i]);

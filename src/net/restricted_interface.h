@@ -93,11 +93,14 @@ struct SessionSnapshot {
 /// returns a view into the backing store instead of copying the neighbor
 /// vector. Walk steps use it; code that stores responses uses `Query`.
 ///
-/// Every cache-missing fetch — single or batched — funnels through the
-/// protected `FetchMisses` hook. The default implementation is the paper's
-/// one-perfect-backend model; src/service/BackendPool overrides it with a
-/// multi-backend fault/retry/failover model without touching the cache or
-/// cost-accounting logic here.
+/// Every cache-missing fetch — single or batched — is one plan/apply pair:
+/// `PlanFetchMisses` decides outcomes and charges cost, `ApplyFetchBatch`
+/// settles the per-backend ledgers, and the single-threaded query methods
+/// then sleep the round trips. The base class plans the paper's
+/// one-perfect-backend model; src/service/BackendPool plans a multi-backend
+/// fault/retry/failover model without touching the cache or
+/// cost-accounting logic here, and runtime/ConcurrentInterfaceCache drives
+/// either through the same two calls.
 ///
 /// The query methods are virtual so schedulers can swap in a thread-safe
 /// session (runtime/ConcurrentInterfaceCache) without samplers noticing.
@@ -188,26 +191,27 @@ class RestrictedInterface {
   virtual void SetMaxBatchSize(size_t max_batch_size);
   virtual size_t max_batch_size() const { return max_batch_size_; }
 
-  /// Two-phase fetch for concurrent wrappers: plans the fetch of `misses`
-  /// into `plan` — routing, budget checks, fault-draw outcomes, cache
-  /// marking and unique-cost accounting all happen before this returns —
-  /// and queues the per-backend ledger ops for `ApplyFetchBatch`. Returns
-  /// false, leaving `plan` unspecified, when the interface has no backend
-  /// model to split (the base class: one perfect backend, whose ledger is
-  /// a counter); callers then run the fetch through Query/BatchQuery.
+  /// Two-phase fetch: plans the fetch of `misses` into `plan` — routing,
+  /// budget checks, fault-draw outcomes, cache marking and unique-cost
+  /// accounting all happen before this returns — and queues the
+  /// per-backend ledger ops for `ApplyFetchBatch`. The base class admits
+  /// misses in order until the budget is spent and charges its only
+  /// ledger, the round-trip counter, right here: one trip per chunk of up
+  /// to `max_batch_size()` admitted misses, as one batch on backend 0.
   ///
   /// Caller contract: `misses` must be valid, distinct, uncached ids; the
   /// call must be externally serialized with every other query-path entry
   /// point (it mutates the cache and cost ledger); and every batch must be
   /// applied before the next checkpoint/stat read reaches the ledgers.
-  virtual bool PlanFetchMisses(std::span<const NodeId> misses,
+  virtual void PlanFetchMisses(std::span<const NodeId> misses,
                                FetchPlan& plan);
 
   /// Applies one planned batch: the oldest `batch.ops` queued ops of
   /// `batch.backend`, so each backend's ledger sees its ops in plan order
   /// whoever applies them. Thread-safe across backends and against
   /// PlanFetchMisses. Sleeps nothing: the caller pays the wall-clock price
-  /// of `batch.trips` round trips.
+  /// of `batch.trips` round trips. A no-op in the base class, whose plan
+  /// already settled its ledger.
   virtual void ApplyFetchBatch(const FetchPlan::Batch& batch);
 
   /// Independent serial connections worth modelling as fetch lanes: one
@@ -250,17 +254,6 @@ class RestrictedInterface {
   /// Borrowed-view variant of MakeResult (no allocation).
   QueryView MakeView(NodeId v) const;
 
-  /// Fetches distinct cache-missing ids from the backend, marking each
-  /// successfully fetched id cached (MarkFetched) as it lands. Ids left
-  /// uncached on return were refused (budget/backend exhaustion). The
-  /// default models one perfectly reliable backend: misses are admitted in
-  /// order until the budget runs out, one round trip per chunk of up to
-  /// `max_batch_size()` ids. Overridden by the multi-backend pool.
-  virtual void FetchMisses(std::span<const NodeId> misses);
-
-  /// True iff `v` is in the local cache (valid id required).
-  bool CacheTest(NodeId v) const { return cached_[v]; }
-
   /// Records a successful fetch of `v`: caches it and charges one unit of
   /// unique-query cost.
   void MarkFetched(NodeId v) {
@@ -273,10 +266,12 @@ class RestrictedInterface {
     return budget_.has_value() && unique_queries_ >= *budget_;
   }
 
-  /// Sleeps `simulated_latency()` once (one backend round trip).
-  void SimulateRoundTrip();
-
  private:
+  /// The single-threaded fetch of distinct cache-missing ids: plans them,
+  /// applies every batch, then sleeps `simulated_latency()` per round trip.
+  /// Ids left uncached on return were refused (budget/backend exhaustion).
+  void FetchInline(std::span<const NodeId> misses);
+
   /// Shared front half of Query/QueryRef: validates `v`, counts the
   /// request, fetches on a miss. Returns true iff `v` is cached afterwards.
   bool AdmitRequest(NodeId v, const char* what);
@@ -289,6 +284,7 @@ class RestrictedInterface {
   std::optional<uint64_t> budget_;
   std::chrono::microseconds simulated_latency_{0};
   size_t max_batch_size_ = 32;
+  FetchPlan inline_plan_;  ///< FetchInline's reused plan
 };
 
 }  // namespace mto

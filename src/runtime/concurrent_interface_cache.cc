@@ -1,6 +1,7 @@
 #include "src/runtime/concurrent_interface_cache.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -80,19 +81,9 @@ void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
 }
 
 void ConcurrentInterfaceCache::PostApplyTask(const FetchPlan::Batch& batch,
-                                             uint32_t prepaid,
-                                             std::function<void()> on_done) {
+                                             uint32_t prepaid) {
   lanes_->Post(batch.backend % lanes_->size(),
-               [base = base_, batch, prepaid, rtt = simulated_latency(),
-                on_done = std::move(on_done)] {
-                 // on_done fires even when the apply throws (the lane
-                 // records the error), so a joiner never waits forever.
-                 struct Finally {
-                   const std::function<void()>& fn;
-                   ~Finally() {
-                     if (fn) fn();
-                   }
-                 } finally{on_done};
+               [base = base_, batch, prepaid, rtt = simulated_latency()] {
                  base->ApplyFetchBatch(batch);  // pure ledger math
                  // The wall-clock price of this backend's round trips,
                  // minus the trips its prefetch tickets already slept on
@@ -113,62 +104,25 @@ void ConcurrentInterfaceCache::DrainPipeline() {
   lanes_->Drain();
 }
 
-std::vector<std::optional<QueryResult>>
-ConcurrentInterfaceCache::LockedBatchFetch(std::span<const NodeId> ids) {
-  uint64_t trips = 0;
-  std::vector<std::optional<QueryResult>> results;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    const uint64_t before = base_->BackendRequests();
-    results = base_->BatchQuery(ids);
-    trips = base_->BackendRequests() - before;
-  }
-  SleepRoundTrips(simulated_latency(), trips);
-  return results;
-}
-
-void ConcurrentInterfaceCache::FetchFrontier(
-    std::span<const NodeId> frontier) {
-  for (NodeId v : frontier) {
-    if (v >= num_users()) {
-      throw std::invalid_argument("FetchFrontier: unknown user id");
-    }
-  }
-  // Mirror BatchQuery's request accounting: one request per frontier slot,
-  // every one of them a miss by contract.
-  total_requests_.fetch_add(frontier.size(), std::memory_order_relaxed);
-  if (frontier.empty()) return;
-  ObsAdd(metrics_.misses, frontier.size());
-  ObsRecord(metrics_.miss_batch, frontier.size());
-
-  FetchPlan& plan = ThreadPlan();
-  bool planned = false;
+std::vector<uint32_t> ConcurrentInterfaceCache::PlanMisses(
+    std::span<const NodeId> misses, FetchPlan& plan) {
   std::vector<std::shared_ptr<PrefetchTicket>> consumed;
   {
     std::lock_guard<std::mutex> lock(base_mutex_);
-    // The plan runs on the coordinator, in frontier order, at every depth:
-    // the same state mutations (routing counters, cache marks, cost) the
-    // depth-0 crawl makes. Only the ledger/latency tail rides the lanes.
-    planned = base_->PlanFetchMisses(frontier, plan);
-    if (planned && !tickets_.empty()) {
-      consumed.resize(frontier.size());
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        auto it = tickets_.find(frontier[i]);
+    // The plan runs on the caller, in miss order, at every depth: the same
+    // state mutations (routing counters, cache marks, cost) the depth-0
+    // crawl makes. Only the ledger/latency tail is deferred.
+    base_->PlanFetchMisses(misses, plan);
+    if (!tickets_.empty()) {
+      consumed.resize(misses.size());
+      for (size_t i = 0; i < misses.size(); ++i) {
+        auto it = tickets_.find(misses[i]);
         if (it != tickets_.end()) {
           consumed[i] = std::move(it->second);
           tickets_.erase(it);
         }
       }
     }
-  }
-  if (!planned) {
-    const auto results = LockedBatchFetch(frontier);
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      if (results[i].has_value()) {
-        cached_flags_[frontier[i]].store(1, std::memory_order_release);
-      }
-    }
-    return;
   }
 
   // Speculation validation: a consumed ticket prepays one round trip on its
@@ -188,24 +142,61 @@ void ConcurrentInterfaceCache::FetchFrontier(
       CancelTicket(*consumed[i]);
     }
   }
-  // Publish planned outcomes: the coordinator is the only query-path thread
-  // during this phase (CrawlScheduler's barriers), so the claim machinery
-  // is unnecessary — set the flags directly. At depth >= 1 commits may read
-  // these nodes while their round trips are still in flight on the lanes.
-  for (size_t i = 0; i < frontier.size(); ++i) {
+  return prepaid;
+}
+
+uint32_t ConcurrentInterfaceCache::TakePrepaid(
+    std::vector<uint32_t>& prepaid, const FetchPlan::Batch& batch) const {
+  if (prepaid.empty()) return 0;
+  uint32_t& pre = prepaid[batch.backend % lanes_->size()];
+  const uint32_t take = std::min(pre, batch.trips);
+  pre -= take;
+  return take;
+}
+
+const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
+    std::span<const NodeId> misses, bool caller_joins) {
+  FetchPlan& plan = ThreadPlan();
+  std::vector<uint32_t> prepaid = PlanMisses(misses, plan);
+  // Publish planned outcomes: every miss is either claimed by the caller or
+  // (a frontier) reachable by no other query-path thread, so the flags are
+  // set directly. Readers may see these nodes while their round trips are
+  // still in flight on the lanes.
+  for (size_t i = 0; i < misses.size(); ++i) {
     if (plan.fetched[i] != 0) {
-      cached_flags_[frontier[i]].store(1, std::memory_order_release);
+      cached_flags_[misses[i]].store(1, std::memory_order_release);
     }
   }
-  for (const FetchPlan::Batch& batch : plan.batches) {
-    uint32_t take = 0;
-    if (!prepaid.empty()) {
-      uint32_t& pre = prepaid[batch.backend % lanes_->size()];
-      take = std::min(pre, batch.trips);
-      pre -= take;
+  for (size_t k = 0; k < plan.batches.size(); ++k) {
+    const FetchPlan::Batch& batch = plan.batches[k];
+    const uint32_t take = TakePrepaid(prepaid, batch);
+    if (caller_joins && k + 1 == plan.batches.size()) {
+      // The caller would only wait for the lanes: it serves the last
+      // backend itself, sparing the lane hand-off and wake-up per batch.
+      // Plan-order queues keep the ledgers as if a lane had applied it.
+      base_->ApplyFetchBatch(batch);
+      SleepRoundTrips(simulated_latency(), batch.trips - take);
+    } else {
+      PostApplyTask(batch, take);
     }
-    PostApplyTask(batch, take, nullptr);
   }
+  return plan;
+}
+
+void ConcurrentInterfaceCache::FetchFrontier(
+    std::span<const NodeId> frontier) {
+  for (NodeId v : frontier) {
+    if (v >= num_users()) {
+      throw std::invalid_argument("FetchFrontier: unknown user id");
+    }
+  }
+  // Mirror BatchQuery's request accounting: one request per frontier slot,
+  // every one of them a miss by contract.
+  total_requests_.fetch_add(frontier.size(), std::memory_order_relaxed);
+  if (frontier.empty()) return;
+  ObsAdd(metrics_.misses, frontier.size());
+  ObsRecord(metrics_.miss_batch, frontier.size());
+  PlanAndPost(frontier, /*caller_joins=*/pipeline_depth_ == 0);
   // The lag-k join: at most pipeline_depth_ rounds of posted work may stay
   // in flight; wait out markers older than that (at depth 0, this round's
   // own). This bounds run-ahead and keeps "steps/sec limited by aggregate
@@ -285,47 +276,18 @@ void ConcurrentInterfaceCache::PostPrefetchHints(
 bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
   const NodeId miss[1] = {v};
   FetchPlan& plan = ThreadPlan();
-  std::shared_ptr<PrefetchTicket> ticket;
-  std::unique_lock<std::mutex> lock(base_mutex_);
-  if (!base_->PlanFetchMisses(miss, plan)) {
-    // The wrapped session cannot plan (one perfect backend): its ledger
-    // runs under the mutex and the round trip is slept outside it.
-    const bool fetched = base_->QueryRef(v).has_value();
-    lock.unlock();
-    SleepRoundTrips(simulated_latency(), fetched ? 1 : 0);
-    return fetched;
-  }
-  if (!tickets_.empty()) {
-    auto it = tickets_.find(v);
-    if (it != tickets_.end()) {
-      ticket = std::move(it->second);
-      tickets_.erase(it);
-    }
-  }
-  lock.unlock();
-  uint32_t prepaid_backend = UINT32_MAX;
-  if (ticket) {
-    ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = plan.first_backend[0];
-    if (actual != UINT32_MAX && ticket->backend == actual) {
-      prepaid_backend = actual;
-    } else {
-      ObsAdd(metrics_.prefetch_mispredicted);
-      CancelTicket(*ticket);
-    }
-  }
+  std::vector<uint32_t> prepaid = PlanMisses(miss, plan);
   // A demand miss is urgent: it applies its batches here, holding nothing
   // but our in-flight claim, instead of queueing behind the lanes'
   // speculative backlog (which would turn a one-RTT stall into a
   // multi-round one). The session applies every backend's ops in plan
   // order, so the ledgers come out the same as if the lanes had applied
-  // them. The wire time is paid inline, minus one trip when a matching
-  // prefetch ticket is already sleeping it out.
+  // them. The wire time is paid inline, minus the trip a matching
+  // prefetch ticket is already sleeping out.
   uint64_t wire_trips = 0;
   for (const FetchPlan::Batch& batch : plan.batches) {
     base_->ApplyFetchBatch(batch);
-    wire_trips += batch.trips;
-    if (batch.backend == prepaid_backend && batch.trips > 0) --wire_trips;
+    wire_trips += batch.trips - TakePrepaid(prepaid, batch);
   }
   SleepRoundTrips(simulated_latency(), wire_trips);
   return plan.fetched[0] != 0;
@@ -502,46 +464,24 @@ std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
   ObsRecord(metrics_.miss_batch, claimed.size());
 
   if (!claimed.empty()) {
-    FetchPlan& plan = ThreadPlan();
-    bool planned = false;
-    {
-      std::lock_guard<std::mutex> lock(base_mutex_);
-      planned = base_->PlanFetchMisses(claimed, plan);
+    // One task per backend touched, each on its backend's lane: round trips
+    // served by *different* backends overlap in real time, so this join
+    // costs the max over backends instead of the sum. The marker may cover
+    // other callers' later posts too; waiting on them is merely longer.
+    const FetchPlan* plan = nullptr;
+    std::exception_ptr error;
+    try {
+      plan = &PlanAndPost(claimed, /*caller_joins=*/true);
+      lanes_->WaitUntil(lanes_->Mark());
+    } catch (...) {
+      error = std::current_exception();  // resolve the claims first
     }
-    if (planned) {
-      // One task per backend touched, each on its backend's lane: round
-      // trips served by *different* backends overlap in real time, so this
-      // join costs the max over backends instead of the sum.
-      struct Join {
-        std::mutex mutex;
-        std::condition_variable cv;
-        size_t remaining = 0;
-      } join;
-      join.remaining = plan.batches.size();
-      for (const FetchPlan::Batch& batch : plan.batches) {
-        PostApplyTask(batch, 0, [&join] {
-          // Notify under the lock: `join` dies as soon as the waiter wakes.
-          std::lock_guard<std::mutex> lock(join.mutex);
-          --join.remaining;
-          join.cv.notify_all();
-        });
-      }
-      {
-        std::unique_lock<std::mutex> lock(join.mutex);
-        join.cv.wait(lock, [&join] { return join.remaining == 0; });
-      }
-      for (size_t i = 0; i < claimed.size(); ++i) {
-        const bool ok = plan.fetched[i] != 0;
-        ResolveFetch(claimed[i], ok);
-        if (ok) fetched[claimed[i]] = MakeResult(claimed[i]);
-      }
-    } else {
-      auto backend = LockedBatchFetch(claimed);
-      for (size_t i = 0; i < claimed.size(); ++i) {
-        ResolveFetch(claimed[i], backend[i].has_value());
-        fetched[claimed[i]] = std::move(backend[i]);
-      }
+    for (size_t i = 0; i < claimed.size(); ++i) {
+      const bool ok = error == nullptr && plan->fetched[i] != 0;
+      ResolveFetch(claimed[i], ok);
+      if (ok) fetched[claimed[i]] = MakeResult(claimed[i]);
     }
+    if (error) std::rethrow_exception(error);
   }
   for (NodeId v : busy) {
     // Waits out the other walker's fetch (or re-fetches on budget refusal);

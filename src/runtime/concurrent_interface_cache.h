@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,21 +33,21 @@ namespace mto {
 ///    shard's condition variable instead of issuing a duplicate backend
 ///    query. Two walkers hitting the same uncached node consume exactly one
 ///    unit of query cost.
-///  * **Serialized ledger.** The wrapped RestrictedInterface remains the
-///    source of truth for cost, budget, and latency bookkeeping; it is only
-///    touched under one mutex, and simulated latency is paid *outside* that
-///    mutex so concurrent misses to different nodes overlap their round
-///    trips — the effect the throughput bench measures.
-///  * **One fetch engine (DESIGN.md §9).** When the wrapped session can
-///    plan (`PlanFetchMisses`, e.g. a service/BackendPool), every miss is
-///    only *planned* under the ledger mutex — routing, budget, outcomes,
-///    cost — and its per-backend ledger batches are applied outside it. A
-///    single miss applies its batches on the calling walker's thread and
+///  * **Serialized plans.** The wrapped RestrictedInterface remains the
+///    source of truth for cost, budget, and latency bookkeeping; its plans
+///    run under one mutex, and ledger applies and simulated latency run
+///    *outside* that mutex so concurrent misses to different nodes overlap
+///    their round trips — the effect the throughput bench measures.
+///  * **One fetch engine (DESIGN.md §9).** Every miss is only *planned*
+///    under the ledger mutex (`PlanFetchMisses`: routing, budget, outcomes,
+///    cost) and its per-backend ledger batches are applied outside it —
+///    for the paper's one perfect backend and a service/BackendPool alike.
+///    A single miss applies its batches on the calling walker's thread and
 ///    sleeps its round trips there. A batch (a coalesced frontier or a
-///    BatchQuery) posts one apply-and-sleep task per backend to that
-///    backend's FIFO lane (util/SerialChannels), so round trips served by
-///    different backends overlap in real time. Sessions that cannot plan
-///    (the paper's one perfect backend) run their ledger under the mutex.
+///    BatchQuery) publishes its planned outcomes and posts one
+///    apply-and-sleep task per backend to that backend's FIFO lane
+///    (util/SerialChannels), so round trips served by different backends
+///    overlap in real time.
 ///  * **Frontier pipelining (`SetPipelineDepth(k)`).** `FetchFrontier`
 ///    plans the coordinator's frontier, posts its lane tasks and then
 ///    joins with lag k: before it returns, round R-k must have drained.
@@ -90,8 +89,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// apply task to its lane, and runs the lag-k join. `frontier` must be
   /// distinct, uncached ids; must be called from a single coordinator
   /// thread with no concurrent query-path calls (CrawlScheduler's phase
-  /// barriers guarantee this). When the wrapped session cannot plan, the
-  /// frontier runs through its BatchQuery under the mutex instead.
+  /// barriers guarantee this).
   void FetchFrontier(std::span<const NodeId> frontier);
 
   /// Publishes the next round's predicted targets as prefetch tickets:
@@ -193,26 +191,40 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Query and QueryRef.
   bool Admit(NodeId v);
 
-  /// Fetches one claimed miss: plans it under the ledger mutex (consuming
-  /// a matching prefetch ticket), applies its batches on this thread, and
-  /// sleeps its round trips — minus one trip a matching ticket already
-  /// slept on the lane. Ledger order holds behind in-flight frontier
-  /// batches at any depth: the session applies ops in plan order. Returns
-  /// whether `v` was fetched.
+  /// Fetches one claimed miss: plans it (PlanMisses), applies its batches
+  /// on this thread, and sleeps its round trips — minus one trip a
+  /// matching ticket already slept on the lane. Ledger order holds behind
+  /// in-flight frontier batches at any depth: the session applies ops in
+  /// plan order. Returns whether `v` was fetched.
   bool FetchOne(NodeId v);
 
-  /// The fetch of a session that cannot plan: runs `ids` through the
-  /// wrapped BatchQuery under the ledger mutex, then sleeps the round
-  /// trips it paid outside it.
-  std::vector<std::optional<QueryResult>> LockedBatchFetch(
-      std::span<const NodeId> ids);
+  /// Plans `misses` into `plan` under the ledger mutex and consumes the
+  /// prefetch tickets they match. Returns, per lane, the round trips that
+  /// correctly predicted tickets already slept (empty when none did); a
+  /// mispredicted ticket is cancelled so its lane frees early.
+  std::vector<uint32_t> PlanMisses(std::span<const NodeId> misses,
+                                   FetchPlan& plan);
+
+  /// Takes up to `batch.trips` of the batch's lane's prepaid trips out of
+  /// `prepaid` (a PlanMisses result) and returns how many it took.
+  uint32_t TakePrepaid(std::vector<uint32_t>& prepaid,
+                       const FetchPlan::Batch& batch) const;
+
+  /// The batch fetch shared by FetchFrontier and BatchQuery: plans
+  /// `misses` (PlanMisses), publishes the fetched nodes' cache flags, and
+  /// posts each backend's apply task to its lane. The caller joins the
+  /// lanes; when it joins right away (`caller_joins`) it applies and
+  /// sleeps the last batch itself instead of posting it. Returns this
+  /// thread's plan, valid until the thread's next fetch. `misses` must be
+  /// distinct, uncached ids that no other thread can fetch meanwhile
+  /// (claimed, or a coordinator's frontier).
+  const FetchPlan& PlanAndPost(std::span<const NodeId> misses,
+                               bool caller_joins);
 
   /// Posts one planned batch to its backend's lane: ledger apply first,
   /// then the wall-clock price of its round trips minus `prepaid` ticket
-  /// trips. `on_done` (optional) fires after the sleep — BatchQuery joins
-  /// on it.
-  void PostApplyTask(const FetchPlan::Batch& batch, uint32_t prepaid,
-                     std::function<void()> on_done);
+  /// trips.
+  void PostApplyTask(const FetchPlan::Batch& batch, uint32_t prepaid);
 
   /// Cache-hit predicate for the query paths: one acquire load of the
   /// per-node flag (0 = uncached, 1 = cached).

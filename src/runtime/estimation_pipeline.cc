@@ -1,6 +1,7 @@
 #include "src/runtime/estimation_pipeline.h"
 
 #include <chrono>
+#include <stdexcept>
 
 namespace mto {
 
@@ -39,6 +40,11 @@ void EstimationPipeline::PushDiagnostics(std::span<const double> thetas) {
 }
 
 bool EstimationPipeline::ConvergedAfter(size_t num_observations) {
+  if (num_observations > pushed_diagnostics_) {
+    // The consumer can never get there: waiting would hang forever.
+    throw std::logic_error(
+        "ConvergedAfter: more observations requested than diagnostics pushed");
+  }
   obs::TraceSpan span(trace_log_, "pipeline.converge_wait", num_observations);
   while (consumed_diagnostics_.load(std::memory_order_acquire) <
          num_observations) {

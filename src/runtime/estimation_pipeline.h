@@ -75,6 +75,7 @@ class EstimationPipeline {
 
   /// Blocks until the first `num_observations` diagnostics are consumed,
   /// then reports whether the Geweke monitor had converged within them.
+  /// Throws std::logic_error when fewer diagnostics were ever pushed.
   bool ConvergedAfter(size_t num_observations);
 
   /// Feeds one weighted sample plus the query cost at collection time.

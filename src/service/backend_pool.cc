@@ -440,14 +440,7 @@ void BackendPool::ApplyFetchBatch(const FetchPlan::Batch& batch) {
   }
 }
 
-void BackendPool::FetchMisses(std::span<const NodeId> misses) {
-  PlanFetchMisses(misses, inline_plan_);
-  for (const FetchPlan::Batch& batch : inline_plan_.batches) {
-    ApplyFetchBatch(batch);
-  }
-}
-
-bool BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
+void BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
                                   FetchPlan& plan) {
   for (auto& ops : plan_scratch_) ops.clear();
   plan.batches.clear();
@@ -472,7 +465,6 @@ bool BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
     plan.batches.push_back(
         {static_cast<uint32_t>(b), static_cast<uint32_t>(ops.size()), trips});
   }
-  return true;
 }
 
 std::optional<std::vector<uint32_t>> BackendPool::PlanPrefetch(

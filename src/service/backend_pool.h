@@ -106,7 +106,8 @@ const char* BackendSelectionName(BackendSelection selection);
 /// injection, behind bounded-retry failover (RetryPolicy).
 ///
 /// The cache, unique-cost accounting, and query semantics live unchanged in
-/// the base class; this class only overrides the `FetchMisses` hook. Every
+/// the base class; this class only overrides the plan/apply pair
+/// (`PlanFetchMisses`/`ApplyFetchBatch`) every miss runs through. Every
 /// unique fetch costs one request on whichever backend ends up serving it —
 /// per-user endpoints under per-key quotas, the restricted-access regime
 /// the paper models. (Chunk amortization of `BatchQuery` is a property of
@@ -136,14 +137,16 @@ const char* BackendSelectionName(BackendSelection selection);
 /// `ApplyFetchBatch` pops and applies them. The queue keeps every ledger's
 /// op sequence in plan order no matter which thread applies a batch or
 /// when, and a backend's ledger evolution depends only on that sequence.
-/// The inline path (`FetchMisses`, a bare pool) plans and applies at once.
+/// A bare pool's queries plan and apply at once (the base class' inline
+/// fetch).
 ///
 /// Like the base class, routing is single-threaded: serialize query-path
 /// entry points externally (runtime/ConcurrentInterfaceCache does). Only
 /// `ApplyFetchBatch` may run concurrently. Simulated time (latency,
 /// backoff, pacing) is charged to per-backend virtual clocks, never slept,
-/// so scenario sweeps run at full CPU speed; a concurrent wrapper sleeps
-/// real round trips itself, outside the pool.
+/// so scenario sweeps run at full CPU speed. Real wall time is only the
+/// session's `simulated_latency()` per round trip — slept by the inline
+/// fetch, or by a concurrent wrapper outside the pool.
 class BackendPool final : public RestrictedInterface {
  public:
   /// `backends` must be non-empty; configs are validated.
@@ -196,7 +199,7 @@ class BackendPool final : public RestrictedInterface {
   /// Plans every miss on the calling thread (see RestrictedInterface) and
   /// queues each touched backend's ledger ops; `plan.batches` lists the
   /// backends in ascending order.
-  bool PlanFetchMisses(std::span<const NodeId> misses,
+  void PlanFetchMisses(std::span<const NodeId> misses,
                        FetchPlan& plan) override;
 
   /// Applies the oldest `batch.ops` queued ops of `batch.backend` under
@@ -214,12 +217,6 @@ class BackendPool final : public RestrictedInterface {
   /// plan-time routing counters only; mutates nothing.
   std::optional<std::vector<uint32_t>> PlanPrefetch(
       std::span<const NodeId> ids) const override;
-
- protected:
-  /// The inline multi-backend fetch path (a bare pool): plans the misses
-  /// and applies every batch at once. Same plan/apply code as the split
-  /// path a concurrent wrapper drives.
-  void FetchMisses(std::span<const NodeId> misses) override;
 
  private:
   enum class Fault { kNone, kTimeout, kTransientError, kQuotaRejected };
@@ -304,7 +301,6 @@ class BackendPool final : public RestrictedInterface {
   std::vector<uint64_t> name_hashes_;
   std::vector<size_t> order_scratch_;
   std::vector<std::vector<LedgerOp>> plan_scratch_;
-  FetchPlan inline_plan_;  ///< FetchMisses' reused plan
 };
 
 }  // namespace mto

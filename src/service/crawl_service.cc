@@ -453,6 +453,22 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
     throw std::runtime_error(
         "LoadCheckpoint: checkpoint was written by a different scenario");
   }
+  // The estimation streams must be exactly as long as the progress
+  // counters say: the resumed burn-in waits in ConvergedAfter for
+  // rounds x walkers diagnostics, which a short stream never delivers.
+  const size_t walkers = config_.num_walkers;
+  const uint64_t diagnostic_rounds =
+      ckpt.phase == CrawlPhase::kBurnIn ? ckpt.rounds : ckpt.burn_in_rounds;
+  if (ckpt.diagnostics.size() != diagnostic_rounds * walkers) {
+    throw std::runtime_error(
+        "LoadCheckpoint: diagnostics count does not match burn-in rounds x "
+        "walkers");
+  }
+  if (ckpt.samples.size() != ckpt.collection_rounds_done * walkers) {
+    throw std::runtime_error(
+        "LoadCheckpoint: samples count does not match "
+        "collection_rounds_done x walkers");
+  }
   session_->RestoreSession(ckpt.session);
   pool_->RestoreBackends(
       {ckpt.ledgers, ckpt.round_robin_cursor, ckpt.failed_fetches});

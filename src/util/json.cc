@@ -247,9 +247,16 @@ double JsonValue::AsDouble() const {
 
 uint64_t JsonValue::AsUint() const {
   const double d = AsDouble();
-  // 2^64 exactly; casting doubles at or above it is undefined behavior.
-  if (d < 0.0 || d != std::floor(d) || d >= 18446744073709551616.0) {
+  if (d < 0.0 || d != std::floor(d)) {
     throw std::runtime_error("json: expected a non-negative integer");
+  }
+  // Numbers are stored as doubles, which hold every integer only below
+  // 2^53: from there on neighbouring integers round to one value (2^53 + 1
+  // parses as 2^53), so two different documents would read the same.
+  if (d >= 9007199254740992.0) {
+    throw std::runtime_error(
+        "json: integer too large (at most 2^53 - 1 = 9007199254740991, "
+        "above which doubles round neighbouring integers together)");
   }
   return static_cast<uint64_t>(d);
 }

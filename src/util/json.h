@@ -48,7 +48,8 @@ class JsonValue {
   bool AsBool() const;
   double AsDouble() const;
   /// AsDouble narrowed to a non-negative integer; throws when the number
-  /// has a fractional part or is negative.
+  /// has a fractional part, is negative, or is 2^53 or more (where the
+  /// stored double no longer pins down the integer that was written).
   uint64_t AsUint() const;
   const std::string& AsString() const;
   const std::vector<JsonValue>& AsArray() const;

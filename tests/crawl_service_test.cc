@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "src/runtime/estimation_pipeline.h"
+#include "src/service/checkpoint.h"
+
 namespace mto {
 namespace {
 
@@ -301,6 +304,54 @@ TEST(CrawlServiceTest, LoadCheckpointGuards) {
   EXPECT_THROW(fresh.LoadCheckpoint(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(fresh.LoadCheckpoint(path), std::runtime_error);
+
+  // Estimation streams shorter than the progress counters say are refused
+  // by name: resumed, they would leave the next Advance() waiting forever
+  // for diagnostics nobody pushes.
+  const auto load_error = [&config, &path] {
+    CrawlService resumed(config);
+    try {
+      resumed.LoadCheckpoint(path);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded without error");
+  };
+  {
+    CrawlService service(config);
+    service.Advance();
+    service.Advance();
+    service.SaveCheckpoint(path);
+  }
+  ServiceCheckpoint ckpt = ServiceCheckpoint::Load(path);
+  ASSERT_EQ(ckpt.diagnostics.size(), ckpt.rounds * config.num_walkers);
+  ckpt.diagnostics.pop_back();
+  ckpt.Save(path);
+  std::string error = load_error();
+  EXPECT_NE(error.find("diagnostics"), std::string::npos) << error;
+  {
+    CrawlService service(config);
+    do {
+      ASSERT_TRUE(service.Advance());
+      service.SaveCheckpoint(path);
+      ckpt = ServiceCheckpoint::Load(path);
+    } while (ckpt.samples.empty());
+  }
+  ckpt.samples.pop_back();
+  ckpt.Save(path);
+  error = load_error();
+  EXPECT_NE(error.find("samples"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(EstimationPipelineTest, ConvergedAfterRefusesObservationsNeverPushed) {
+  // Waiting for diagnostics that were never pushed would hang; it throws.
+  EstimationPipeline pipeline(EstimationPipeline::Options{});
+  const std::vector<double> thetas(10, 1.0);
+  pipeline.PushDiagnostics(thetas);
+  EXPECT_THROW(pipeline.ConvergedAfter(11), std::logic_error);
+  EXPECT_FALSE(pipeline.ConvergedAfter(10));  // below min_length
+  pipeline.Finish();
 }
 
 TEST(CrawlServiceTest, BudgetedScenarioStopsAtPoolCap) {

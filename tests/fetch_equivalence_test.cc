@@ -1,13 +1,20 @@
 // One-fetch-engine equivalence (DESIGN.md §9): how a miss is executed is
 // pure execution shape. The reference is the plainest crawl there is — a
 // 1-thread free-run CrawlScheduler over a *bare* BackendPool, with no cache
-// in between, so every miss runs the pool's inline FetchMisses. The same
-// crawl through ConcurrentInterfaceCache (misses planned under the ledger
-// lock and applied outside it, frontier batches on per-backend lanes, lag-k
+// in between, so every miss plans and applies inline. The same crawl
+// through ConcurrentInterfaceCache (misses planned under the ledger lock
+// and applied outside it, frontier batches on per-backend lanes, lag-k
 // joins, prefetch tickets) must reproduce the reference's positions,
 // diagnostic stream, QueryCost, BackendRequests, FailedFetches and full
 // per-backend ledgers for 1 and 4 threads x {plain, coalesced, MTO
 // speculative, pipelined depth 2} x {clean, faults}.
+//
+// The paper's one perfect backend (a plain RestrictedInterface) runs the
+// same engine: its cached crawls at 1 and 4 threads x {free-run,
+// coalesced, coalesced depth 2} must reproduce a bare plain reference with
+// the same stepping — positions, diagnostics, QueryCost and
+// BackendRequests (chunked round trips make the trip count depend on the
+// stepping, never on the thread count or depth).
 //
 // Ledger caveat, pinned precisely: with token-bucket pacing enabled the
 // pacing fields (bucket level, clocks, waits) depend on per-backend arrival
@@ -109,21 +116,17 @@ struct Crawl {
   BackendPool::PoolSnapshot ledgers;
 };
 
-/// Runs kChunks x kRoundsPerChunk rounds of `program` over a fresh pool,
-/// through a ConcurrentInterfaceCache when `cached`, else over the bare
-/// pool (1 thread only).
-Crawl RunCrawl(const char* program, bool coalesce, size_t pipeline_depth,
-               size_t threads, bool faults, bool pacing, bool cached) {
-  RetryPolicy retry;
-  retry.max_attempts_per_backend = 10;
-  BackendPool pool(Network(), Backends(faults, pacing), retry,
-                   BackendSelection::kSharded, kFaultSeed);
+/// Runs kChunks x kRoundsPerChunk rounds of `program` over `base`, through
+/// a ConcurrentInterfaceCache when `cached`, else over the bare session
+/// (1 thread only). Fills everything but the pool-only fields.
+Crawl Drive(RestrictedInterface& base, const char* program, bool coalesce,
+            size_t pipeline_depth, size_t threads, bool cached) {
   // Real (small) round trips, so lane sleeps and ticket sleeps are live.
-  pool.SetSimulatedLatency(std::chrono::microseconds(cached ? 5 : 0));
+  base.SetSimulatedLatency(std::chrono::microseconds(cached ? 5 : 0));
   std::unique_ptr<ConcurrentInterfaceCache> cache;
-  if (cached) cache = std::make_unique<ConcurrentInterfaceCache>(pool);
+  if (cached) cache = std::make_unique<ConcurrentInterfaceCache>(base);
   RestrictedInterface& session =
-      cached ? static_cast<RestrictedInterface&>(*cache) : pool;
+      cached ? static_cast<RestrictedInterface&>(*cache) : base;
   CrawlConfig config;
   config.num_walkers = kWalkers;
   config.num_threads = threads;
@@ -144,9 +147,29 @@ Crawl RunCrawl(const char* program, bool coalesce, size_t pipeline_depth,
   out.positions = scheduler.Positions();
   out.query_cost = session.QueryCost();
   out.backend_requests = session.BackendRequests();
+  return out;
+}
+
+/// Drive over a fresh three-backend pool, plus its ledgers.
+Crawl RunCrawl(const char* program, bool coalesce, size_t pipeline_depth,
+               size_t threads, bool faults, bool pacing, bool cached) {
+  RetryPolicy retry;
+  retry.max_attempts_per_backend = 10;
+  BackendPool pool(Network(), Backends(faults, pacing), retry,
+                   BackendSelection::kSharded, kFaultSeed);
+  Crawl out = Drive(pool, program, coalesce, pipeline_depth, threads, cached);
   out.failed_fetches = pool.FailedFetches();
   out.ledgers = pool.SnapshotBackends();
   return out;
+}
+
+/// Drive over a fresh plain interface: one perfect backend serving up to 8
+/// ids per round trip.
+Crawl RunPlainCrawl(bool coalesce, size_t pipeline_depth, size_t threads,
+                    bool cached) {
+  RestrictedInterface plain(Network());
+  plain.SetMaxBatchSize(8);
+  return Drive(plain, "srw", coalesce, pipeline_depth, threads, cached);
 }
 
 /// The bare-pool 1-thread reference, computed once per key.
@@ -235,6 +258,53 @@ std::vector<Sweep> AllSweeps() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FetchEquivalenceTest,
                          testing::ValuesIn(AllSweeps()), SweepName);
+
+/// An execution shape of the cached plain crawl.
+struct PlainSweep {
+  const char* name;
+  bool coalesce;
+  size_t pipeline_depth;
+  size_t threads;
+};
+
+class PlainFetchEquivalenceTest : public testing::TestWithParam<PlainSweep> {
+};
+
+TEST_P(PlainFetchEquivalenceTest, CachedCrawlMatchesBarePlainReference) {
+  const PlainSweep& sweep = GetParam();
+  const Crawl got = RunPlainCrawl(sweep.coalesce, sweep.pipeline_depth,
+                                  sweep.threads, /*cached=*/true);
+  const Crawl reference =
+      RunPlainCrawl(sweep.coalesce, 0, 1, /*cached=*/false);
+  EXPECT_EQ(reference.positions, got.positions);
+  EXPECT_EQ(reference.diagnostics, got.diagnostics);  // bitwise doubles
+  EXPECT_EQ(reference.query_cost, got.query_cost);
+  EXPECT_EQ(reference.backend_requests, got.backend_requests);
+  // Not vacuous: coalesced frontiers share round trips, free-run misses
+  // pay one each.
+  if (sweep.coalesce) {
+    EXPECT_LT(got.backend_requests, got.query_cost);
+  } else {
+    EXPECT_EQ(got.backend_requests, got.query_cost);
+  }
+}
+
+std::vector<PlainSweep> AllPlainSweeps() {
+  std::vector<PlainSweep> sweeps;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    sweeps.push_back({"freerun", false, 0, threads});
+    sweeps.push_back({"coalesced", true, 0, threads});
+    sweeps.push_back({"pipelined", true, 2, threads});
+  }
+  return sweeps;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PlainFetchEquivalenceTest, testing::ValuesIn(AllPlainSweeps()),
+    [](const testing::TestParamInfo<PlainSweep>& info) {
+      return std::string(info.param.name) + "_" +
+             std::to_string(info.param.threads) + "threads";
+    });
 
 TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {
   // The pinned counterexample behind the 1-thread-only pacing assertion

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -145,19 +146,43 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
   EXPECT_GT(pool.FailedFetches(), 0u);
 }
 
-TEST(FetchStressTest, PlainInterfaceFallsBackToLockedFetch) {
-  // A session that cannot plan (the base class' perfect backend) runs its
-  // ledger under the cache's lock instead: single misses, batches, and
-  // cost accounting all still work.
-  SocialNetwork net(Cycle(32));
-  RestrictedInterface plain(net);
-  ConcurrentInterfaceCache session(plain);
-  for (NodeId v = 0; v < 32; ++v) {
-    EXPECT_TRUE(session.Query(v).has_value());
-  }
-  NodeId batch[3] = {1, 2, 3};
-  EXPECT_EQ(session.BatchQuery(batch).size(), 3u);
-  EXPECT_EQ(session.QueryCost(), 32u);
+TEST(FetchStressTest, CachedPlainSessionPaysBareCostAndTrips) {
+  // The paper's one perfect backend plans like the pool, so behind the
+  // cache the same queries pay the same unique queries and round trips as
+  // on a bare interface: single misses, chunked batches with hits and
+  // duplicates, and a budget that runs out in the middle of a batch.
+  SocialNetwork net(Cycle(64));
+  RestrictedInterface bare(net);
+  RestrictedInterface wrapped(net);
+  wrapped.SetSimulatedLatency(std::chrono::microseconds(5));
+  ConcurrentInterfaceCache cached(wrapped);
+  const auto run = [](RestrictedInterface& session) {
+    session.SetMaxBatchSize(4);
+    session.SetBudget(40);
+    std::vector<bool> answered;
+    for (NodeId v = 0; v < 10; ++v) {
+      answered.push_back(session.Query(v).has_value());
+    }
+    // Two hits, one duplicate, nine distinct misses: three chunks.
+    const std::vector<NodeId> mixed = {3, 10, 11, 12, 10, 13, 14,
+                                       15, 16, 17, 18, 5};
+    for (const auto& r : session.BatchQuery(mixed)) {
+      answered.push_back(r.has_value());
+    }
+    // 21 units of budget left for 30 misses: 21 admitted in six chunks.
+    std::vector<NodeId> over_budget;
+    for (NodeId v = 20; v < 50; ++v) over_budget.push_back(v);
+    for (const auto& r : session.BatchQuery(over_budget)) {
+      answered.push_back(r.has_value());
+    }
+    answered.push_back(session.QueryRef(60).has_value());  // budget spent
+    return answered;
+  };
+  EXPECT_EQ(run(cached), run(bare));
+  EXPECT_EQ(cached.QueryCost(), bare.QueryCost());
+  EXPECT_EQ(cached.BackendRequests(), bare.BackendRequests());
+  EXPECT_EQ(bare.QueryCost(), 40u);
+  EXPECT_EQ(bare.BackendRequests(), 10u + 3u + 6u);
 }
 
 }  // namespace

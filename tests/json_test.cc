@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace mto {
 namespace {
@@ -69,6 +70,24 @@ TEST(JsonTest, AsUintRejectsFractionsNegativesAndOverflow) {
   EXPECT_THROW(ParseJson("1.5").AsUint(), std::runtime_error);
   EXPECT_THROW(ParseJson("-1").AsUint(), std::runtime_error);
   EXPECT_THROW(ParseJson("1e20").AsUint(), std::runtime_error);  // >= 2^64
+}
+
+TEST(JsonTest, AsUintRejectsIntegersDoublesCannotHold) {
+  // 2^53 - 1 is the largest integer below which every integer is exact.
+  EXPECT_EQ(ParseJson("9007199254740991").AsUint(), 9007199254740991u);
+  // 2^53 + 1 parses as the double 2^53, so 2^53 itself is ambiguous too.
+  EXPECT_THROW(ParseJson("9007199254740992").AsUint(), std::runtime_error);
+  EXPECT_THROW(ParseJson("9007199254740993").AsUint(), std::runtime_error);
+  // Below 2^64 but far above 2^53: parses as 18446744073709549568.
+  EXPECT_THROW(ParseJson("18446744073709550000").AsUint(), std::runtime_error);
+  try {
+    ParseJson("9007199254740993").AsUint();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^53"), std::string::npos)
+        << e.what();
+  }
+  // The parsed double is still readable as a double.
+  EXPECT_EQ(ParseJson("9007199254740993").AsDouble(), 9007199254740992.0);
 }
 
 TEST(JsonTest, RejectsMalformedDocuments) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/graph/generators.h"
 
 namespace mto {
@@ -173,6 +176,34 @@ TEST_F(RestrictedInterfaceTest, BatchQueryBudgetRunsOutMidChunk) {
   EXPECT_TRUE(again[3].has_value());
   EXPECT_EQ(iface_.BackendRequests(), 2u);
   EXPECT_EQ(iface_.QueryCost(), 4u);
+}
+
+TEST_F(RestrictedInterfaceTest, PlanChargesTripsAndFillsPlanLikeThePool) {
+  // The one perfect backend settles its only ledger, the trip counter, at
+  // plan time: one batch on backend 0, applying it changes nothing.
+  iface_.SetMaxBatchSize(2);
+  iface_.SetBudget(3);
+  const std::vector<NodeId> misses = {4, 0, 6, 2};
+  FetchPlan plan;
+  iface_.PlanFetchMisses(misses, plan);
+  EXPECT_EQ(plan.fetched, (std::vector<uint8_t>{1, 1, 1, 0}));
+  EXPECT_EQ(plan.first_backend,
+            (std::vector<uint32_t>{0, 0, 0, UINT32_MAX}));
+  ASSERT_EQ(plan.batches.size(), 1u);
+  EXPECT_EQ(plan.batches[0].backend, 0u);
+  EXPECT_EQ(plan.batches[0].trips, 2u);  // ceil(3 admitted / 2)
+  EXPECT_EQ(iface_.QueryCost(), 3u);
+  EXPECT_EQ(iface_.BackendRequests(), 2u);
+  EXPECT_TRUE(iface_.IsCached(6));
+  EXPECT_FALSE(iface_.IsCached(2));
+  iface_.ApplyFetchBatch(plan.batches[0]);
+  EXPECT_EQ(iface_.BackendRequests(), 2u);
+  // A fully refused plan has no batch and costs nothing.
+  const NodeId refused[1] = {2};
+  iface_.PlanFetchMisses(refused, plan);
+  EXPECT_TRUE(plan.batches.empty());
+  EXPECT_EQ(plan.fetched, (std::vector<uint8_t>{0}));
+  EXPECT_EQ(iface_.BackendRequests(), 2u);
 }
 
 TEST_F(RestrictedInterfaceTest, QueryRefMatchesQueryAndCost) {

@@ -188,6 +188,22 @@ TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
       std::invalid_argument);
 }
 
+TEST(ScenarioConfigTest, IntegersDoublesCannotHoldAreRejected) {
+  // JSON numbers are parsed as doubles: 2^53 + 1 would silently read as
+  // 2^53, so two different scenarios would run the same crawl.
+  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"seed": 9007199254740991})")
+                .seed,
+            9007199254740991u);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"seed": 9007199254740993})"),
+               std::runtime_error);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"fault_seed": 18446744073709550000})"),
+               std::runtime_error);
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"backends": [{"budget": 9007199254740992}]})"),
+               std::runtime_error);
+}
+
 TEST(ScenarioConfigTest, SemanticValidation) {
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"walkers": 0})"),
                std::invalid_argument);
