@@ -24,27 +24,10 @@ class DenseOverlay {
     return static_cast<uint32_t>(adj_[v].size());
   }
 
-  const std::vector<NodeId>& Neighbors(NodeId v) const { return adj_[v]; }
+  std::span<const NodeId> Neighbors(NodeId v) const { return adj_[v]; }
 
   bool HasEdge(NodeId u, NodeId v) const {
     return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
-  }
-
-  uint32_t CommonCount(NodeId u, NodeId v) const {
-    const auto& a = adj_[u];
-    const auto& b = adj_[v];
-    uint32_t count = 0;
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i] < b[j]) {
-        ++i;
-      } else if (a[i] > b[j]) {
-        ++j;
-      } else {
-        ++count, ++i, ++j;
-      }
-    }
-    return count;
   }
 
   void Remove(NodeId u, NodeId v) {
@@ -56,7 +39,7 @@ class DenseOverlay {
   /// connectivity guard (offline construction has the whole overlay).
   bool PathExistsAvoiding(NodeId u, NodeId v) const {
     // Fast path: any shared neighbor is a detour.
-    if (CommonCount(u, v) > 0) return true;
+    if (CountCommon(adj_[u], adj_[v]) > 0) return true;
     std::vector<char> seen(adj_.size(), 0);
     std::vector<NodeId> stack{u};
     seen[u] = 1;
@@ -115,36 +98,19 @@ bool Removable(const Graph& g, const DenseOverlay& overlay, NodeId u, NodeId v,
   const uint32_t ku = original ? g.Degree(u) : overlay.Degree(u);
   const uint32_t kv = original ? g.Degree(v) : overlay.Degree(v);
   if (RemovalWouldIsolate(ku, kv)) return false;
-  const uint32_t common =
-      original ? g.CommonNeighborCount(u, v) : overlay.CommonCount(u, v);
+  const std::span<const NodeId> a =
+      original ? g.Neighbors(u) : overlay.Neighbors(u);
+  const std::span<const NodeId> b =
+      original ? g.Neighbors(v) : overlay.Neighbors(v);
+  const uint32_t common = CountCommon(a, b);
   // OR of Theorem 3 and Theorem 5 — eq. (9) alone is not uniformly stronger.
   if (RemovalCriterion(common, ku, kv)) return true;
   if (!config.use_degree_extension) return false;
   std::vector<uint32_t> small;
-  auto degree_of = [&](NodeId w) {
-    return original ? g.Degree(w) : overlay.Degree(w);
-  };
-  auto common_neighbors = [&](NodeId x) -> std::vector<NodeId> {
-    if (original) {
-      auto nbrs = g.Neighbors(x);
-      return {nbrs.begin(), nbrs.end()};
-    }
-    return overlay.Neighbors(x);
-  };
-  const std::vector<NodeId> a = common_neighbors(u);
-  const std::vector<NodeId> b = common_neighbors(v);
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      uint32_t kw = degree_of(a[i]);
-      if (kw == 2 || kw == 3) small.push_back(kw);
-      ++i, ++j;
-    }
-  }
+  ForEachCommon(a, b, [&](NodeId w) {
+    const uint32_t kw = original ? g.Degree(w) : overlay.Degree(w);
+    if (kw == 2 || kw == 3) small.push_back(kw);
+  });
   return RemovalCriterionExtended(common, ku, kv, small);
 }
 
@@ -185,7 +151,7 @@ FullOverlayResult BuildFullOverlay(const Graph& g, const MtoConfig& config,
       if (!ReplacementAllowed(overlay.Degree(v))) continue;
       if (!rng.Bernoulli(config.replace_probability)) continue;
       // Pick u, w ∈ N*(v), replace (u,v) by (u,w) if not already present.
-      const std::vector<NodeId> nbrs = overlay.Neighbors(v);  // copy
+      const std::span<const NodeId> nbrs = overlay.Neighbors(v);
       if (nbrs.size() < 2) continue;
       size_t iu = static_cast<size_t>(rng.UniformInt(nbrs.size()));
       size_t iw = static_cast<size_t>(rng.UniformInt(nbrs.size() - 1));

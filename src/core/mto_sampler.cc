@@ -23,7 +23,7 @@ MtoSampler::MtoSampler(RestrictedInterface& interface, Rng& rng, NodeId start,
 
 bool MtoSampler::Fetch(NodeId v) {
   if (overlay_.IsRegistered(v)) return true;
-  auto r = interface().Query(v);
+  auto r = interface().QueryRef(v);
   if (!r) return false;
   overlay_.RegisterNode(v, r->neighbors);
   return true;
@@ -40,9 +40,11 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v) const {
   const uint32_t ku = original ? overlay_.OriginalDegree(u) : overlay_.Degree(u);
   const uint32_t kv = original ? overlay_.OriginalDegree(v) : overlay_.Degree(v);
   if (RemovalWouldIsolate(ku, kv)) return false;
-  const uint32_t common = original
-                              ? overlay_.OriginalCommonNeighborCount(u, v)
-                              : overlay_.CommonNeighborCount(u, v);
+  const std::span<const NodeId> a =
+      original ? overlay_.OriginalNeighbors(u) : overlay_.Neighbors(u);
+  const std::span<const NodeId> b =
+      original ? overlay_.OriginalNeighbors(v) : overlay_.Neighbors(v);
+  const uint32_t common = CountCommon(a, b);
   // Theorem 3 always applies; Theorem 5 is a second sufficient condition,
   // not a uniformly stronger one (its ceil-rounding can lose half a unit
   // when a known common neighbor has kw = 3), so take the OR.
@@ -52,28 +54,16 @@ bool MtoSampler::RemovableNow(NodeId u, NodeId v) const {
   // registered nodes come from the chosen basis; unregistered-but-cached
   // nodes contribute their true degree, exactly the "historical
   // information" of Section III-D.
-  const auto& a = original ? overlay_.OriginalNeighbors(u) : overlay_.Neighbors(u);
-  const auto& b = original ? overlay_.OriginalNeighbors(v) : overlay_.Neighbors(v);
   std::vector<uint32_t> small_degrees;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      NodeId w = a[i];
-      uint32_t kw = 0;
-      if (overlay_.IsRegistered(w)) {
-        kw = original ? overlay_.OriginalDegree(w) : overlay_.Degree(w);
-      } else if (auto cached = interface().CachedDegree(w)) {
-        kw = *cached;
-      }
-      if (kw == 2 || kw == 3) small_degrees.push_back(kw);
-      ++i;
-      ++j;
+  ForEachCommon(a, b, [&](NodeId w) {
+    uint32_t kw = 0;
+    if (overlay_.IsRegistered(w)) {
+      kw = original ? overlay_.OriginalDegree(w) : overlay_.Degree(w);
+    } else if (auto cached = interface().CachedDegree(w)) {
+      kw = *cached;
     }
-  }
+    if (kw == 2 || kw == 3) small_degrees.push_back(kw);
+  });
   return RemovalCriterionExtended(common, ku, kv, small_degrees);
 }
 
@@ -210,7 +200,8 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     // already in the local cache (their queries are free), then report the
     // overlay degree. Unclassified edges to unseen nodes count as surviving.
     if (config_.enable_removal) {
-      const std::vector<NodeId> snapshot = overlay_.Neighbors(u);  // copy
+      const std::span<const NodeId> nbrs = overlay_.Neighbors(u);
+      const std::vector<NodeId> snapshot(nbrs.begin(), nbrs.end());
       for (NodeId w : snapshot) {
         if (overlay_.IsProcessed(u, w)) continue;
         if (!overlay_.IsRegistered(w) && !interface().IsCached(w)) continue;
@@ -224,7 +215,8 @@ double MtoSampler::EstimateOverlayDegree(NodeId u) {
     }
     return static_cast<double>(overlay_.Degree(u));
   }
-  const std::vector<NodeId> snapshot = overlay_.Neighbors(u);  // copy
+  const std::span<const NodeId> nbrs = overlay_.Neighbors(u);
+  const std::vector<NodeId> snapshot(nbrs.begin(), nbrs.end());
 
   auto classify = [&](NodeId w) -> bool {
     // Returns true iff the edge (u, w) survives classification. Removals are

@@ -10,117 +10,68 @@ uint64_t OverlayGraph::Key(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
-void OverlayGraph::RegisterNode(NodeId v,
-                                std::span<const NodeId> original_neighbors) {
-  if (adjacency_.count(v) != 0) return;
-  std::vector<NodeId> nbrs(original_neighbors.begin(),
-                           original_neighbors.end());
-  std::sort(nbrs.begin(), nbrs.end());
-  original_.emplace(v, nbrs);
+void OverlayGraph::SetEdge(Node& node, NodeId w, bool present) {
+  const std::span<const NodeId> nbrs = node.current();
+  if (std::binary_search(nbrs.begin(), nbrs.end(), w) == present) return;
+  if (!node.rewired) node.rewired.emplace(nbrs.begin(), nbrs.end());
+  std::vector<NodeId>& list = *node.rewired;
+  const auto pos = std::lower_bound(list.begin(), list.end(), w);
+  if (present) {
+    list.insert(pos, w);
+  } else {
+    list.erase(pos);
+  }
+}
+
+void OverlayGraph::RegisterNode(NodeId v, std::span<const NodeId> original) {
+  auto [it, inserted] = nodes_.try_emplace(v, Node{original, {}});
+  if (!inserted) return;
+  Node& node = it->second;
   // Apply recorded removals.
   if (!removed_.empty()) {
-    nbrs.erase(std::remove_if(nbrs.begin(), nbrs.end(),
-                              [&](NodeId w) {
-                                return removed_.count(Key(v, w)) != 0;
-                              }),
-               nbrs.end());
+    for (NodeId w : original) {
+      if (removed_.count(Key(v, w)) != 0) SetEdge(node, w, false);
+    }
   }
   // Apply recorded additions involving v.
-  if (!added_.empty()) {
-    for (uint64_t key : added_) {
-      NodeId a = static_cast<NodeId>(key >> 32);
-      NodeId b = static_cast<NodeId>(key & 0xFFFFFFFFu);
-      NodeId other;
-      if (a == v) {
-        other = b;
-      } else if (b == v) {
-        other = a;
-      } else {
-        continue;
-      }
-      auto it = std::lower_bound(nbrs.begin(), nbrs.end(), other);
-      if (it == nbrs.end() || *it != other) nbrs.insert(it, other);
+  for (uint64_t key : added_) {
+    const NodeId a = static_cast<NodeId>(key >> 32);
+    const NodeId b = static_cast<NodeId>(key & 0xFFFFFFFFu);
+    if (a == v) {
+      SetEdge(node, b, true);
+    } else if (b == v) {
+      SetEdge(node, a, true);
     }
   }
-  adjacency_.emplace(v, std::move(nbrs));
 }
 
-const std::vector<NodeId>& OverlayGraph::Neighbors(NodeId v) const {
-  auto it = adjacency_.find(v);
-  if (it == adjacency_.end()) {
+std::span<const NodeId> OverlayGraph::Neighbors(NodeId v) const {
+  auto it = nodes_.find(v);
+  if (it == nodes_.end()) {
     throw std::logic_error("OverlayGraph::Neighbors: node not registered");
   }
-  return it->second;
+  return it->second.current();
 }
 
-uint32_t OverlayGraph::Degree(NodeId v) const {
-  return static_cast<uint32_t>(Neighbors(v).size());
-}
-
-const std::vector<NodeId>& OverlayGraph::OriginalNeighbors(NodeId v) const {
-  auto it = original_.find(v);
-  if (it == original_.end()) {
+std::span<const NodeId> OverlayGraph::OriginalNeighbors(NodeId v) const {
+  auto it = nodes_.find(v);
+  if (it == nodes_.end()) {
     throw std::logic_error("OverlayGraph::OriginalNeighbors: not registered");
   }
-  return it->second;
-}
-
-uint32_t OverlayGraph::OriginalDegree(NodeId v) const {
-  return static_cast<uint32_t>(OriginalNeighbors(v).size());
-}
-
-uint32_t OverlayGraph::OriginalCommonNeighborCount(NodeId u, NodeId v) const {
-  const auto& a = OriginalNeighbors(u);
-  const auto& b = OriginalNeighbors(v);
-  uint32_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
+  return it->second.original;
 }
 
 bool OverlayGraph::HasEdge(NodeId u, NodeId v) const {
-  const auto& nbrs = Neighbors(u);
+  const std::span<const NodeId> nbrs = Neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
-uint32_t OverlayGraph::CommonNeighborCount(NodeId u, NodeId v) const {
-  const auto& a = Neighbors(u);
-  const auto& b = Neighbors(v);
-  uint32_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
 }
 
 void OverlayGraph::RemoveEdge(NodeId u, NodeId v) {
   uint64_t key = Key(u, v);
   if (added_.erase(key) == 0) removed_.insert(key);
   for (NodeId x : {u, v}) {
-    auto it = adjacency_.find(x);
-    if (it == adjacency_.end()) continue;
-    NodeId other = (x == u) ? v : u;
-    auto pos = std::lower_bound(it->second.begin(), it->second.end(), other);
-    if (pos != it->second.end() && *pos == other) it->second.erase(pos);
+    auto it = nodes_.find(x);
+    if (it != nodes_.end()) SetEdge(it->second, x == u ? v : u, false);
   }
 }
 
@@ -129,23 +80,15 @@ void OverlayGraph::AddEdge(NodeId u, NodeId v) {
   // No-op when the edge is already present in a registered endpoint's view;
   // otherwise a spurious `added_` record would corrupt DegreeDeltas().
   for (NodeId x : {u, v}) {
-    auto it = adjacency_.find(x);
-    if (it != adjacency_.end()) {
-      NodeId other = (x == u) ? v : u;
-      if (std::binary_search(it->second.begin(), it->second.end(), other)) {
-        return;
-      }
-      break;
-    }
+    if (!IsRegistered(x)) continue;
+    if (HasEdge(x, x == u ? v : u)) return;
+    break;
   }
   uint64_t key = Key(u, v);
   if (removed_.erase(key) == 0) added_.insert(key);
   for (NodeId x : {u, v}) {
-    auto it = adjacency_.find(x);
-    if (it == adjacency_.end()) continue;
-    NodeId other = (x == u) ? v : u;
-    auto pos = std::lower_bound(it->second.begin(), it->second.end(), other);
-    if (pos == it->second.end() || *pos != other) it->second.insert(pos, other);
+    auto it = nodes_.find(x);
+    if (it != nodes_.end()) SetEdge(it->second, x == u ? v : u, true);
   }
 }
 
@@ -161,7 +104,9 @@ bool OverlayGraph::PathExistsAvoiding(NodeId u, NodeId v,
                                       size_t max_visits) const {
   if (!IsRegistered(u)) return false;
   // Fast path: a shared overlay neighbor is a length-2 detour.
-  if (IsRegistered(v) && CommonNeighborCount(u, v) > 0) return true;
+  if (IsRegistered(v) && CountCommon(Neighbors(u), Neighbors(v)) > 0) {
+    return true;
+  }
   std::unordered_set<NodeId> seen{u};
   std::vector<NodeId> frontier{u};
   std::vector<NodeId> next;
@@ -198,8 +143,8 @@ std::unordered_map<NodeId, int> OverlayGraph::DegreeDeltas() const {
 
 OverlayGraph::Delta OverlayGraph::SnapshotDelta() const {
   Delta delta;
-  delta.registered.reserve(adjacency_.size());
-  for (const auto& [v, _] : adjacency_) delta.registered.push_back(v);
+  delta.registered.reserve(nodes_.size());
+  for (const auto& [v, _] : nodes_) delta.registered.push_back(v);
   delta.removed.assign(removed_.begin(), removed_.end());
   delta.added.assign(added_.begin(), added_.end());
   delta.processed.assign(processed_.begin(), processed_.end());
@@ -212,25 +157,24 @@ OverlayGraph::Delta OverlayGraph::SnapshotDelta() const {
 
 void OverlayGraph::RestoreDelta(
     const Delta& delta,
-    const std::function<std::span<const NodeId>(NodeId)>& original_neighbors) {
-  adjacency_.clear();
-  original_.clear();
+    const std::function<std::span<const NodeId>(NodeId)>& neighbors_of) {
+  nodes_.clear();
   removed_ = {delta.removed.begin(), delta.removed.end()};
   added_ = {delta.added.begin(), delta.added.end()};
   processed_ = {delta.processed.begin(), delta.processed.end()};
-  for (NodeId v : delta.registered) RegisterNode(v, original_neighbors(v));
+  for (NodeId v : delta.registered) RegisterNode(v, neighbors_of(v));
 }
 
 Graph OverlayGraph::InducedOverlay(std::vector<NodeId>* mapping) const {
   std::vector<NodeId> nodes;
-  nodes.reserve(adjacency_.size());
-  for (const auto& [v, _] : adjacency_) nodes.push_back(v);
+  nodes.reserve(nodes_.size());
+  for (const auto& [v, _] : nodes_) nodes.push_back(v);
   std::sort(nodes.begin(), nodes.end());
   std::unordered_map<NodeId, NodeId> relabel;
   for (NodeId i = 0; i < nodes.size(); ++i) relabel[nodes[i]] = i;
   std::vector<Edge> edges;
   for (NodeId u : nodes) {
-    for (NodeId w : adjacency_.at(u)) {
+    for (NodeId w : nodes_.at(u).current()) {
       if (u < w && relabel.count(w) != 0) {
         edges.push_back({relabel[u], relabel[w]});
       }

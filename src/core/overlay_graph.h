@@ -28,35 +28,41 @@ class OverlayGraph {
   /// Registers the *original* neighborhood of `v` (the response of q(v)).
   /// Applies all previously recorded removals/additions involving v.
   /// Idempotent; subsequent calls are no-ops.
-  void RegisterNode(NodeId v, std::span<const NodeId> original_neighbors);
+  ///
+  /// The overlay borrows `original` instead of copying it: the span must be
+  /// sorted ascending and outlive the overlay. Both hold for the lists a
+  /// `QueryView` or `Graph::Neighbors` returns, which point into the
+  /// session's immutable network.
+  void RegisterNode(NodeId v, std::span<const NodeId> original);
 
   /// True iff v's neighborhood has been registered.
-  bool IsRegistered(NodeId v) const { return adjacency_.count(v) != 0; }
+  bool IsRegistered(NodeId v) const { return nodes_.count(v) != 0; }
 
-  /// Overlay neighbor list of a registered node (sorted ascending).
+  /// Overlay neighbor list of a registered node (sorted ascending). It
+  /// aliases the original list until an edge rule first changes the node.
+  /// The span is invalidated by the next RemoveEdge/AddEdge touching `v`.
   /// Throws std::logic_error if `v` is not registered.
-  const std::vector<NodeId>& Neighbors(NodeId v) const;
+  std::span<const NodeId> Neighbors(NodeId v) const;
 
   /// Overlay degree k*_v of a registered node.
-  uint32_t Degree(NodeId v) const;
+  uint32_t Degree(NodeId v) const {
+    return static_cast<uint32_t>(Neighbors(v).size());
+  }
 
   /// The *original* neighbor list of a registered node, exactly as the web
-  /// interface returned it (sorted). The paper's edge criteria are stated on
-  /// the original graph, so the sampler consults these by default.
-  const std::vector<NodeId>& OriginalNeighbors(NodeId v) const;
+  /// interface returned it (the borrowed span). The paper's edge criteria
+  /// are stated on the original graph, so the sampler consults these by
+  /// default.
+  std::span<const NodeId> OriginalNeighbors(NodeId v) const;
 
   /// Original degree k_v of a registered node.
-  uint32_t OriginalDegree(NodeId v) const;
-
-  /// |N(u) ∩ N(v)| on the original graph (both registered).
-  uint32_t OriginalCommonNeighborCount(NodeId u, NodeId v) const;
+  uint32_t OriginalDegree(NodeId v) const {
+    return static_cast<uint32_t>(OriginalNeighbors(v).size());
+  }
 
   /// True iff edge (u,v) is present in the overlay view of registered node
   /// u. Requires u registered.
   bool HasEdge(NodeId u, NodeId v) const;
-
-  /// Overlay common-neighbor count |N*(u) ∩ N*(v)| (both must be registered).
-  uint32_t CommonNeighborCount(NodeId u, NodeId v) const;
 
   /// Removes edge (u,v) from the overlay. Updates both endpoints' lists (if
   /// registered) and records the removal for nodes registered later.
@@ -77,7 +83,7 @@ class OverlayGraph {
   size_t num_added() const { return added_.size(); }
 
   /// Nodes registered so far.
-  size_t num_registered() const { return adjacency_.size(); }
+  size_t num_registered() const { return nodes_.size(); }
 
   /// True iff v is reachable from u in the overlay *without* using edge
   /// (u, v), traversing only registered nodes (an unregistered node can be
@@ -113,13 +119,14 @@ class OverlayGraph {
   Delta SnapshotDelta() const;
 
   /// Rebuilds this overlay from a delta: installs the mutation sets, then
-  /// re-registers every node through `original_neighbors` (the q(v)
-  /// response source — the restored session cache, or ground truth on the
-  /// service's resume path). Any existing state is discarded. The rebuilt
-  /// overlay is bit-identical to the one the delta was snapshotted from.
+  /// re-registers every node through `neighbors_of` (the q(v) response
+  /// source — the restored session cache, or ground truth on the service's
+  /// resume path), borrowing each span like RegisterNode. Any existing state
+  /// is discarded. The rebuilt overlay is bit-identical to the one the delta
+  /// was snapshotted from.
   void RestoreDelta(
       const Delta& delta,
-      const std::function<std::span<const NodeId>(NodeId)>& original_neighbors);
+      const std::function<std::span<const NodeId>(NodeId)>& neighbors_of);
 
   /// Materializes the overlay restricted to registered nodes as a Graph,
   /// relabelling to 0..k-1; `mapping`, when non-null, receives
@@ -129,15 +136,26 @@ class OverlayGraph {
   Graph InducedOverlay(std::vector<NodeId>* mapping = nullptr) const;
 
  private:
-  static uint64_t Key(NodeId u, NodeId v);
+  /// One registered node: the borrowed original list, plus a private copy
+  /// that exists only once an edge rule has changed the node.
+  struct Node {
+    std::span<const NodeId> original;
+    std::optional<std::vector<NodeId>> rewired;
 
-  std::unordered_map<NodeId, std::vector<NodeId>> adjacency_;
-  std::unordered_map<NodeId, std::vector<NodeId>> original_;
+    std::span<const NodeId> current() const {
+      return rewired ? std::span<const NodeId>(*rewired) : original;
+    }
+  };
+
+  static uint64_t Key(NodeId u, NodeId v);
+  /// Makes `w` present in (or absent from) `node`'s current list, kept
+  /// sorted; the first change copies the original list into `rewired`.
+  static void SetEdge(Node& node, NodeId w, bool present);
+
+  std::unordered_map<NodeId, Node> nodes_;
   std::unordered_set<uint64_t> removed_;
   std::unordered_set<uint64_t> added_;
   std::unordered_set<uint64_t> processed_;
-  // Reverse index: for additions involving unregistered nodes we must patch
-  // their lists at registration; removed_/added_ are consulted then.
 };
 
 }  // namespace mto

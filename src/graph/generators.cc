@@ -152,10 +152,8 @@ Graph HolmeKim(NodeId n, uint32_t m, double triad_p, Rng& rng) {
   // (uniform neighbor of the previous target).
   std::vector<NodeId> ends;
   std::vector<std::vector<NodeId>> adjacency(n);
-  std::unordered_set<uint64_t, EdgeKeyHash> edges;
   auto add_edge = [&](NodeId u, NodeId v) {
     builder.AddEdge(u, v);
-    edges.insert(EdgeKey(u, v));
     ends.push_back(u);
     ends.push_back(v);
     adjacency[u].push_back(v);
@@ -180,13 +178,15 @@ Graph HolmeKim(NodeId n, uint32_t m, double triad_p, Rng& rng) {
       if (t == kInvalidNode) {
         t = ends[static_cast<size_t>(rng.UniformInt(ends.size()))];
       }
-      if (t == v || edges.count(EdgeKey(v, t)) != 0) {
+      // v's only edges so far are this iteration's targets, so (v, t)
+      // already exists iff t is one of them.
+      if (t == v ||
+          std::find(targets.begin(), targets.end(), t) != targets.end()) {
         // Collision: fall back to a fresh preferential pick next loop.
         prev_target = kInvalidNode;
         continue;
       }
       targets.push_back(t);
-      edges.insert(EdgeKey(v, t));
       prev_target = t;
     }
     for (NodeId t : targets) {
@@ -386,7 +386,11 @@ Graph CommunityPowerlaw(const CommunityPowerlawParams& params, Rng& rng) {
     };
     builder.AddEdge(pick_core(bi), pick_core(bj));
   }
-  return LargestComponent(builder.Build());
+  // Free the arcs before the component pass builds its own copy: that pass
+  // is the memory peak of building a dataset.
+  const Graph graph = builder.Build();
+  builder = GraphBuilder();
+  return LargestComponent(graph);
 }
 
 }  // namespace mto

@@ -39,25 +39,6 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-uint32_t Graph::CommonNeighborCount(NodeId u, NodeId v) const {
-  auto a = Neighbors(u);
-  auto b = Neighbors(v);
-  uint32_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 std::vector<NodeId> Graph::CommonNeighbors(NodeId u, NodeId v) const {
   auto a = Neighbors(u);
   auto b = Neighbors(v);

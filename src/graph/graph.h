@@ -22,6 +22,34 @@ struct Edge {
   friend auto operator<=>(const Edge&, const Edge&) = default;
 };
 
+/// Calls `f(w)` for every w in both ascending-sorted lists, in ascending
+/// order: the linear merge behind every common-neighbor count, on the
+/// original graph and on the MTO overlay alike.
+template <typename F>
+void ForEachCommon(std::span<const NodeId> a, std::span<const NodeId> b,
+                   F&& f) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      f(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+}
+
+/// |a ∩ b| for two ascending-sorted neighbor lists.
+inline uint32_t CountCommon(std::span<const NodeId> a,
+                            std::span<const NodeId> b) {
+  uint32_t count = 0;
+  ForEachCommon(a, b, [&count](NodeId) { ++count; });
+  return count;
+}
+
 /// Immutable, compact undirected simple graph.
 ///
 /// Storage is CSR-style: a single adjacency array plus per-node offsets,
@@ -59,8 +87,10 @@ class Graph {
   /// Returns true iff the undirected edge (u, v) exists. O(log k).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// Number of common neighbors |N(u) ∩ N(v)| via sorted-list merge.
-  uint32_t CommonNeighborCount(NodeId u, NodeId v) const;
+  /// Number of common neighbors |N(u) ∩ N(v)| (see CountCommon).
+  uint32_t CommonNeighborCount(NodeId u, NodeId v) const {
+    return CountCommon(Neighbors(u), Neighbors(v));
+  }
 
   /// Common neighbors of u and v, ascending.
   std::vector<NodeId> CommonNeighbors(NodeId u, NodeId v) const;

@@ -15,6 +15,39 @@ namespace {
 /// depends only on the dataset, not on the crawl seed.
 constexpr uint64_t kProfileSeed = 0x50C1A1;
 
+/// Throws, naming the field, unless every node of `delta` is a user and
+/// every edge key packs two distinct users smaller endpoint first (upper
+/// 32 bits), the way `OverlayGraph` packs them. Any other key would be
+/// installed silently: a mis-ordered one never matches the edge it names,
+/// and an added one past the network is spliced into a neighbor list.
+void ValidateOverlayDelta(const OverlayGraph::Delta& delta,
+                          NodeId num_users) {
+  for (NodeId v : delta.registered) {
+    if (v >= num_users) {
+      throw std::runtime_error(
+          "LoadCheckpoint: overlay registered references an unknown node");
+    }
+  }
+  const auto check = [num_users](const std::vector<uint64_t>& keys,
+                                 const std::string& field) {
+    for (uint64_t key : keys) {
+      const uint64_t smaller = key >> 32;
+      const uint64_t larger = key & 0xFFFFFFFFu;
+      if (smaller >= larger) {
+        throw std::runtime_error("LoadCheckpoint: overlay " + field +
+                                 " key is not in normalized order");
+      }
+      if (larger >= num_users) {
+        throw std::runtime_error("LoadCheckpoint: overlay " + field +
+                                 " key references an unknown node");
+      }
+    }
+  };
+  check(delta.removed, "removed");
+  check(delta.added, "added");
+  check(delta.processed, "processed");
+}
+
 }  // namespace
 
 CrawlService::CrawlService(const ScenarioConfig& config)
@@ -469,6 +502,19 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
         "LoadCheckpoint: samples count does not match "
         "collection_rounds_done x walkers");
   }
+  if (program_->uses_overlay()) {
+    if (ckpt.overlays.size() != walkers) {
+      throw std::runtime_error(
+          "LoadCheckpoint: overlay record count does not match walkers");
+    }
+    for (const auto& record : ckpt.overlays) {
+      ValidateOverlayDelta(record.delta, network_.num_users());
+    }
+  } else if (!ckpt.overlays.empty()) {
+    throw std::runtime_error(
+        "LoadCheckpoint: checkpoint carries overlays for a non-overlay "
+        "program");
+  }
   session_->RestoreSession(ckpt.session);
   pool_->RestoreBackends(
       {ckpt.ledgers, ckpt.round_robin_cursor, ckpt.failed_fetches});
@@ -500,27 +546,13 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   // successfully queried, so its cached response equals the network's
   // neighbor list — which keeps the restore free of interface traffic.
   if (program_->uses_overlay()) {
-    if (ckpt.overlays.size() != scheduler_->size()) {
-      throw std::runtime_error(
-          "LoadCheckpoint: overlay record count does not match walkers");
-    }
     const Graph& graph = network_.graph();
-    const auto neighbors = [&graph](NodeId v) -> std::span<const NodeId> {
-      if (v >= graph.num_nodes()) {
-        throw std::runtime_error(
-            "LoadCheckpoint: overlay references an unknown node");
-      }
-      return graph.Neighbors(v);
-    };
+    const auto neighbors = [&graph](NodeId v) { return graph.Neighbors(v); };
     for (size_t i = 0; i < scheduler_->size(); ++i) {
       auto& walker = dynamic_cast<MtoSampler&>(scheduler_->walker(i));
       walker.RestoreOverlay(ckpt.overlays[i].delta, neighbors,
                             ckpt.overlays[i].frozen != 0);
     }
-  } else if (!ckpt.overlays.empty()) {
-    throw std::runtime_error(
-        "LoadCheckpoint: checkpoint carries overlays for a non-overlay "
-        "program");
   }
 
   // Replay the estimation streams: the pipeline's state after n items is a

@@ -341,6 +341,42 @@ TEST(CrawlServiceTest, LoadCheckpointGuards) {
   ckpt.Save(path);
   error = load_error();
   EXPECT_NE(error.find("samples"), std::string::npos) << error;
+
+  // Overlay edge keys are installed only when each packs two users low
+  // endpoint first, the way the overlay packs them: a mis-ordered key never
+  // matches its edge, and an added endpoint past the network would throw
+  // inside a later Advance(). (`load_error` reads `config` by reference.)
+  config.program.name = "mto";
+  {
+    CrawlService service(config);
+    service.Advance();
+    service.SaveCheckpoint(path);
+  }
+  const ServiceCheckpoint mto_ckpt = ServiceCheckpoint::Load(path);
+  ASSERT_FALSE(mto_ckpt.overlays.empty());
+  ASSERT_EQ(load_error(), "loaded without error");
+  const uint64_t num_users = CrawlService(config).network().num_users();
+  ServiceCheckpoint bad = mto_ckpt;
+  bad.overlays[0].delta.removed.push_back((uint64_t{7} << 32) | 3);
+  bad.Save(path);
+  error = load_error();
+  EXPECT_NE(error.find("removed key is not in normalized order"),
+            std::string::npos)
+      << error;
+  bad = mto_ckpt;
+  bad.overlays[0].delta.processed.push_back((uint64_t{5} << 32) | 5);
+  bad.Save(path);
+  error = load_error();
+  EXPECT_NE(error.find("processed key is not in normalized order"),
+            std::string::npos)
+      << error;
+  bad = mto_ckpt;
+  bad.overlays[0].delta.added.push_back(num_users);  // the edge (0, num_users)
+  bad.Save(path);
+  error = load_error();
+  EXPECT_NE(error.find("added key references an unknown node"),
+            std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 

@@ -283,7 +283,10 @@ TEST(MtoSamplerTest, OverlaySnapshotRestoreRoundTripsBitIdentically) {
   // The restored overlay is the original, bit for bit.
   for (NodeId v : delta.registered) {
     ASSERT_TRUE(resumed.overlay().IsRegistered(v));
-    EXPECT_EQ(resumed.overlay().Neighbors(v), original.overlay().Neighbors(v))
+    const auto resumed_nbrs = resumed.overlay().Neighbors(v);
+    const auto original_nbrs = original.overlay().Neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(resumed_nbrs.begin(), resumed_nbrs.end()),
+              std::vector<NodeId>(original_nbrs.begin(), original_nbrs.end()))
         << "node " << v;
   }
   EXPECT_EQ(resumed.overlay().num_removed(), original.overlay().num_removed());

@@ -110,9 +110,9 @@ TEST(OverlayGraphTest, CommonNeighborCountTracksOverlay) {
   Graph g = Complete(5);
   OverlayGraph overlay;
   RegisterAll(overlay, g);
-  EXPECT_EQ(overlay.CommonNeighborCount(0, 1), 3u);
+  EXPECT_EQ(CountCommon(overlay.Neighbors(0), overlay.Neighbors(1)), 3u);
   overlay.RemoveEdge(0, 2);  // 2 no longer common to 0 and 1
-  EXPECT_EQ(overlay.CommonNeighborCount(0, 1), 2u);
+  EXPECT_EQ(CountCommon(overlay.Neighbors(0), overlay.Neighbors(1)), 2u);
 }
 
 TEST(OverlayGraphTest, ProcessedMemoization) {
@@ -165,6 +165,88 @@ TEST(OverlayGraphTest, InducedOverlayPartialRegistration) {
   // Only nodes 0 and 1 registered; induced graph has their mutual edge.
   EXPECT_EQ(induced.num_nodes(), 2u);
   EXPECT_EQ(induced.num_edges(), 1u);
+}
+
+TEST(OverlayGraphTest, UnchangedNodesBorrowTheGraphsLists) {
+  Graph g = Complete(5);
+  OverlayGraph overlay;
+  RegisterAll(overlay, g);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(overlay.Neighbors(v).data(), g.Neighbors(v).data()) << v;
+  }
+  overlay.RemoveEdge(0, 1);
+  overlay.AddEdge(2, 3);  // already an edge: a no-op, so 2 and 3 stay borrowed
+  EXPECT_NE(overlay.Neighbors(0).data(), g.Neighbors(0).data());
+  EXPECT_NE(overlay.Neighbors(1).data(), g.Neighbors(1).data());
+  EXPECT_EQ(overlay.Neighbors(2).data(), g.Neighbors(2).data());
+  EXPECT_EQ(overlay.Neighbors(3).data(), g.Neighbors(3).data());
+
+  Graph sparse(4, {{0, 1}, {2, 3}});
+  OverlayGraph added;
+  RegisterAll(added, sparse);
+  added.AddEdge(0, 3);
+  EXPECT_NE(added.Neighbors(0).data(), sparse.Neighbors(0).data());
+  EXPECT_NE(added.Neighbors(3).data(), sparse.Neighbors(3).data());
+  EXPECT_EQ(added.Neighbors(1).data(), sparse.Neighbors(1).data());
+}
+
+TEST(OverlayGraphTest, OriginalNeighborsAlwaysAliasTheGraph) {
+  Graph g = Complete(5);
+  OverlayGraph overlay;
+  overlay.RegisterNode(0, g.Neighbors(0));
+  overlay.RemoveEdge(0, 1);
+  overlay.RemoveEdge(2, 4);  // neither endpoint registered yet
+  RegisterAll(overlay, g);
+  overlay.AddEdge(1, 3);  // restores nothing: (1, 3) is an edge of g
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(overlay.OriginalNeighbors(v).data(), g.Neighbors(v).data())
+        << v;
+    EXPECT_EQ(overlay.OriginalDegree(v), g.Degree(v)) << v;
+  }
+  EXPECT_EQ(overlay.Degree(2), 3u);
+  EXPECT_EQ(overlay.Degree(4), 3u);
+}
+
+TEST(OverlayGraphTest, RestoredDeltaMatchesIncrementalRegistration) {
+  // Additions and removals recorded while an endpoint was unregistered are
+  // applied when it registers; a restore installs every record first and
+  // then registers in id order. Both must produce the same lists.
+  Graph g = Barbell(4);  // cliques {0..3} and {4..7}, bridge (3, 4)
+  OverlayGraph incremental;
+  incremental.RegisterNode(0, g.Neighbors(0));
+  incremental.AddEdge(0, 6);     // 6 registers later
+  incremental.RemoveEdge(0, 1);  // 1 registers later
+  incremental.RegisterNode(5, g.Neighbors(5));
+  incremental.AddEdge(5, 2);  // 2 registers later
+  incremental.MarkProcessed(5, 2);
+  for (NodeId v : {6u, 2u, 1u, 3u}) {
+    incremental.RegisterNode(v, g.Neighbors(v));
+  }
+  ASSERT_TRUE(incremental.HasEdge(6, 0));
+  ASSERT_TRUE(incremental.HasEdge(2, 5));
+  ASSERT_FALSE(incremental.HasEdge(1, 0));
+
+  OverlayGraph restored;
+  restored.RestoreDelta(incremental.SnapshotDelta(),
+                        [&g](NodeId v) { return g.Neighbors(v); });
+  EXPECT_EQ(restored.num_registered(), incremental.num_registered());
+  EXPECT_EQ(restored.num_added(), 2u);
+  EXPECT_EQ(restored.num_removed(), 1u);
+  EXPECT_TRUE(restored.IsProcessed(2, 5));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    ASSERT_EQ(restored.IsRegistered(v), incremental.IsRegistered(v)) << v;
+    if (!incremental.IsRegistered(v)) continue;
+    const auto want = incremental.Neighbors(v);
+    const auto got = restored.Neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()),
+              std::vector<NodeId>(want.begin(), want.end()))
+        << v;
+    // Unchanged nodes borrow the graph's list on both paths.
+    EXPECT_EQ(got.data() == g.Neighbors(v).data(),
+              want.data() == g.Neighbors(v).data())
+        << v;
+  }
+  EXPECT_EQ(restored.Neighbors(3).data(), g.Neighbors(3).data());
 }
 
 }  // namespace
