@@ -185,11 +185,6 @@ NodeId MtoSampler::CommitStep(NodeId target) {
   return result;
 }
 
-double MtoSampler::CurrentDegreeForDiagnostic() {
-  auto r = interface().Query(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 double MtoSampler::EstimateOverlayDegree(NodeId u) {
   if (!Fetch(u)) return 0.0;
   const uint32_t k_before = overlay_.Degree(u);

@@ -136,12 +136,6 @@ class MtoSampler final : public Sampler {
   uint64_t speculative_commits() const { return speculative_commits_; }
   uint64_t speculation_hits() const { return speculation_hits_; }
 
-  /// True degree of the current node — the same attribute θ the baselines
-  /// feed the Geweke diagnostic, so convergence detection is comparable.
-  /// (The overlay degree drifts while rewiring is still discovering edges,
-  /// which would systematically delay the diagnostic.)
-  double CurrentDegreeForDiagnostic() override;
-
   /// 1 / k̂*_current (see MtoConfig::weight_mode).
   double ImportanceWeight() override;
 

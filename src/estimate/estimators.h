@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -39,6 +40,13 @@ class RunningImportanceMean {
   double weighted_sum_ = 0.0;
   double weight_sum_ = 0.0;
   size_t n_ = 0;
+};
+
+/// One point of an estimate-vs-cost trajectory: the running estimate after
+/// a sample, against the unique-query cost when it was collected.
+struct TracePoint {
+  uint64_t query_cost = 0;
+  double estimate = 0.0;
 };
 
 /// COUNT/SUM estimation given the public population size (paper footnote 4):

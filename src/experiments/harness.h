@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/mto_sampler.h"
+#include "src/estimate/estimators.h"
 #include "src/net/restricted_interface.h"
 #include "src/net/social_network.h"
 #include "src/walk/sampler.h"
@@ -42,12 +43,6 @@ struct WalkRunConfig {
   /// MtoSampler::FreezeTopology(); ablated in bench_ablation_rules.
   bool mto_freeze_after_burn_in = true;
   double jump_probability = 0.5;     ///< used when program == "random_jump"
-};
-
-/// One point of an estimate-vs-cost trajectory.
-struct TracePoint {
-  uint64_t query_cost = 0;
-  double estimate = 0.0;
 };
 
 /// Result of one run.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "src/graph/datasets.h"
 #include "src/obs/convergence.h"
@@ -86,7 +88,6 @@ CrawlService::CrawlService(const ScenarioConfig& config)
   options.geweke_threshold = config_.geweke_threshold;
   options.geweke_min_length = config_.geweke_min_length;
   options.geweke_check_every = config_.geweke_check_every;
-  options.queue_capacity = config_.queue_capacity;
   pipeline_ = std::make_unique<EstimationPipeline>(options);
 
   collection_rounds_target_ =
@@ -184,7 +185,8 @@ void CrawlService::TakeSnapshot() {
     }
     obs::PublishEstimateTelemetry(
         *registry_,
-        obs::ComputeEstimateTelemetry(diagnostics_stream_, values, weights));
+        obs::ComputeEstimateTelemetry(pipeline_->diagnostics(), values,
+                                      weights));
   }
   snapshots_.push_back(registry_->Snapshot(units_done_));
   if (watchdog_ != nullptr) watchdog_->ObserveSnapshot(snapshots_.back());
@@ -214,11 +216,9 @@ bool CrawlService::Advance() {
       diag_scratch_.clear();
       scheduler_->RunRounds(chunk, &diag_scratch_);
       pipeline_->PushDiagnostics(diag_scratch_);
-      diagnostics_stream_.insert(diagnostics_stream_.end(),
-                                 diag_scratch_.begin(), diag_scratch_.end());
       rounds_ += chunk;
-      // Epoch-boundary decision on a fully-consumed prefix: a pure
-      // function of the diagnostic stream (see EstimationPipeline).
+      // Epoch-boundary decision: a pure function of the diagnostic stream
+      // prefix (see EstimationPipeline).
       burn_in_converged_ =
           pipeline_->ConvergedAfter(rounds_ * config_.num_walkers);
     }
@@ -261,15 +261,12 @@ ServiceResult CrawlService::Run() {
 
 ServiceResult CrawlService::Finish() {
   if (!finished_) {
-    const EstimationPipeline::Result estimation = pipeline_->Finish();
+    EstimationPipeline::Result estimation = pipeline_->Finish();
     result_.samples.reserve(samples_stream_.size());
     for (const auto& record : samples_stream_) {
       result_.samples.push_back(record.node);
     }
-    result_.trace.reserve(estimation.trace.size());
-    for (const auto& point : estimation.trace) {
-      result_.trace.push_back({point.query_cost, point.estimate});
-    }
+    result_.trace = std::move(estimation.trace);
     result_.final_estimate = estimation.estimate;
     result_.burn_in_converged = burn_in_converged_;
     result_.burn_in_rounds = burn_in_rounds_;
@@ -340,14 +337,7 @@ JsonValue CrawlService::RunReport() const {
     res["simulated_time_us"] =
         JsonValue(static_cast<double>(result_.simulated_time_us));
   } else {
-    double weight_sum = 0.0;
-    double weighted_sum = 0.0;
-    for (const auto& record : samples_stream_) {
-      weight_sum += record.weight;
-      weighted_sum += record.value * record.weight;
-    }
-    res["final_estimate"] =
-        JsonValue(weight_sum > 0.0 ? weighted_sum / weight_sum : 0.0);
+    res["final_estimate"] = JsonValue(pipeline_->RunningEstimate());
     res["burn_in_converged"] = JsonValue(burn_in_converged_);
     res["burn_in_rounds"] =
         JsonValue(static_cast<double>(burn_in_rounds_));
@@ -424,7 +414,8 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
   ckpt.burn_in_converged = burn_in_converged_ ? 1 : 0;
   ckpt.burn_in_rounds = burn_in_rounds_;
   ckpt.burn_in_query_cost = burn_in_query_cost_;
-  ckpt.diagnostics = diagnostics_stream_;
+  const std::span<const double> diagnostics = pipeline_->diagnostics();
+  ckpt.diagnostics.assign(diagnostics.begin(), diagnostics.end());
   ckpt.samples = samples_stream_;
   // Overlay-carrying walkers (MTO) additionally snapshot their delta per
   // walker (walker order). The rewiring RNG is the walker RNG, already
@@ -487,8 +478,8 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
         "LoadCheckpoint: checkpoint was written by a different scenario");
   }
   // The estimation streams must be exactly as long as the progress
-  // counters say: the resumed burn-in waits in ConvergedAfter for
-  // rounds x walkers diagnostics, which a short stream never delivers.
+  // counters say: the resumed burn-in asks ConvergedAfter about
+  // rounds x walkers diagnostics, which a short stream never holds.
   const size_t walkers = config_.num_walkers;
   const uint64_t diagnostic_rounds =
       ckpt.phase == CrawlPhase::kBurnIn ? ckpt.rounds : ckpt.burn_in_rounds;
@@ -556,11 +547,9 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   }
 
   // Replay the estimation streams: the pipeline's state after n items is a
-  // pure function of the stream prefix, so the resumed consumer reaches the
+  // pure function of the stream prefix, so the resumed pipeline reaches the
   // exact state of the interrupted one.
-  if (!ckpt.diagnostics.empty()) {
-    pipeline_->PushDiagnostics(ckpt.diagnostics);
-  }
+  pipeline_->PushDiagnostics(ckpt.diagnostics);
   for (const auto& record : ckpt.samples) {
     pipeline_->PushSample(record.value, record.weight, record.query_cost);
   }
@@ -571,7 +560,6 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   burn_in_converged_ = ckpt.burn_in_converged != 0;
   burn_in_rounds_ = static_cast<size_t>(ckpt.burn_in_rounds);
   burn_in_query_cost_ = ckpt.burn_in_query_cost;
-  diagnostics_stream_ = ckpt.diagnostics;
   samples_stream_ = ckpt.samples;
   started_ = true;
 }

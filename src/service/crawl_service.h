@@ -41,8 +41,9 @@ struct ServiceResult {
 
 /// The fault-tolerant crawl driver: wires a ScenarioConfig into a
 /// BackendPool (multi-backend session) behind a ConcurrentInterfaceCache,
-/// a CrawlScheduler (sharded walkers), and an EstimationPipeline (async
-/// Geweke + estimate), and drives burn-in then sampling in resumable units.
+/// a CrawlScheduler (sharded walkers), and an EstimationPipeline (Geweke +
+/// estimate, fed inline), and drives burn-in then sampling in resumable
+/// units.
 ///
 /// `Advance()` performs one unit — a burn-in epoch (geweke_check_every
 /// rounds) or one collection round — and every unit boundary is a valid
@@ -88,7 +89,7 @@ class CrawlService {
   /// `config.checkpoint.every_units` units when configured, then finalizes.
   ServiceResult Run();
 
-  /// Finalizes (joins the estimation thread) and returns the result.
+  /// Finalizes and returns the result.
   /// Idempotent. Callable before Done() for partial results.
   ServiceResult Finish();
 
@@ -147,9 +148,9 @@ class CrawlService {
   const WalkProgram* program_ = nullptr;
 
   // Observability (all null/empty when the scenario leaves it off).
-  // Declared before the crawl components: scheduler and pipeline threads
-  // record into these until their destructors join, so the registry and
-  // trace log must be destroyed last (reverse declaration order).
+  // Declared before the crawl components: scheduler threads record into
+  // these until their destructors join, so the registry and trace log must
+  // be destroyed last (reverse declaration order).
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::TraceLog> trace_log_;
   // Watchdog before exporter: the exporter's serving thread reads the
@@ -170,8 +171,8 @@ class CrawlService {
   size_t collection_rounds_done_ = 0;
   size_t collection_rounds_target_ = 0;
 
-  // Estimation-stream prefix (checkpoint payload / replay source).
-  std::vector<double> diagnostics_stream_;
+  // Sample-stream prefix (checkpoint payload / replay source); the
+  // diagnostic stream lives in the pipeline's Geweke monitor.
   std::vector<ServiceCheckpoint::SampleRecord> samples_stream_;
   std::vector<double> diag_scratch_;
 

@@ -1,5 +1,6 @@
 #include "src/service/scenario_config.h"
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -125,10 +126,10 @@ const char* AttributeKey(Attribute attribute) {
 ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   CheckKeys(root, "the document",
             {"dataset", "seed", "program", "mto", "attribute", "walkers",
-             "threads", "coalesce_frontier", "pipeline_depth",
-             "queue_capacity", "geweke", "max_burn_in_rounds", "num_samples",
-             "thinning", "total_budget", "backends", "routing", "retry",
-             "fault_seed", "checkpoint", "observability"});
+             "threads", "coalesce_frontier", "pipeline_depth", "geweke",
+             "max_burn_in_rounds", "num_samples", "thinning", "total_budget",
+             "backends", "routing", "retry", "fault_seed", "checkpoint",
+             "observability"});
   ScenarioConfig config;
   if (root.Has("dataset")) config.dataset = root.At("dataset").AsString();
   if (root.Has("seed")) config.seed = root.At("seed").AsUint();
@@ -224,9 +225,6 @@ ScenarioConfig ScenarioConfig::FromJson(const JsonValue& root) {
   }
   if (root.Has("pipeline_depth")) {
     config.pipeline_depth = root.At("pipeline_depth").AsUint();
-  }
-  if (root.Has("queue_capacity")) {
-    config.queue_capacity = root.At("queue_capacity").AsUint();
   }
   if (root.Has("geweke")) {
     const JsonValue& geweke = root.At("geweke");
@@ -352,8 +350,9 @@ void ScenarioConfig::Validate() const {
   if (num_samples == 0) {
     throw std::invalid_argument("ScenarioConfig: num_samples must be >= 1");
   }
-  if (queue_capacity == 0) {
-    throw std::invalid_argument("ScenarioConfig: queue_capacity must be >= 1");
+  if (!std::isfinite(geweke_threshold) || geweke_threshold < 0.0) {
+    throw std::invalid_argument(
+        "ScenarioConfig: geweke.threshold must be finite and >= 0");
   }
   if (FindWalkProgram(program.name) == nullptr) {
     throw std::invalid_argument("ScenarioConfig: unknown program \"" +
@@ -473,10 +472,10 @@ uint64_t ScenarioConfig::Fingerprint() const {
     fnv.Mix(backend.quota_rate);
     fnv.Mix(backend.timeout_us);
   }
-  // num_threads, coalesce_frontier, pipeline_depth, and queue_capacity are
-  // deliberately excluded: results are bit-identical across them (the
-  // runtime contract), so a checkpoint from a 1-thread free-run crawl may
-  // resume on 8 threads with a pipelined frontier, and vice versa. The
+  // num_threads, coalesce_frontier, and pipeline_depth are deliberately
+  // excluded: results are bit-identical across them (the runtime
+  // contract), so a checkpoint from a 1-thread free-run crawl may resume
+  // on 8 threads with a pipelined frontier, and vice versa. The
   // observability block is excluded for the same reason — telemetry is
   // strictly passive (no RNG draws, no queries, no session-state
   // mutation), so a run may be resumed with observability toggled either

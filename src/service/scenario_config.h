@@ -123,10 +123,13 @@ struct ScenarioConfig {
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;
-  size_t queue_capacity = 4096;
 
+  /// Geweke Z cutoff; must be finite and >= 0 (Z is never below 0).
   double geweke_threshold = 0.1;
   size_t geweke_min_length = 200;
+  /// Two roles: the burn-in epoch in rounds (one Advance unit), and the
+  /// GewekeMonitor's re-check period in diagnostic values (each round
+  /// pushes one value per walker).
   size_t geweke_check_every = 50;
   size_t max_burn_in_rounds = 2000;
   size_t num_samples = 200;

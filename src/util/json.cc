@@ -226,6 +226,11 @@ class Parser {
       pos_ = start;
       Fail("malformed number");
     }
+    if (!std::isfinite(value)) {
+      // strtod saturates an overflowing literal (1e999) to +-inf.
+      pos_ = start;
+      Fail("number out of range");
+    }
     return JsonValue(value);
   }
 

@@ -43,9 +43,4 @@ NodeId MetropolisHastingsWalk::CommitStep(NodeId target) {
   return current();
 }
 
-double MetropolisHastingsWalk::CurrentDegreeForDiagnostic() {
-  auto r = interface().QueryRef(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 }  // namespace mto

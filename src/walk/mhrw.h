@@ -22,7 +22,6 @@ class MetropolisHastingsWalk final : public Sampler {
   /// propose's single uniform draw on a saved/restored RNG.
   void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
   NodeId CommitStep(NodeId target) override;
-  double CurrentDegreeForDiagnostic() override;
 
   /// Uniform stationary distribution: constant weight.
   double ImportanceWeight() override { return 1.0; }

@@ -90,11 +90,6 @@ void Node2VecWalk::Teleport(NodeId node) {
   prev_.reset();
 }
 
-double Node2VecWalk::CurrentDegreeForDiagnostic() {
-  auto r = interface().QueryRef(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 double Node2VecWalk::ImportanceWeight() {
   auto r = interface().QueryRef(current());
   if (!r || r->degree() == 0) return 0.0;

@@ -62,9 +62,4 @@ void PageRankMassWalk::PeekNextTargets(size_t width,
   rng().RestoreState(saved);
 }
 
-double PageRankMassWalk::CurrentDegreeForDiagnostic() {
-  auto r = interface().QueryRef(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 }  // namespace mto

@@ -37,7 +37,6 @@ class PageRankMassWalk final : public Sampler {
   /// neighbor branch predicts when the current node is cached. Replays the
   /// draws on a saved/restored RNG.
   void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
-  double CurrentDegreeForDiagnostic() override;
   /// The surfer's stationary distribution is the estimation target itself,
   /// so samples are unweighted.
   double ImportanceWeight() override { return 1.0; }

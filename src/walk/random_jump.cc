@@ -32,9 +32,4 @@ NodeId RandomJumpWalk::Step() {
   return current();
 }
 
-double RandomJumpWalk::CurrentDegreeForDiagnostic() {
-  auto r = interface().QueryRef(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 }  // namespace mto

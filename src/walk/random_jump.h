@@ -16,7 +16,6 @@ class RandomJumpWalk final : public Sampler {
                  double jump_probability = 0.5);
 
   NodeId Step() override;
-  double CurrentDegreeForDiagnostic() override;
 
   /// The jump mixture keeps the chain near-uniform; the paper treats RJ
   /// samples as uniform, and we follow it.

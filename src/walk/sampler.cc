@@ -19,6 +19,11 @@ UserProfile Sampler::CurrentProfile() {
   return *r->profile;
 }
 
+double Sampler::CurrentDegreeForDiagnostic() {
+  auto r = interface_->QueryRef(current_);
+  return r ? static_cast<double>(r->degree()) : 0.0;
+}
+
 uint32_t Sampler::CurrentDegree() {
   auto r = interface_->QueryRef(current_);
   if (!r) throw std::logic_error("Sampler: current node not cached");

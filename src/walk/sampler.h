@@ -35,8 +35,8 @@ enum class StepProtocol {
 /// A sampler owns its position but not the interface (the interface is the
 /// shared "session" whose cache and query counter persist across samplers in
 /// ablation studies only when explicitly reused). Each `Step()` advances the
-/// chain one transition; the harness interleaves steps with a StoppingRule
-/// and reads samples off `current()`.
+/// chain one transition; the harness interleaves steps with a Geweke
+/// burn-in check and reads samples off `current()`.
 class Sampler {
  public:
   /// `start` must be a valid user id of the interface's network.
@@ -98,11 +98,12 @@ class Sampler {
   /// Current position of the walk.
   NodeId current() const { return current_; }
 
-  /// The walk's own view of the degree of its current node: the attribute
-  /// fed to the Geweke diagnostic. For baselines this is the true degree;
-  /// for MTO it is the overlay degree (the chain the diagnostic must judge
-  /// is the overlay chain).
-  virtual double CurrentDegreeForDiagnostic() = 0;
+  /// The true degree of the current node (0 if it is not cached): the
+  /// attribute fed to the Geweke diagnostic. Every walk reports it, MTO
+  /// included: MTO's overlay degree drifts while rewiring still discovers
+  /// edges, which would delay the diagnostic, and the true degree keeps
+  /// convergence detection comparable across samplers (DESIGN.md §4).
+  double CurrentDegreeForDiagnostic();
 
   /// Importance weight proportional to 1/τ(current), where τ is the chain's
   /// stationary distribution. Used by self-normalized importance-sampling

@@ -40,11 +40,6 @@ NodeId SimpleRandomWalk::CommitStep(NodeId target) {
   return current();
 }
 
-double SimpleRandomWalk::CurrentDegreeForDiagnostic() {
-  auto r = interface().QueryRef(current());
-  return r ? static_cast<double>(r->degree()) : 0.0;
-}
-
 double SimpleRandomWalk::ImportanceWeight() {
   auto r = interface().QueryRef(current());
   if (!r || r->degree() == 0) return 0.0;

@@ -21,7 +21,6 @@ class SimpleRandomWalk final : public Sampler {
   /// Exact prediction when the current node is cached: replays the next
   /// propose's single uniform draw on a saved/restored RNG.
   void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
-  double CurrentDegreeForDiagnostic() override;
   double ImportanceWeight() override;
   std::string name() const override { return "SRW"; }
 };

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/estimate/estimators.h"
+#include "src/mcmc/geweke.h"
 #include "src/runtime/estimation_pipeline.h"
 #include "src/service/checkpoint.h"
+#include "src/util/rng.h"
 
 namespace mto {
 namespace {
@@ -380,8 +385,95 @@ TEST(CrawlServiceTest, LoadCheckpointGuards) {
   std::remove(path.c_str());
 }
 
+TEST(CrawlServiceTest, BurnInRunsToTheCapWhenGewekeCannotPass) {
+  // min_length above cap x walkers: the monitor never gets to check, so
+  // burn-in ends on the cap. The cap is not a multiple of the 20-round
+  // epoch, so the last epoch is clamped.
+  ScenarioConfig config = FaultyScenario();
+  config.max_burn_in_rounds = 70;
+  config.geweke_min_length = 70 * config.num_walkers + 1;
+  CrawlService service(config);
+  const ServiceResult result = service.Run();
+  EXPECT_FALSE(result.burn_in_converged);
+  EXPECT_EQ(result.burn_in_rounds, config.max_burn_in_rounds);
+  EXPECT_EQ(result.samples.size(), config.num_samples);
+}
+
+TEST(EstimationPipelineTest, ChunkingDoesNotChangeTheResult) {
+  // A drifting prefix followed by stationary noise, so Geweke converges
+  // part-way through the stream, and samples with some zero weights.
+  Rng rng(0x5EED);
+  std::vector<double> thetas;
+  for (size_t i = 0; i < 20; ++i) thetas.push_back(rng.Normal(40.0 + i, 5.0));
+  for (size_t i = 0; i < 1500; ++i) thetas.push_back(rng.Normal(60.0, 5.0));
+  struct Sample {
+    double value, weight;
+    uint64_t cost;
+  };
+  std::vector<Sample> samples;
+  for (size_t i = 0; i < 200; ++i) {
+    samples.push_back({rng.UniformDouble(0.0, 50.0),
+                       i % 5 == 0 ? 0.0 : rng.UniformDouble(0.1, 1.0),
+                       10 * i + rng.UniformInt(10)});
+  }
+  EstimationPipeline::Options options;
+  options.geweke_threshold = 0.3;
+  options.geweke_min_length = 100;
+  options.geweke_check_every = 30;
+
+  // Hand-driven reference.
+  GewekeMonitor monitor(options.geweke_threshold, options.geweke_min_length,
+                        options.geweke_check_every);
+  size_t converged_at = 0;
+  for (size_t i = 0; i < thetas.size(); ++i) {
+    monitor.Add(thetas[i]);
+    if (converged_at == 0 && monitor.Converged()) converged_at = i + 1;
+  }
+  ASSERT_GT(converged_at, options.geweke_min_length);
+  ASSERT_LT(converged_at, thetas.size());
+  RunningImportanceMean mean;
+  std::vector<TracePoint> trace;
+  for (const Sample& sample : samples) {
+    if (sample.weight > 0.0) mean.Add(sample.value, sample.weight);
+    if (mean.Valid()) trace.push_back({sample.cost, mean.Estimate()});
+  }
+
+  for (const size_t chunk : {size_t{1}, size_t{7}, thetas.size()}) {
+    SCOPED_TRACE(chunk);
+    EstimationPipeline pipeline(options);
+    for (size_t begin = 0; begin < thetas.size(); begin += chunk) {
+      const size_t end = std::min(begin + chunk, thetas.size());
+      pipeline.PushDiagnostics(
+          std::span<const double>(thetas).subspan(begin, end - begin));
+      for (size_t n = 0; n <= end; ++n) {
+        ASSERT_EQ(pipeline.ConvergedAfter(n), n >= converged_at) << n;
+      }
+    }
+    EXPECT_TRUE(std::equal(thetas.begin(), thetas.end(),
+                           pipeline.diagnostics().begin(),
+                           pipeline.diagnostics().end()));
+    for (const Sample& sample : samples) {
+      pipeline.PushSample(sample.value, sample.weight, sample.cost);
+    }
+    EXPECT_EQ(pipeline.RunningEstimate(), mean.Estimate());  // bitwise
+    const EstimationPipeline::Result result = pipeline.Finish();
+    EXPECT_TRUE(result.converged);
+    EXPECT_EQ(result.converged_at, converged_at);
+    EXPECT_EQ(result.last_z, monitor.last_z());
+    EXPECT_EQ(result.num_diagnostics, thetas.size());
+    EXPECT_EQ(result.num_samples, samples.size());
+    EXPECT_TRUE(result.estimate_valid);
+    EXPECT_EQ(result.estimate, mean.Estimate());
+    ASSERT_EQ(result.trace.size(), trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(result.trace[i].query_cost, trace[i].query_cost) << i;
+      EXPECT_EQ(result.trace[i].estimate, trace[i].estimate) << i;
+    }
+  }
+}
+
 TEST(EstimationPipelineTest, ConvergedAfterRefusesObservationsNeverPushed) {
-  // Waiting for diagnostics that were never pushed would hang; it throws.
+  // Asking about diagnostics that were never pushed is a caller bug.
   EstimationPipeline pipeline(EstimationPipeline::Options{});
   const std::vector<double> thetas(10, 1.0);
   pipeline.PushDiagnostics(thetas);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -99,6 +100,18 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(ParseJson("1 2"), std::runtime_error);  // trailing content
   EXPECT_THROW(ParseJson("\"unterminated"), std::runtime_error);
   EXPECT_THROW(ParseJson("{\"a\": 1, \"a\": 2}"), std::runtime_error);
+}
+
+TEST(JsonTest, NumbersThatOverflowADoubleAreRejected) {
+  // strtod saturates these to +-inf; a parsed document never holds one.
+  EXPECT_THROW(ParseJson("1e999"), std::runtime_error);
+  EXPECT_THROW(ParseJson("-1e999"), std::runtime_error);
+  EXPECT_THROW(ParseJson(R"({"geweke": {"threshold": 1e999}})"),
+               std::runtime_error);
+  // The largest finite double still parses, and underflow rounds to 0.
+  EXPECT_EQ(ParseJson("1.7976931348623157e308").AsDouble(),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(ParseJson("1e-999").AsDouble(), 0.0);
 }
 
 TEST(JsonTest, TypeMismatchThrows) {

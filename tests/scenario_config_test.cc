@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -123,6 +124,9 @@ TEST(ScenarioConfigTest, UnknownKeysAreRejected) {
   // per-program knobs.
   EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"jump_probability": 0.5})"),
                std::invalid_argument);
+  // The estimation pipeline runs inline and has no queue to size.
+  EXPECT_THROW(ScenarioConfig::FromJsonText(R"({"queue_capacity": 4096})"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioConfigTest, ProgramBlockSelectsTheWalkProgram) {
@@ -219,6 +223,29 @@ TEST(ScenarioConfigTest, SemanticValidation) {
                     "mto": {"degree_probe": 4294967295}})")
                 .program.params.mto.degree_probe,
             4294967295u);
+  // Z is never below 0, so a negative threshold could never pass and
+  // burn-in would silently run to the cap; a non-finite one passes every
+  // check. Both are refused, naming the key.
+  for (const double threshold :
+       {-0.5, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioConfig config;
+    config.geweke_threshold = threshold;
+    try {
+      config.Validate();
+      ADD_FAILURE() << "threshold " << threshold << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("geweke.threshold"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"geweke": {"threshold": -0.5}})"),
+               std::invalid_argument);
+  EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"geweke": {"threshold": 0}})")
+                .geweke_threshold,
+            0.0);
   // Checkpointing requires a path...
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"checkpoint": {"every_units": 2}})"),
@@ -247,7 +274,6 @@ TEST(ScenarioConfigTest, FingerprintTracksBehavioralFieldsOnly) {
   b = a;
   b.num_threads = 1;
   b.coalesce_frontier = false;
-  b.queue_capacity = 16;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   // Same for the pipeline depth (pipeline_equivalence_test pins the
   // bitwise equivalence this exclusion relies on)...
