@@ -148,31 +148,6 @@ std::optional<NodeId> MtoSampler::ProposeStep() {
   return v;
 }
 
-void MtoSampler::PeekNextTargets(size_t width, std::vector<NodeId>& out) {
-  // Unlike ProposeStep this must not register the current node even from
-  // cache: registration mutates the overlay, and a peek is observation
-  // only. An unregistered current node simply announces nothing.
-  if (width == 0 || !overlay_.IsRegistered(current())) return;
-  const uint32_t deg = overlay_.Degree(current());
-  if (deg == 0) return;
-  // Draw the next `width` uniform overlay-neighbor picks on a saved RNG:
-  // draw 0 is exactly the propose's speculation; draws 1..k-1 are what a
-  // commit-time re-pick (removal, lazy re-draw) reaches first, modulo the
-  // classification draws interleaved between them — good enough for a
-  // wall-clock-only hint.
-  const std::array<uint64_t, 4> saved = rng().SaveState();
-  const size_t before = out.size();
-  for (size_t i = 0; i < width && out.size() - before < width; ++i) {
-    const NodeId v = overlay_.Neighbors(
-        current())[static_cast<size_t>(rng().UniformInt(deg))];
-    if (std::find(out.begin() + static_cast<std::ptrdiff_t>(before),
-                  out.end(), v) == out.end()) {
-      out.push_back(v);
-    }
-  }
-  rng().RestoreState(saved);
-}
-
 NodeId MtoSampler::CommitStep(NodeId target) {
   // Re-validate by replaying the full step: the first pick re-derives
   // `target` (same RNG state, same overlay), then classification decides

@@ -101,7 +101,7 @@ class MtoSampler final : public Sampler {
   /// uniform overlay neighbor `Step()` would draw first) by saving and
   /// restoring the RNG state around the draw, so it consumes *zero* draws
   /// and never queries; a scheduler coalesces the announced picks into one
-  /// bulk prefetch. `CommitStep()` then replays the full step logic against
+  /// bulk fetch. `CommitStep()` then replays the full step logic against
   /// the warm cache and re-validates: when rewiring invalidated the
   /// speculated target it re-picks exactly as the sequential path would
   /// (the prefetched node stays a warm cache entry — the same unique query
@@ -117,16 +117,6 @@ class MtoSampler final : public Sampler {
   }
   std::optional<NodeId> ProposeStep() override;
   NodeId CommitStep(NodeId target) override;
-
-  /// Depth-k top candidates for the pipelined prefetcher: the first entry
-  /// is exactly the pick the next propose will announce (same saved RNG,
-  /// same overlay view); subsequent entries are the draws that follow it —
-  /// the candidates a commit-time re-pick (edge removed/replaced, lazy
-  /// re-draw) reaches first. All draws run on a saved/restored RNG against
-  /// the current overlay; nothing is consumed, queried, or mutated
-  /// (unregistered current nodes announce nothing — registering would be a
-  /// counted query).
-  void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
 
   /// Speculation accounting (reset never; read by benches/tests). A commit
   /// is a *hit* when the step moved to the speculated target on its first

@@ -13,12 +13,10 @@ void RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
                                           FetchPlan& plan) {
   plan.batches.clear();
   plan.fetched.assign(misses.size(), 0);
-  plan.first_backend.assign(misses.size(), UINT32_MAX);
   size_t admitted = 0;
   for (; admitted < misses.size() && !BudgetExhausted(); ++admitted) {
     MarkFetched(misses[admitted]);
     plan.fetched[admitted] = 1;
-    plan.first_backend[admitted] = 0;
   }
   if (admitted == 0) return;
   // The one perfect backend's ledger is a trip counter: charging it now
@@ -31,14 +29,6 @@ void RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
 
 void RestrictedInterface::ApplyFetchBatch(const FetchPlan::Batch& batch) {
   (void)batch;  // planning already settled the only ledger
-}
-
-std::optional<std::vector<uint32_t>> RestrictedInterface::PlanPrefetch(
-    std::span<const NodeId> ids) const {
-  // One perfect backend: no per-node routing to preview, and nothing a
-  // prefetch could overlap. Callers skip prefetching.
-  (void)ids;
-  return std::nullopt;
 }
 
 QueryResult RestrictedInterface::MakeResult(NodeId v) const {

@@ -29,10 +29,6 @@ struct FetchPlan {
   /// Parallel to the planned misses: 1 iff that node was fetched (it is
   /// cached and cost was charged), 0 iff it was refused.
   std::vector<uint8_t> fetched;
-  /// Parallel to the planned misses: the backend that served the node's
-  /// *first real request* attempt (prefetch-prediction ground truth), or
-  /// UINT32_MAX when no request was issued for it.
-  std::vector<uint32_t> first_backend;
 };
 
 /// Response of one individual-user query q(v) (paper Section II-A):
@@ -149,8 +145,8 @@ class RestrictedInterface {
   /// Non-counting cache read: the response for `v` iff it is already
   /// cached, std::nullopt otherwise (including out-of-range ids). Unlike
   /// QueryRef this never issues a fetch and never moves *any* counter —
-  /// not even total_requests — so samplers may use it for purely
-  /// predictive peeks (Sampler::PeekNextTargets) without perturbing the
+  /// not even total_requests — so a sampler may read an already-paid
+  /// neighborhood (node2vec's N(prev)) without perturbing the
   /// checkpointable session state.
   virtual std::optional<QueryView> PeekCached(NodeId v) const {
     if (!IsCached(v)) return std::nullopt;
@@ -217,19 +213,6 @@ class RestrictedInterface {
   /// Independent serial connections worth modelling as fetch lanes: one
   /// per backend. The base class has one perfect backend.
   virtual size_t FetchLanes() const { return 1; }
-
-  /// Pure routing preview for pipelined prefetching (DESIGN.md §10): for
-  /// each id, the backend index its first real fetch attempt would be
-  /// routed to under the current routing counters, or UINT32_MAX when no
-  /// backend would accept it (budget exhaustion). Never mutates any state —
-  /// a preview is not a promise, and prefetch tickets built from it are
-  /// wall-clock-only. Returns std::nullopt when the interface has no
-  /// per-node routing model (the base class: one backend) or the active
-  /// selection policy is not a pure function of the node id (round-robin
-  /// and similar cursor-based policies), in which case callers simply skip
-  /// prefetching.
-  virtual std::optional<std::vector<uint32_t>> PlanPrefetch(
-      std::span<const NodeId> ids) const;
 
   /// Copies out the checkpointable session state (cache + counters).
   virtual SessionSnapshot SnapshotSession() const;

@@ -57,11 +57,6 @@ void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
     metrics_.misses = registry->GetCounter("cache.misses");
     metrics_.dedupe_waits = registry->GetCounter("cache.dedupe_waits");
     metrics_.miss_batch = registry->GetHistogram("cache.miss_batch_size");
-    metrics_.prefetch_issued = registry->GetCounter("prefetch.issued");
-    metrics_.prefetch_consumed = registry->GetCounter("prefetch.consumed");
-    metrics_.prefetch_mispredicted =
-        registry->GetCounter("prefetch.mispredicted");
-    metrics_.prefetch_stale = registry->GetCounter("prefetch.stale_cancelled");
   }
   lanes_->SetObservability(registry, trace);
 }
@@ -72,92 +67,33 @@ void ConcurrentInterfaceCache::PublishMetrics() {
       static_cast<int64_t>(TotalRequests() - metrics_.misses->Value()));
 }
 
-void ConcurrentInterfaceCache::CancelTicket(PrefetchTicket& ticket) {
-  {
-    std::lock_guard<std::mutex> lock(ticket.mutex);
-    ticket.cancelled = true;
-  }
-  ticket.cv.notify_all();
-}
-
-void ConcurrentInterfaceCache::PostApplyTask(const FetchPlan::Batch& batch,
-                                             uint32_t prepaid) {
+void ConcurrentInterfaceCache::PostApplyTask(const FetchPlan::Batch& batch) {
   lanes_->Post(batch.backend % lanes_->size(),
-               [base = base_, batch, prepaid, rtt = simulated_latency()] {
+               [base = base_, batch, rtt = simulated_latency()] {
                  base->ApplyFetchBatch(batch);  // pure ledger math
-                 // The wall-clock price of this backend's round trips,
-                 // minus the trips its prefetch tickets already slept on
-                 // this same FIFO lane (total lane busy time is conserved:
-                 // prepaid trips merely started earlier).
-                 SleepRoundTrips(rtt, batch.trips - prepaid);
+                 // The wall-clock price of this backend's round trips.
+                 SleepRoundTrips(rtt, batch.trips);
                });
 }
 
 void ConcurrentInterfaceCache::DrainPipeline() {
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    ObsAdd(metrics_.prefetch_stale, tickets_.size());
-    for (auto& entry : tickets_) CancelTicket(*entry.second);
-    tickets_.clear();
-  }
   round_marks_.clear();
   lanes_->Drain();
 }
 
-std::vector<uint32_t> ConcurrentInterfaceCache::PlanMisses(
-    std::span<const NodeId> misses, FetchPlan& plan) {
-  std::vector<std::shared_ptr<PrefetchTicket>> consumed;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    // The plan runs on the caller, in miss order, at every depth: the same
-    // state mutations (routing counters, cache marks, cost) the depth-0
-    // crawl makes. Only the ledger/latency tail is deferred.
-    base_->PlanFetchMisses(misses, plan);
-    if (!tickets_.empty()) {
-      consumed.resize(misses.size());
-      for (size_t i = 0; i < misses.size(); ++i) {
-        auto it = tickets_.find(misses[i]);
-        if (it != tickets_.end()) {
-          consumed[i] = std::move(it->second);
-          tickets_.erase(it);
-        }
-      }
-    }
-  }
-
-  // Speculation validation: a consumed ticket prepays one round trip on its
-  // lane iff it predicted the node's actual first-request backend; a
-  // mispredicted (or never-requested) node's ticket is cancelled so the
-  // wrong lane frees early. Both outcomes are wall-clock-only.
-  std::vector<uint32_t> prepaid;
-  for (size_t i = 0; i < consumed.size(); ++i) {
-    if (!consumed[i]) continue;
-    ObsAdd(metrics_.prefetch_consumed);
-    const uint32_t actual = plan.first_backend[i];
-    if (actual != UINT32_MAX && consumed[i]->backend == actual) {
-      prepaid.resize(lanes_->size(), 0);
-      ++prepaid[actual % lanes_->size()];
-    } else {
-      ObsAdd(metrics_.prefetch_mispredicted);
-      CancelTicket(*consumed[i]);
-    }
-  }
-  return prepaid;
-}
-
-uint32_t ConcurrentInterfaceCache::TakePrepaid(
-    std::vector<uint32_t>& prepaid, const FetchPlan::Batch& batch) const {
-  if (prepaid.empty()) return 0;
-  uint32_t& pre = prepaid[batch.backend % lanes_->size()];
-  const uint32_t take = std::min(pre, batch.trips);
-  pre -= take;
-  return take;
+void ConcurrentInterfaceCache::PlanMisses(std::span<const NodeId> misses,
+                                          FetchPlan& plan) {
+  std::lock_guard<std::mutex> lock(base_mutex_);
+  // The plan runs on the caller, in miss order, at every depth: the same
+  // state mutations (routing counters, cache marks, cost) the depth-0
+  // crawl makes. Only the ledger/latency tail is deferred.
+  base_->PlanFetchMisses(misses, plan);
 }
 
 const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
     std::span<const NodeId> misses, bool caller_joins) {
   FetchPlan& plan = ThreadPlan();
-  std::vector<uint32_t> prepaid = PlanMisses(misses, plan);
+  PlanMisses(misses, plan);
   // Publish planned outcomes: every miss is either claimed by the caller or
   // (a frontier) reachable by no other query-path thread, so the flags are
   // set directly. Readers may see these nodes while their round trips are
@@ -169,15 +105,14 @@ const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
   }
   for (size_t k = 0; k < plan.batches.size(); ++k) {
     const FetchPlan::Batch& batch = plan.batches[k];
-    const uint32_t take = TakePrepaid(prepaid, batch);
     if (caller_joins && k + 1 == plan.batches.size()) {
       // The caller would only wait for the lanes: it serves the last
       // backend itself, sparing the lane hand-off and wake-up per batch.
       // Plan-order queues keep the ledgers as if a lane had applied it.
       base_->ApplyFetchBatch(batch);
-      SleepRoundTrips(simulated_latency(), batch.trips - take);
+      SleepRoundTrips(simulated_latency(), batch.trips);
     } else {
-      PostApplyTask(batch, take);
+      PostApplyTask(batch);
     }
   }
   return plan;
@@ -209,85 +144,20 @@ void ConcurrentInterfaceCache::FetchFrontier(
   }
 }
 
-void ConcurrentInterfaceCache::PostPrefetchHints(
-    std::span<const NodeId> predicted) {
-  if (pipeline_depth_ == 0) return;
-  struct Route {
-    std::shared_ptr<PrefetchTicket> ticket;
-  };
-  std::vector<Route> routes;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    // Deterministic stale-invalidation point: whatever the previous window
-    // predicted and this round did not consume is stale now — cancel it.
-    // The stale set is exactly (predicted \ consumed), a pure function of
-    // the crawl state, never of timing.
-    ObsAdd(metrics_.prefetch_stale, tickets_.size());
-    for (auto& entry : tickets_) CancelTicket(*entry.second);
-    tickets_.clear();
-    std::vector<NodeId> fresh;
-    for (NodeId v : predicted) {
-      if (v >= num_users()) continue;  // hints are best-effort, not errors
-      if (cached_flags_[v].load(std::memory_order_acquire) != 0) continue;
-      if (std::find(fresh.begin(), fresh.end(), v) != fresh.end()) continue;
-      fresh.push_back(v);
-    }
-    if (fresh.empty()) return;
-    const auto plan = base_->PlanPrefetch(fresh);
-    if (!plan) return;  // no pure routing preview: skip prefetching
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      if ((*plan)[i] == UINT32_MAX) continue;  // no backend would accept it
-      auto ticket = std::make_shared<PrefetchTicket>();
-      ticket->backend = (*plan)[i];
-      tickets_.emplace(fresh[i], ticket);
-      routes.push_back({std::move(ticket)});
-      ObsAdd(metrics_.prefetch_issued);
-    }
-  }
-  // Tickets are wall-clock-only: each live one occupies its predicted
-  // backend's lane for one RTT, and touches no session state — which is
-  // the entire bitwise-equality argument. One lane task per hints call
-  // sleeps the whole batch at once (live-count x RTT): per-ticket timed
-  // waits oversleep by a scheduler quantum each, which at hundreds of
-  // tickets per round dwarfs the RTTs being modelled. Cancellations land
-  // before the batch runs in steady state (the coordinator runs at most
-  // pipeline_depth rounds ahead of the lanes); a cancel arriving mid-sleep
-  // costs modelling accuracy only, never correctness.
-  const auto rtt = simulated_latency();
-  std::vector<std::vector<std::shared_ptr<PrefetchTicket>>> per_lane(
-      lanes_->size());
-  for (auto& route : routes) {
-    per_lane[route.ticket->backend % lanes_->size()].push_back(
-        std::move(route.ticket));
-  }
-  for (size_t lane = 0; lane < per_lane.size(); ++lane) {
-    if (per_lane[lane].empty()) continue;
-    lanes_->Post(lane, [batch = std::move(per_lane[lane]), rtt] {
-      uint64_t live = 0;
-      for (const auto& ticket : batch) {
-        std::lock_guard<std::mutex> lock(ticket->mutex);
-        if (!ticket->cancelled) ++live;
-      }
-      SleepRoundTrips(rtt, live);
-    });
-  }
-}
-
 bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
   const NodeId miss[1] = {v};
   FetchPlan& plan = ThreadPlan();
-  std::vector<uint32_t> prepaid = PlanMisses(miss, plan);
+  PlanMisses(miss, plan);
   // A demand miss is urgent: it applies its batches here, holding nothing
-  // but our in-flight claim, instead of queueing behind the lanes'
-  // speculative backlog (which would turn a one-RTT stall into a
-  // multi-round one). The session applies every backend's ops in plan
-  // order, so the ledgers come out the same as if the lanes had applied
-  // them. The wire time is paid inline, minus the trip a matching
-  // prefetch ticket is already sleeping out.
+  // but our in-flight claim, instead of queueing behind the lanes' posted
+  // frontier backlog (which would turn a one-RTT stall into a multi-round
+  // one). The session applies every backend's ops in plan order, so the
+  // ledgers come out the same as if the lanes had applied them. The wire
+  // time is paid inline.
   uint64_t wire_trips = 0;
   for (const FetchPlan::Batch& batch : plan.batches) {
     base_->ApplyFetchBatch(batch);
-    wire_trips += batch.trips - TakePrepaid(prepaid, batch);
+    wire_trips += batch.trips;
   }
   SleepRoundTrips(simulated_latency(), wire_trips);
   return plan.fetched[0] != 0;

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -54,12 +53,10 @@ namespace mto {
 ///    With k = 0 that is the frontier's own tasks — commits see a fully
 ///    settled round. With k >= 1, commits read the planned outcomes from
 ///    the cache while the round trips are still "in flight" as wall time on
-///    the lanes. `PostPrefetchHints` turns sampler peeks into
-///    wall-clock-only prefetch *tickets* — a ticket occupies its predicted
-///    backend's lane for one RTT and lets the real fetch discount one
-///    prepaid trip; a wrong or stale prediction is cancelled. Tickets never
-///    touch ledger, cache, or cost state, so samples/trace/estimate/ledgers
-///    are bitwise independent of the depth by construction (DESIGN.md §10).
+///    the lanes. Every fetch is planned, in order, by the coordinator or
+///    its claiming walker before anything is posted, so the depth moves
+///    only wall-clock time: samples/trace/estimate/ledgers are bitwise
+///    independent of it (DESIGN.md §10).
 ///
 /// The wrapper takes over latency simulation from the wrapped session (the
 /// session's own latency is zeroed at construction) so a round trip is
@@ -77,34 +74,21 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
 
   /// Sets the lag of FetchFrontier's join: `depth` rounds of posted
-  /// per-backend work may stay in flight behind the crawl, and with
-  /// depth >= 1 samplers are asked for up to `depth` prefetch candidates
-  /// per walker. Drains the lanes first. Call between rounds only.
+  /// per-backend work may stay in flight behind the crawl. Drains the
+  /// lanes first. Call between rounds only.
   void SetPipelineDepth(size_t depth);
   size_t pipeline_depth() const { return pipeline_depth_; }
 
   /// The coordinator's frontier fetch (CrawlScheduler only): plans the
-  /// whole frontier under the ledger mutex — consuming matching prefetch
-  /// tickets — marks planned-fetched nodes cached, posts each backend's
-  /// apply task to its lane, and runs the lag-k join. `frontier` must be
-  /// distinct, uncached ids; must be called from a single coordinator
-  /// thread with no concurrent query-path calls (CrawlScheduler's phase
-  /// barriers guarantee this).
+  /// whole frontier under the ledger mutex, marks planned-fetched nodes
+  /// cached, posts each backend's apply task to its lane, and runs the
+  /// lag-k join. `frontier` must be distinct, uncached ids; must be called
+  /// from a single coordinator thread with no concurrent query-path calls
+  /// (CrawlScheduler's phase barriers guarantee this).
   void FetchFrontier(std::span<const NodeId> frontier);
 
-  /// Publishes the next round's predicted targets as prefetch tickets:
-  /// routes each valid, uncached, deduplicated prediction via the wrapped
-  /// session's PlanPrefetch and posts a one-RTT wall-clock ticket on the
-  /// predicted backend's lane. First cancels every ticket left from the
-  /// previous prediction window (the deterministic stale-invalidation
-  /// point). Tickets mutate no session state whatsoever. Coordinator-only,
-  /// like FetchFrontier; a no-op at depth 0 or when the session cannot
-  /// preview routes.
-  void PostPrefetchHints(std::span<const NodeId> predicted);
-
-  /// Cancels all outstanding tickets and drains every lane; after this
-  /// the ledgers are quiescent (checkpoint/stat-read safe). Coordinator
-  /// only.
+  /// Drains every lane; after this the ledgers are quiescent
+  /// (checkpoint/stat-read safe). Coordinator only.
   void DrainPipeline();
 
   std::optional<QueryResult> Query(NodeId v) override;
@@ -146,8 +130,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Metric catalog (docs/observability.md): cache.hits (gauge, derived at
   /// PublishMetrics time), cache.misses (fetch claims, refusals included;
   /// hits + misses == TotalRequests), cache.dedupe_waits,
-  /// cache.miss_batch_size (histogram),
-  /// prefetch.issued / consumed / mispredicted / stale_cancelled.
+  /// cache.miss_batch_size (histogram).
   void SetObservability(obs::MetricsRegistry* registry, obs::TraceLog* trace);
 
   /// Publishes the derived cache.hits gauge: TotalRequests() minus the
@@ -173,42 +156,19 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Publishes the outcome of a claimed fetch and wakes waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
-  /// A wall-clock-only prefetch reservation: its lane task sleeps one
-  /// RTT (or until cancelled) on the predicted backend's lane. Carries no
-  /// ledger, cache, or cost effect — that is the whole determinism
-  /// argument. Guarded by its own mutex; the tickets_ map by base_mutex_.
-  struct PrefetchTicket {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool cancelled = false;
-    uint32_t backend = 0;  ///< predicted first-request backend
-  };
-
-  static void CancelTicket(PrefetchTicket& ticket);
-
   /// Counts one request for `v` and, on a miss, claims and fetches it.
   /// Returns true iff `v` is cached afterwards. The shared front half of
   /// Query and QueryRef.
   bool Admit(NodeId v);
 
   /// Fetches one claimed miss: plans it (PlanMisses), applies its batches
-  /// on this thread, and sleeps its round trips — minus one trip a
-  /// matching ticket already slept on the lane. Ledger order holds behind
+  /// on this thread, and sleeps its round trips. Ledger order holds behind
   /// in-flight frontier batches at any depth: the session applies ops in
   /// plan order. Returns whether `v` was fetched.
   bool FetchOne(NodeId v);
 
-  /// Plans `misses` into `plan` under the ledger mutex and consumes the
-  /// prefetch tickets they match. Returns, per lane, the round trips that
-  /// correctly predicted tickets already slept (empty when none did); a
-  /// mispredicted ticket is cancelled so its lane frees early.
-  std::vector<uint32_t> PlanMisses(std::span<const NodeId> misses,
-                                   FetchPlan& plan);
-
-  /// Takes up to `batch.trips` of the batch's lane's prepaid trips out of
-  /// `prepaid` (a PlanMisses result) and returns how many it took.
-  uint32_t TakePrepaid(std::vector<uint32_t>& prepaid,
-                       const FetchPlan::Batch& batch) const;
+  /// Plans `misses` into `plan` under the ledger mutex.
+  void PlanMisses(std::span<const NodeId> misses, FetchPlan& plan);
 
   /// The batch fetch shared by FetchFrontier and BatchQuery: plans
   /// `misses` (PlanMisses), publishes the fetched nodes' cache flags, and
@@ -222,9 +182,8 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
                                bool caller_joins);
 
   /// Posts one planned batch to its backend's lane: ledger apply first,
-  /// then the wall-clock price of its round trips minus `prepaid` ticket
-  /// trips.
-  void PostApplyTask(const FetchPlan::Batch& batch, uint32_t prepaid);
+  /// then the wall-clock price of its round trips.
+  void PostApplyTask(const FetchPlan::Batch& batch);
 
   /// Cache-hit predicate for the query paths: one acquire load of the
   /// per-node flag (0 = uncached, 1 = cached).
@@ -241,10 +200,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     obs::Counter* misses = nullptr;
     obs::Counter* dedupe_waits = nullptr;
     obs::Histogram* miss_batch = nullptr;
-    obs::Counter* prefetch_issued = nullptr;
-    obs::Counter* prefetch_consumed = nullptr;
-    obs::Counter* prefetch_mispredicted = nullptr;
-    obs::Counter* prefetch_stale = nullptr;
   };
 
   RestrictedInterface* base_;
@@ -255,11 +210,10 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   Shard shards_[kShards];
 
   // Lane state. One lane per FetchLanes() of the wrapped session, created
-  // at construction; pipeline_depth_ changes only between rounds; tickets_
-  // and round_marks_ are touched under base_mutex_ / by the coordinator.
+  // at construction; pipeline_depth_ changes only between rounds;
+  // round_marks_ is touched by the coordinator only.
   size_t pipeline_depth_ = 0;
   std::unique_ptr<SerialChannels> lanes_;
-  std::unordered_map<NodeId, std::shared_ptr<PrefetchTicket>> tickets_;
   std::deque<SerialChannels::Marker> round_marks_;
 };
 

@@ -23,6 +23,10 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   // its join lag here so every construction site inherits the CrawlConfig
   // choice.
   cache_ = dynamic_cast<ConcurrentInterfaceCache*>(&interface);
+  if (config.num_threads > 1 && cache_ == nullptr) {
+    throw std::invalid_argument(
+        "CrawlScheduler: num_threads > 1 needs a ConcurrentInterfaceCache");
+  }
   if (cache_ != nullptr) cache_->SetPipelineDepth(config.pipeline_depth);
   // Fork per-walker streams in index order: walker i's stream is a function
   // of (seed, i) only, never of num_walkers' layout or num_threads.
@@ -39,7 +43,6 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   }
   pool_ = std::make_unique<ThreadPool>(config.num_threads);
   proposals_.resize(walkers_.size());
-  peeks_.resize(walkers_.size());
 }
 
 CrawlScheduler::~CrawlScheduler() = default;
@@ -200,26 +203,6 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
       }
     }
   });
-  // Phase 4 (pipeline_depth >= 1 only; parallel peek, then coordinator
-  // publish): ask each walker for its predicted next targets — pure reads
-  // on saved RNG state, so this perturbs nothing — and turn them into
-  // prefetch tickets. The hints call runs even when empty: it is the
-  // deterministic invalidation point for the previous round's stale
-  // tickets.
-  if (cache_ == nullptr || config_.pipeline_depth == 0) return;
-  const size_t width = config_.pipeline_depth;
-  pool_->Run([&](size_t t) {
-    auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      peeks_[i].clear();
-      walkers_[i]->PeekNextTargets(width, peeks_[i]);
-    }
-  });
-  predicted_.clear();
-  for (size_t i = 0; i < W; ++i) {
-    for (NodeId v : peeks_[i]) predicted_.push_back(v);
-  }
-  cache_->PostPrefetchHints(predicted_);
 }
 
 std::vector<CrawlScheduler::WalkerState> CrawlScheduler::SnapshotWalkers()

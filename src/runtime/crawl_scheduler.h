@@ -33,10 +33,8 @@ struct CrawlConfig {
   /// Lag of the frontier join (coalesced stepping over a
   /// ConcurrentInterfaceCache only; ignored otherwise): with depth k >= 1,
   /// up to k rounds of deferred per-backend latency work stay in flight
-  /// behind the crawl on the per-backend fetch lanes, and each round ends
-  /// with a speculative peek phase that prefetches up to k predicted
-  /// targets per walker as wall-clock-only tickets. 0 (default) joins every
-  /// frontier before the commit phase. Like num_threads this is pure
+  /// behind the crawl on the per-backend fetch lanes. 0 (default) joins
+  /// every frontier before the commit phase. Like num_threads this is pure
   /// execution shape: samples, trace, estimates, costs, and per-backend
   /// ledgers are bit-identical across depths (DESIGN.md §10).
   size_t pipeline_depth = 0;
@@ -62,8 +60,8 @@ struct CrawlConfig {
 /// exactly; they just void the bit-identity guarantee.)
 ///
 /// The interface handed in must be safe for `num_threads` concurrent
-/// callers — i.e. a runtime/ConcurrentInterfaceCache unless num_threads
-/// is 1.
+/// callers: a runtime/ConcurrentInterfaceCache unless num_threads is 1 (the
+/// constructor throws std::invalid_argument otherwise).
 class CrawlScheduler {
  public:
   /// Builds walker i over (`interface`, its forked rng, index i).
@@ -142,8 +140,7 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// Propose, fetch the frontier, commit — plus, at pipeline_depth >= 1,
-  /// a trailing peek/prefetch phase (DESIGN.md §10).
+  /// Propose, fetch the frontier, commit (DESIGN.md §10).
   void RunCoalescedRound(std::vector<double>* diagnostics);
 
   RestrictedInterface* interface_;
@@ -177,8 +174,6 @@ class CrawlScheduler {
   // Scratch for coalesced rounds (stable across rounds to avoid churn).
   std::vector<std::optional<NodeId>> proposals_;
   std::vector<NodeId> frontier_;
-  std::vector<std::vector<NodeId>> peeks_;  // per-walker prefetch hints
-  std::vector<NodeId> predicted_;
 };
 
 }  // namespace mto

@@ -223,46 +223,37 @@ uint64_t BackendPool::RendezvousScore(size_t b, NodeId v) const {
   return Mix64(name_hashes_[b] ^ Mix64(v));
 }
 
-void BackendPool::RouteOrder(NodeId v, std::vector<size_t>& order) const {
-  const size_t n = configs_.size();
-  order.clear();
-  if (selection_ == BackendSelection::kSharded) {
-    const size_t primary = v % n;
-    for (size_t i = 0; i < n; ++i) order.push_back((primary + i) % n);
-    return;
-  }
-  // kRendezvous: descending score order. Score ties (only possible with
-  // duplicate backend names) break toward fewer planned requests — the
-  // plan-time load tie-break — then lower index, so the order is a
-  // deterministic function of (node, routing counters). Budget-spent
-  // backends then sort behind every live one: a spent key is excluded from
-  // primary duty instead of answering with a refusal, but stays reachable
-  // as a last resort so an all-spent pool still reports refusals.
-  for (size_t b = 0; b < n; ++b) order.push_back(b);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const uint64_t score_a = RendezvousScore(a, v);
-    const uint64_t score_b = RendezvousScore(b, v);
-    if (score_a != score_b) return score_a > score_b;
-    if (routed_requests_[a] != routed_requests_[b]) {
-      return routed_requests_[a] < routed_requests_[b];
-    }
-    return a < b;
-  });
-  std::stable_partition(order.begin(), order.end(), [&](size_t b) {
-    return !configs_[b].budget || routed_unique_[b] < *configs_[b].budget;
-  });
-}
-
 void BackendPool::SelectionOrder(NodeId v, std::vector<size_t>& order) {
   const size_t n = configs_.size();
-  if (selection_ == BackendSelection::kSharded ||
-      selection_ == BackendSelection::kRendezvous) {
-    RouteOrder(v, order);
+  order.clear();
+  if (selection_ == BackendSelection::kRendezvous) {
+    // Descending score order. Score ties (only possible with duplicate
+    // backend names) break toward fewer planned requests — the plan-time
+    // load tie-break — then lower index, so the order is a deterministic
+    // function of (node, routing counters). Budget-spent backends then sort
+    // behind every live one: a spent key is excluded from primary duty
+    // instead of answering with a refusal, but stays reachable as a last
+    // resort so an all-spent pool still reports refusals.
+    for (size_t b = 0; b < n; ++b) order.push_back(b);
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      const uint64_t score_a = RendezvousScore(a, v);
+      const uint64_t score_b = RendezvousScore(b, v);
+      if (score_a != score_b) return score_a > score_b;
+      if (routed_requests_[a] != routed_requests_[b]) {
+        return routed_requests_[a] < routed_requests_[b];
+      }
+      return a < b;
+    });
+    std::stable_partition(order.begin(), order.end(), [&](size_t b) {
+      return !configs_[b].budget || routed_unique_[b] < *configs_[b].budget;
+    });
     return;
   }
   size_t primary = 0;
   switch (selection_) {
     case BackendSelection::kSharded:
+      primary = v % n;
+      break;
     case BackendSelection::kRendezvous:
       break;  // handled above
     case BackendSelection::kRoundRobin:
@@ -296,7 +287,6 @@ void BackendPool::SelectionOrder(NodeId v, std::vector<size_t>& order) {
       break;
     }
   }
-  order.clear();
   for (size_t i = 0; i < n; ++i) order.push_back((primary + i) % n);
 }
 
@@ -352,10 +342,8 @@ BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
 }
 
 bool BackendPool::PlanOne(NodeId v,
-                          std::vector<std::vector<LedgerOp>>& per_backend,
-                          uint32_t& first_request_backend) {
+                          std::vector<std::vector<LedgerOp>>& per_backend) {
   SelectionOrder(v, order_scratch_);
-  first_request_backend = UINT32_MAX;
   uint64_t attempt = 0;
   for (size_t b : order_scratch_) {
     const BackendConfig& config = configs_[b];
@@ -364,9 +352,6 @@ bool BackendPool::PlanOne(NodeId v,
         per_backend[b].push_back(
             {v, static_cast<uint32_t>(attempt), 1, AttemptDraw{}});
         break;  // this key is spent; fail over
-      }
-      if (first_request_backend == UINT32_MAX) {
-        first_request_backend = static_cast<uint32_t>(b);
       }
       ++routed_requests_[b];
       const AttemptDraw draw = DrawAttempt(b, v, attempt);
@@ -445,11 +430,9 @@ void BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
   for (auto& ops : plan_scratch_) ops.clear();
   plan.batches.clear();
   plan.fetched.assign(misses.size(), 0);
-  plan.first_backend.assign(misses.size(), UINT32_MAX);
   for (size_t i = 0; i < misses.size(); ++i) {
     if (BudgetExhausted()) break;  // pool-wide cap, same as the base model
-    plan.fetched[i] =
-        PlanOne(misses[i], plan_scratch_, plan.first_backend[i]) ? 1 : 0;
+    plan.fetched[i] = PlanOne(misses[i], plan_scratch_) ? 1 : 0;
   }
   for (size_t b = 0; b < plan_scratch_.size(); ++b) {
     const std::vector<LedgerOp>& ops = plan_scratch_[b];
@@ -465,32 +448,6 @@ void BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
     plan.batches.push_back(
         {static_cast<uint32_t>(b), static_cast<uint32_t>(ops.size()), trips});
   }
-}
-
-std::optional<std::vector<uint32_t>> BackendPool::PlanPrefetch(
-    std::span<const NodeId> ids) const {
-  if (selection_ != BackendSelection::kSharded &&
-      selection_ != BackendSelection::kRendezvous) {
-    // Cursor/load-based policies: the next pick depends on routing state
-    // that moves between now and the real plan — no honest preview exists.
-    return std::nullopt;
-  }
-  std::vector<uint32_t> out;
-  out.reserve(ids.size());
-  std::vector<size_t> order;
-  for (NodeId v : ids) {
-    RouteOrder(v, order);
-    uint32_t pick = UINT32_MAX;
-    for (size_t b : order) {
-      if (configs_[b].budget && routed_unique_[b] >= *configs_[b].budget) {
-        continue;  // would answer with a refusal, not a request
-      }
-      pick = static_cast<uint32_t>(b);
-      break;
-    }
-    out.push_back(pick);
-  }
-  return out;
 }
 
 }  // namespace mto

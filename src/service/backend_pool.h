@@ -209,15 +209,6 @@ class BackendPool final : public RestrictedInterface {
   /// One fetch lane per backend.
   size_t FetchLanes() const override { return configs_.size(); }
 
-  /// Routing preview for the pipelined prefetcher: answers for the pure
-  /// per-node policies (kSharded, kRendezvous) with each id's first
-  /// budget-capable backend in its route order (UINT32_MAX when every
-  /// backend's budget is spent); returns std::nullopt for cursor/load-based
-  /// policies whose next pick depends on mutable routing state. Reads the
-  /// plan-time routing counters only; mutates nothing.
-  std::optional<std::vector<uint32_t>> PlanPrefetch(
-      std::span<const NodeId> ids) const override;
-
  private:
   enum class Fault { kNone, kTimeout, kTransientError, kQuotaRejected };
 
@@ -248,11 +239,6 @@ class BackendPool final : public RestrictedInterface {
   /// in index order. Reads the routing counters, not ledgers.
   void SelectionOrder(NodeId v, std::vector<size_t>& order);
 
-  /// The const subset of SelectionOrder for the pure per-node policies
-  /// (kSharded, kRendezvous) — what PlanPrefetch previews. Must stay in
-  /// lockstep with SelectionOrder for those policies.
-  void RouteOrder(NodeId v, std::vector<size_t>& order) const;
-
   /// Rendezvous score of backend b for node v: a pure hash of the
   /// backend's (stable) name hash and the node id.
   uint64_t RendezvousScore(size_t b, NodeId v) const;
@@ -260,11 +246,7 @@ class BackendPool final : public RestrictedInterface {
   /// Routing front for one node: runs the retry/failover loop against the
   /// routing counters, appends the resulting ledger ops per backend, and
   /// on success marks the node fetched. Returns true iff fetched.
-  /// `first_request_backend` receives the backend of the node's first real
-  /// (non-refusal) request, or UINT32_MAX if none was issued — the
-  /// prefetch-prediction ground truth.
-  bool PlanOne(NodeId v, std::vector<std::vector<LedgerOp>>& per_backend,
-               uint32_t& first_request_backend);
+  bool PlanOne(NodeId v, std::vector<std::vector<LedgerOp>>& per_backend);
 
   /// Token-bucket pacing on the backend's virtual clock. Caller holds the
   /// backend's ledger mutex.

@@ -350,6 +350,12 @@ void ScenarioConfig::Validate() const {
   if (num_samples == 0) {
     throw std::invalid_argument("ScenarioConfig: num_samples must be >= 1");
   }
+  if (pipeline_depth > 0 && !coalesce_frontier) {
+    // Free-run stepping never joins a frontier, so nothing would read the
+    // depth: a knob nobody reads is refused like an unknown key.
+    throw std::invalid_argument(
+        "ScenarioConfig: pipeline_depth > 0 requires coalesce_frontier");
+  }
   if (!std::isfinite(geweke_threshold) || geweke_threshold < 0.0) {
     throw std::invalid_argument(
         "ScenarioConfig: geweke.threshold must be finite and >= 0");

@@ -116,10 +116,11 @@ struct ScenarioConfig {
   size_t num_walkers = 8;
   size_t num_threads = 1;
   bool coalesce_frontier = false;
-  /// Pipelined rounds (coalesced stepping only): with depth k >= 1, up to
-  /// k rounds of deferred backend latency stay in flight behind the crawl
-  /// and each round prefetches up to k predicted targets per walker as
-  /// wall-clock-only tickets. Pure execution shape like num_threads —
+  /// Pipelined rounds: with depth k >= 1, up to k rounds of deferred
+  /// backend latency stay in flight behind the crawl. Requires
+  /// coalesce_frontier (Validate refuses k >= 1 without it: free-run
+  /// stepping has no frontier join to lag). Pure execution shape like
+  /// num_threads —
   /// results are bit-identical to 0 (pipeline_equivalence_test pins this)
   /// and the knob is excluded from the checkpoint fingerprint.
   size_t pipeline_depth = 0;

@@ -19,20 +19,6 @@ std::optional<NodeId> MetropolisHastingsWalk::ProposeStep() {
       rng().UniformInt(u->neighbors.size()))];
 }
 
-void MetropolisHastingsWalk::PeekNextTargets(size_t width,
-                                             std::vector<NodeId>& out) {
-  if (width == 0) return;
-  // Replays the next propose's uniform draw without ProposeStep's side
-  // effects (query counting, proposal_source_degree_) on a saved RNG.
-  auto u = interface().PeekCached(current());
-  if (!u || u->neighbors.empty()) return;
-  const auto saved = rng().SaveState();
-  const NodeId target = u->neighbors[static_cast<size_t>(
-      rng().UniformInt(u->neighbors.size()))];
-  rng().RestoreState(saved);
-  out.push_back(target);
-}
-
 NodeId MetropolisHastingsWalk::CommitStep(NodeId target) {
   auto v = interface().QueryRef(target);
   if (!v) return current();  // budget exhausted

@@ -18,9 +18,6 @@ class MetropolisHastingsWalk final : public Sampler {
     return StepProtocol::kTwoPhase;
   }
   std::optional<NodeId> ProposeStep() override;
-  /// Exact prediction when the current node is cached: replays the next
-  /// propose's single uniform draw on a saved/restored RNG.
-  void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
   NodeId CommitStep(NodeId target) override;
 
   /// Uniform stationary distribution: constant weight.

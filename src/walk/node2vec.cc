@@ -68,23 +68,6 @@ NodeId Node2VecWalk::CommitStep(NodeId target) {
   return current();
 }
 
-void Node2VecWalk::PeekNextTargets(size_t width, std::vector<NodeId>& out) {
-  if (width == 0) return;
-  auto r = interface().PeekCached(current());
-  if (!r || r->neighbors.empty()) return;
-  const auto saved = rng().SaveState();
-  NodeId target;
-  if (!prev_) {
-    target = PickTarget(r->neighbors, {}, false);
-  } else if (auto rp = interface().PeekCached(*prev_)) {
-    target = PickTarget(r->neighbors, rp->neighbors, true);
-  } else {
-    target = PickTarget(r->neighbors, {}, false);
-  }
-  rng().RestoreState(saved);
-  out.push_back(target);
-}
-
 void Node2VecWalk::Teleport(NodeId node) {
   Sampler::Teleport(node);
   prev_.reset();

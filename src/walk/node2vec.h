@@ -35,10 +35,6 @@ class Node2VecWalk final : public Sampler {
   /// the current node's own (cached) query.
   std::optional<NodeId> ProposeStep() override;
   NodeId CommitStep(NodeId target) override;
-  /// Exact prediction when the current node is cached: the peek replays the
-  /// same cached-neighborhood logic as ProposeStep (including the fallback
-  /// rule) on a saved/restored RNG.
-  void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
   /// First-order approximation 1/k_v: exact at p == q == 1 (the walk *is*
   /// SRW there); for general (p, q) the true stationary distribution lives
   /// on edges and has no closed node-marginal, so estimates are reweighted

@@ -37,29 +37,4 @@ NodeId PageRankMassWalk::CommitStep(NodeId target) {
   return current();
 }
 
-void PageRankMassWalk::PeekNextTargets(size_t width,
-                                       std::vector<NodeId>& out) {
-  if (width == 0) return;
-  const auto saved = rng().SaveState();
-  if (rng().Bernoulli(restart_)) {
-    // Teleport branch: a pure function of the RNG and the id space — exact
-    // without touching the cache.
-    out.push_back(static_cast<NodeId>(
-        rng().UniformInt(interface().num_users())));
-    rng().RestoreState(saved);
-    return;
-  }
-  auto r = interface().PeekCached(current());
-  if (r) {
-    if (r->neighbors.empty()) {
-      out.push_back(static_cast<NodeId>(
-          rng().UniformInt(interface().num_users())));
-    } else {
-      out.push_back(r->neighbors[static_cast<size_t>(
-          rng().UniformInt(r->neighbors.size()))]);
-    }
-  }
-  rng().RestoreState(saved);
-}
-
 }  // namespace mto

@@ -33,10 +33,6 @@ class PageRankMassWalk final : public Sampler {
   /// budget exhaustion (the current node's query is denied).
   std::optional<NodeId> ProposeStep() override;
   NodeId CommitStep(NodeId target) override;
-  /// Exact prediction for the teleport branch (needs no cache at all); the
-  /// neighbor branch predicts when the current node is cached. Replays the
-  /// draws on a saved/restored RNG.
-  void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
   /// The surfer's stationary distribution is the estimation target itself,
   /// so samples are unweighted.
   double ImportanceWeight() override { return 1.0; }

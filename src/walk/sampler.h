@@ -81,20 +81,6 @@ class Sampler {
     return current_;
   }
 
-  /// Purely predictive peek for the pipelined prefetcher (DESIGN.md §10):
-  /// appends up to `width` node ids this walk is likely to target on its
-  /// *next* propose, in descending likelihood order. Called after a round's
-  /// commit, so the walk's RNG state is exactly what the next propose will
-  /// see — implementations save/restore it around any peeked draws and must
-  /// not consume draws, issue queries, or mutate walk state; only the
-  /// non-counting `RestrictedInterface::PeekCached` read is allowed. Hints
-  /// are wall-clock-only (a wrong hint wastes a prefetch ticket, never
-  /// correctness), so the default — announce nothing — is always sound.
-  virtual void PeekNextTargets(size_t width, std::vector<NodeId>& out) {
-    (void)width;
-    (void)out;
-  }
-
   /// Current position of the walk.
   NodeId current() const { return current_; }
 

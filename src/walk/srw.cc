@@ -18,19 +18,6 @@ std::optional<NodeId> SimpleRandomWalk::ProposeStep() {
       rng().UniformInt(r->neighbors.size()))];
 }
 
-void SimpleRandomWalk::PeekNextTargets(size_t width,
-                                       std::vector<NodeId>& out) {
-  if (width == 0) return;
-  // Non-counting cache read: a peek must not move any session counter.
-  auto r = interface().PeekCached(current());
-  if (!r || r->neighbors.empty()) return;
-  const auto saved = rng().SaveState();
-  const NodeId target = r->neighbors[static_cast<size_t>(
-      rng().UniformInt(r->neighbors.size()))];
-  rng().RestoreState(saved);
-  out.push_back(target);
-}
-
 NodeId SimpleRandomWalk::CommitStep(NodeId target) {
   // The move itself needs no information about `target` beyond its id; the
   // next Step() queries it. Query eagerly anyway so the degree diagnostic

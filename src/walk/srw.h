@@ -18,9 +18,6 @@ class SimpleRandomWalk final : public Sampler {
   }
   std::optional<NodeId> ProposeStep() override;
   NodeId CommitStep(NodeId target) override;
-  /// Exact prediction when the current node is cached: replays the next
-  /// propose's single uniform draw on a saved/restored RNG.
-  void PeekNextTargets(size_t width, std::vector<NodeId>& out) override;
   double ImportanceWeight() override;
   std::string name() const override { return "SRW"; }
 };

@@ -197,7 +197,6 @@ TEST(BackendPoolTest, SplitFetchAppliesLedgerOpsInPlanOrder) {
     split.PlanFetchMisses({&nodes[i], 1}, plans[i]);
     ASSERT_EQ(plans[i].batches.size(), 1u);
     EXPECT_EQ(plans[i].fetched[0], 1);
-    EXPECT_EQ(plans[i].first_backend[0], 0u);
   }
   EXPECT_EQ(split.QueryCost(), std::size(nodes));  // charged at plan time
   for (size_t i = std::size(nodes); i-- > 0;) {

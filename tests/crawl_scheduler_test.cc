@@ -215,6 +215,15 @@ TEST(CrawlSchedulerTest, RejectsInvalidConfigs) {
                        return nullptr;
                      }),
       std::invalid_argument);
+  // More than one thread needs the thread-safe session: a bare interface
+  // would be a silent data race, so the constructor refuses it...
+  EXPECT_THROW(CrawlScheduler(iface, CrawlConfig{2, 2, false}, kSeed,
+                              SrwFactory),
+               std::invalid_argument);
+  // ...and accepts the same shape over the concurrent cache.
+  ConcurrentInterfaceCache session(iface);
+  EXPECT_NO_THROW(CrawlScheduler(session, CrawlConfig{2, 2, false}, kSeed,
+                                 SrwFactory));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // in between, so every miss plans and applies inline. The same crawl
 // through ConcurrentInterfaceCache (misses planned under the ledger lock
 // and applied outside it, frontier batches on per-backend lanes, lag-k
-// joins, prefetch tickets) must reproduce the reference's positions,
+// joins) must reproduce the reference's positions,
 // diagnostic stream, QueryCost, BackendRequests, FailedFetches and full
 // per-backend ledgers for 1 and 4 threads x {plain, coalesced, MTO
 // speculative, pipelined depth 2} x {clean, faults}.
@@ -121,7 +121,7 @@ struct Crawl {
 /// (1 thread only). Fills everything but the pool-only fields.
 Crawl Drive(RestrictedInterface& base, const char* program, bool coalesce,
             size_t pipeline_depth, size_t threads, bool cached) {
-  // Real (small) round trips, so lane sleeps and ticket sleeps are live.
+  // Real (small) round trips, so lane sleeps are live.
   base.SetSimulatedLatency(std::chrono::microseconds(cached ? 5 : 0));
   std::unique_ptr<ConcurrentInterfaceCache> cache;
   if (cached) cache = std::make_unique<ConcurrentInterfaceCache>(base);

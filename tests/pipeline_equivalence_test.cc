@@ -4,9 +4,10 @@
 // setting, a pipelined crawl must produce bit-identical samples, trace,
 // estimates, costs, and per-backend ledgers to the depth-0 crawl ("sync" in
 // the test names: every frontier joined before its commit phase). Both run
-// the same plan in the same coordinator order — prefetch tickets are
-// wall-clock-only, stale tickets are cancelled at a deterministic point,
-// and only the latency *payment* stays in flight on the per-backend lanes.
+// the same plan in the same coordinator order; only the latency *payment*
+// stays in flight on the per-backend lanes. Plain (free-run) stepping never
+// joins a frontier, so it runs at depth 0 only — a depth >= 1 without
+// coalescing is a configuration error.
 //
 // Pacing stays off in the sweep scenario for the same reason as in
 // fetch_equivalence_test: pacing fields are arrival-order dependent under
@@ -172,6 +173,7 @@ std::vector<Sweep> AllSweeps() {
     for (Stepping stepping :
          {Stepping::kPlain, Stepping::kCoalesced, Stepping::kSpeculative}) {
       for (size_t depth : {size_t{0}, size_t{1}, size_t{2}}) {
+        if (stepping == Stepping::kPlain && depth > 0) continue;
         for (bool faults : {false, true}) {
           sweeps.push_back({threads, stepping, depth, faults});
         }
@@ -200,7 +202,7 @@ TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
   // Passivity under the deepest execution shape: a depth-2 pipelined crawl
   // with full observability (metrics, lane-depth gauges, tracing, periodic
   // snapshots, run report) is bit-identical to the unobserved depth-0
-  // baseline — telemetry on the lanes and in the prefetcher perturbs
+  // baseline — telemetry on the lanes and in the scheduler perturbs
   // nothing (DESIGN.md §11).
   ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
   const RunOutput sync = RunWithDepth(config, 0);

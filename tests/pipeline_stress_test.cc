@@ -1,10 +1,10 @@
-// Pipelined-engine stress: prefetch invalidation storms, forced speculation
-// misses, mid-round faults, and tight budgets, checked for conservation
-// invariants — no prefetched-but-uncharged and no double-charged query in
-// any ledger (exact equivalence on clean schedules is
+// Pipelined-engine stress: inline misses applied behind in-flight frontier
+// batches, forced speculation misses, mid-round faults, and tight budgets,
+// checked for conservation invariants — no uncharged and no double-charged
+// query in any ledger (exact equivalence on clean schedules is
 // pipeline_equivalence_test's job; here the schedules are hostile). Runs
 // under ThreadSanitizer via the `runtime` ctest label, which is where the
-// ticket/channel machinery earns its keep.
+// lane machinery earns its keep.
 
 #include <gtest/gtest.h>
 
@@ -39,8 +39,8 @@ std::vector<BackendConfig> FaultyBackends(size_t n,
 /// Per-backend conservation: every request either succeeded (one unique
 /// query) or failed with exactly one recorded fault kind; budgets are never
 /// overdrawn; and pool-wide, every unique query was paid by exactly one
-/// backend — a prefetch ticket that charged anything, or a consumed ticket
-/// that skipped a charge, breaks one of these sums.
+/// backend — a lane batch applied twice, or never, breaks one of these
+/// sums.
 void ExpectBackendConservation(const BackendPool& pool) {
   uint64_t unique_total = 0;
   for (size_t b = 0; b < pool.num_backends(); ++b) {
@@ -57,43 +57,15 @@ void ExpectBackendConservation(const BackendPool& pool) {
   EXPECT_EQ(unique_total, pool.QueryCost());
 }
 
-TEST(PipelineStressTest, PrefetchHintsAloneChargeNothing) {
-  // The determinism argument in one test: tickets are wall-clock only.
-  // Posting hints — valid, duplicate, and out-of-range — then draining must
-  // leave every counter at zero and every node uncached.
-  SocialNetwork net(Grid(24, 24));
-  BackendPool pool(net, FaultyBackends(3, std::nullopt), RetryPolicy{},
-                   BackendSelection::kRendezvous, kFaultSeed);
-  ConcurrentInterfaceCache session(pool);
-  session.SetPipelineDepth(2);
-  const NodeId n = session.num_users();
-  std::vector<NodeId> hints = {1, 2, 3, 2, 1, n, n + 17, 42};
-  session.PostPrefetchHints(hints);
-  session.PostPrefetchHints(hints);  // re-post: cancels + re-creates
-  session.DrainPipeline();
-  EXPECT_EQ(session.QueryCost(), 0u);
-  EXPECT_EQ(session.BackendRequests(), 0u);
-  EXPECT_EQ(session.TotalRequests(), 0u);
-  for (NodeId v : {NodeId{1}, NodeId{2}, NodeId{3}, NodeId{42}}) {
-    EXPECT_FALSE(session.IsCached(v));
-  }
-  for (size_t b = 0; b < pool.num_backends(); ++b) {
-    const BackendStats stats = pool.backend_stats(b);
-    EXPECT_EQ(stats.requests, 0u);
-    EXPECT_EQ(stats.unique_queries, 0u);
-    EXPECT_EQ(stats.budget_refusals, 0u);
-  }
-}
-
 TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
   // Hostile coordinator schedule against a sequential depth-0 twin: every
-  // round pipeline-fetches a frontier, hammers the commit-phase Query path
+  // round pipeline-fetches a frontier and, while up to two rounds of its
+  // lane batches are still in flight, hammers the commit-phase Query path
   // from four threads (disjoint per-thread node sets, so logical fetch
-  // sequences are comparable), then posts deliberately wrong predictions —
-  // stale tickets for nodes that never arrive, duplicates, out-of-range
-  // ids, already-cached nodes — forcing the invalidation path every round.
-  // Because outcomes are pure per-(backend, node, attempt) draws and
-  // pacing is off, the final ledgers must match the twin's bit for bit.
+  // sequences are comparable). Their inline misses apply their ledger ops
+  // behind the queued frontier batches. Because outcomes are pure
+  // per-(backend, node, attempt) draws and pacing is off, the final
+  // ledgers must match the twin's bit for bit.
   SocialNetwork net(Grid(24, 24));  // 576 nodes
   RetryPolicy retry;
   retry.max_attempts_per_backend = 4;
@@ -135,8 +107,8 @@ TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
     }
     if (!misses.empty()) pipelined.FetchFrontier(misses);
     // Commit phase: concurrent single-node queries through the live
-    // pipeline (ticket consumption, inline misses applied behind in-flight
-    // lane batches, cache hits).
+    // pipeline (inline misses applied behind in-flight lane batches, cache
+    // hits).
     std::vector<std::thread> workers;
     for (size_t t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
@@ -144,19 +116,6 @@ TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
       });
     }
     for (auto& w : workers) w.join();
-    // Peek phase, sabotaged: half the hints are next round's real frontier,
-    // half are garbage that never arrives — plus duplicates, cached nodes,
-    // and out-of-range ids. Every round re-posts, cancelling the last
-    // window's survivors (the invalidation storm).
-    std::vector<NodeId> hints = frontier_of(r + 1);
-    hints.resize(hints.size() / 2);
-    for (size_t k = 0; k < 6; ++k) {
-      hints.push_back(static_cast<NodeId>((r * 101 + k * 97 + 13) % n));
-    }
-    hints.push_back(hints.front());  // duplicate
-    hints.push_back(n + 3);          // out of range: skipped, not an error
-    if (r > 0) hints.push_back(frontier_of(r).front());  // likely cached
-    pipelined.PostPrefetchHints(hints);
   }
   pipelined.DrainPipeline();
 
@@ -229,10 +188,9 @@ TEST(PipelineStressTest, PipelinedCrawlUnderFaultsAndTightBudgetsConserves) {
 }
 
 TEST(PipelineStressTest, FreeRunPipelineUnderBudgetsConserves) {
-  // Plain (non-coalesced) stepping with a pipeline depth set: walker
-  // misses plan and apply concurrently from four threads. Budgets are
-  // tight and faults on — the single-miss path must neither lose nor
-  // double-charge a request.
+  // Plain (non-coalesced) stepping: walker misses plan and apply
+  // concurrently from four threads. Budgets are tight and faults on — the
+  // single-miss path must neither lose nor double-charge a request.
   ScenarioConfig config;
   config.dataset = "epinions_small";
   config.seed = 0xF4EE;
@@ -240,7 +198,6 @@ TEST(PipelineStressTest, FreeRunPipelineUnderBudgetsConserves) {
   config.num_walkers = 8;
   config.num_threads = 4;
   config.coalesce_frontier = false;
-  config.pipeline_depth = 2;
   config.strategy = BackendSelection::kRendezvous;
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;

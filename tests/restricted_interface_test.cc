@@ -187,8 +187,6 @@ TEST_F(RestrictedInterfaceTest, PlanChargesTripsAndFillsPlanLikeThePool) {
   FetchPlan plan;
   iface_.PlanFetchMisses(misses, plan);
   EXPECT_EQ(plan.fetched, (std::vector<uint8_t>{1, 1, 1, 0}));
-  EXPECT_EQ(plan.first_backend,
-            (std::vector<uint32_t>{0, 0, 0, UINT32_MAX}));
   ASSERT_EQ(plan.batches.size(), 1u);
   EXPECT_EQ(plan.batches[0].backend, 0u);
   EXPECT_EQ(plan.batches[0].trips, 2u);  // ceil(3 admitted / 2)

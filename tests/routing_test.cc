@@ -2,7 +2,9 @@
 // balance-aware backend selection the pipelined engine routes through:
 // stable assignment under fleet changes (minimal disruption), deterministic
 // tie-breaks, load balance on skewed node-id populations where `v % N`
-// aliases, and budget-exhausted exclusion without refusal churn.
+// aliases, and budget-exhausted exclusion without refusal churn. Every
+// assignment is observed through a real fetch on a fault-free fleet: the
+// backend whose unique_queries rose is the one that served the node.
 
 #include <gtest/gtest.h>
 
@@ -26,19 +28,34 @@ std::vector<BackendConfig> NamedBackends(
   return backends;
 }
 
-/// Assignment of each id under a fresh rendezvous pool with this fleet,
-/// reported as backend *names* so fleets of different sizes compare.
+/// Fetches `v` for real and returns the index of the backend that served
+/// it (the one whose unique_queries rose), or SIZE_MAX when none did.
+size_t FetchAndReportBackend(BackendPool& pool, NodeId v) {
+  std::vector<uint64_t> before;
+  for (size_t b = 0; b < pool.num_backends(); ++b) {
+    before.push_back(pool.backend_stats(b).unique_queries);
+  }
+  pool.Query(v);
+  for (size_t b = 0; b < pool.num_backends(); ++b) {
+    if (pool.backend_stats(b).unique_queries > before[b]) return b;
+  }
+  return SIZE_MAX;
+}
+
+/// Assignment of each id under a rendezvous pool with this fleet, reported
+/// as backend *names* so fleets of different sizes compare. With distinct
+/// names and no budgets the routing counters never enter the order, so one
+/// pool serves every id as a fresh one would.
 std::vector<std::string> AssignmentsByName(
     const SocialNetwork& net, const std::vector<std::string>& names,
     const std::vector<NodeId>& ids) {
   BackendPool pool(net, NamedBackends(names), RetryPolicy{},
                    BackendSelection::kRendezvous, kFaultSeed);
-  const auto plan = pool.PlanPrefetch(ids);
-  EXPECT_TRUE(plan.has_value());
   std::vector<std::string> out;
   out.reserve(ids.size());
-  for (uint32_t b : *plan) {
-    out.push_back(b == UINT32_MAX ? "<none>" : names[b]);
+  for (NodeId v : ids) {
+    const size_t b = FetchAndReportBackend(pool, v);
+    out.push_back(b == SIZE_MAX ? "<none>" : names[b]);
   }
   return out;
 }
@@ -76,6 +93,7 @@ TEST(RoutingTest, RemovingABackendOnlyMovesItsOwnNodes) {
   const auto full = AssignmentsByName(net, {"alpha", "beta", "gamma"}, ids);
   const auto shrunk = AssignmentsByName(net, {"alpha", "beta"}, ids);
   for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_NE(full[i], "<none>") << "node " << ids[i];
     if (full[i] != "gamma") {
       EXPECT_EQ(shrunk[i], full[i])
           << "node " << ids[i] << " moved though its backend survived";
@@ -89,29 +107,28 @@ TEST(RoutingTest, DuplicateNameTiesBreakByLoadThenIndex) {
   // after the lower-index twin absorbs a request, the other twin leads.
   SocialNetwork net(Grid(32, 32));
   const std::vector<std::string> names = {"dup", "dup", "unique"};
-  BackendPool pool(net, NamedBackends(names), RetryPolicy{},
-                   BackendSelection::kRendezvous, kFaultSeed);
-  std::vector<NodeId> ids;
-  for (NodeId v = 0; v < 200; ++v) ids.push_back(v);
-  const auto plan = pool.PlanPrefetch(ids);
-  ASSERT_TRUE(plan.has_value());
+  const auto fresh_pool = [&] {
+    return BackendPool(net, NamedBackends(names), RetryPolicy{},
+                       BackendSelection::kRendezvous, kFaultSeed);
+  };
   std::vector<NodeId> dup_nodes;
   size_t unique_wins = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
+  for (NodeId v = 0; v < 200; ++v) {
     // On a fresh pool every dup-vs-dup tie resolves to index 0 — index 1
-    // must never be picked while loads are equal.
-    EXPECT_NE((*plan)[i], 1u) << "node " << ids[i];
-    if ((*plan)[i] == 0u) dup_nodes.push_back(ids[i]);
-    if ((*plan)[i] == 2u) ++unique_wins;
+    // must never serve while loads are equal.
+    BackendPool pool = fresh_pool();
+    const size_t b = FetchAndReportBackend(pool, v);
+    EXPECT_NE(b, 1u) << "node " << v;
+    if (b == 0u) dup_nodes.push_back(v);
+    if (b == 2u) ++unique_wins;
   }
   ASSERT_GE(dup_nodes.size(), 2u);  // both outcomes actually occur
   EXPECT_GT(unique_wins, 0u);
-  // Fetch one dup-won node for real: the plan-time load tie-break now
+  // Once index 0 has served a dup-won node, the plan-time load tie-break
   // prefers the idle twin (index 1) for the next dup-won node.
-  ASSERT_TRUE(pool.Query(dup_nodes[0]).has_value());
-  const auto after = pool.PlanPrefetch({&dup_nodes[1], 1});
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ((*after)[0], 1u);
+  BackendPool pool = fresh_pool();
+  ASSERT_EQ(FetchAndReportBackend(pool, dup_nodes[0]), 0u);
+  EXPECT_EQ(FetchAndReportBackend(pool, dup_nodes[1]), 1u);
 }
 
 TEST(RoutingTest, SpreadsStridedNodeIdsWhereShardingAliases) {
@@ -125,23 +142,17 @@ TEST(RoutingTest, SpreadsStridedNodeIdsWhereShardingAliases) {
 
   BackendPool sharded(net, NamedBackends(names), RetryPolicy{},
                       BackendSelection::kSharded, kFaultSeed);
-  const auto sharded_plan = sharded.PlanPrefetch(ids);
-  ASSERT_TRUE(sharded_plan.has_value());
-  for (uint32_t b : *sharded_plan) EXPECT_EQ(b, 0u);  // total aliasing
+  for (NodeId v : ids) EXPECT_EQ(FetchAndReportBackend(sharded, v), 0u);
+  EXPECT_EQ(sharded.backend_stats(0).unique_queries, ids.size());  // aliasing
 
   BackendPool rendezvous(net, NamedBackends(names), RetryPolicy{},
                          BackendSelection::kRendezvous, kFaultSeed);
-  const auto rdv_plan = rendezvous.PlanPrefetch(ids);
-  ASSERT_TRUE(rdv_plan.has_value());
-  std::vector<size_t> counts(4, 0);
-  for (uint32_t b : *rdv_plan) {
-    ASSERT_LT(b, 4u);
-    ++counts[b];
-  }
+  for (NodeId v : ids) ASSERT_LT(FetchAndReportBackend(rendezvous, v), 4u);
   for (size_t b = 0; b < 4; ++b) {
     // Expected 64 of 256 per backend; ±5σ bounds.
-    EXPECT_GE(counts[b], 32u) << "backend " << b;
-    EXPECT_LE(counts[b], 104u) << "backend " << b;
+    const uint64_t count = rendezvous.backend_stats(b).unique_queries;
+    EXPECT_GE(count, 32u) << "backend " << b;
+    EXPECT_LE(count, 104u) << "backend " << b;
   }
 }
 
@@ -152,25 +163,24 @@ TEST(RoutingTest, SpentBudgetExcludesBackendWithoutRefusals) {
   // over behavior; the contrast is asserted below.)
   SocialNetwork net(Grid(32, 32));
   std::vector<BackendConfig> backends = NamedBackends({"alpha", "beta"});
+  // Collect nodes whose top scorer is alpha, on an unbudgeted twin fleet.
+  std::vector<NodeId> alpha_nodes;
+  {
+    BackendPool probe(net, backends, RetryPolicy{},
+                      BackendSelection::kRendezvous, kFaultSeed);
+    for (NodeId v = 0; v < 200 && alpha_nodes.size() < 4; ++v) {
+      if (FetchAndReportBackend(probe, v) == 0u) alpha_nodes.push_back(v);
+    }
+  }
+  ASSERT_EQ(alpha_nodes.size(), 4u);
   backends[0].budget = 2;
   BackendPool pool(net, backends, RetryPolicy{},
                    BackendSelection::kRendezvous, kFaultSeed);
-  // Collect nodes whose fresh-pool top scorer is alpha.
-  std::vector<NodeId> alpha_nodes;
-  for (NodeId v = 0; v < 200 && alpha_nodes.size() < 4; ++v) {
-    const auto plan = pool.PlanPrefetch({&v, 1});
-    ASSERT_TRUE(plan.has_value());
-    if ((*plan)[0] == 0u) alpha_nodes.push_back(v);
-  }
-  ASSERT_EQ(alpha_nodes.size(), 4u);
-  ASSERT_TRUE(pool.Query(alpha_nodes[0]).has_value());
-  ASSERT_TRUE(pool.Query(alpha_nodes[1]).has_value());
+  ASSERT_EQ(FetchAndReportBackend(pool, alpha_nodes[0]), 0u);
+  ASSERT_EQ(FetchAndReportBackend(pool, alpha_nodes[1]), 0u);
   EXPECT_EQ(pool.backend_stats(0).unique_queries, 2u);  // budget spent
-  // Preview and reality agree: alpha's nodes now go to beta...
-  const auto after = pool.PlanPrefetch({&alpha_nodes[2], 1});
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ((*after)[0], 1u);
-  ASSERT_TRUE(pool.Query(alpha_nodes[2]).has_value());
+  // alpha's nodes now go to beta...
+  EXPECT_EQ(FetchAndReportBackend(pool, alpha_nodes[2]), 1u);
   // ...with zero refusal ops charged anywhere (no faults in this fleet).
   EXPECT_EQ(pool.backend_stats(0).budget_refusals, 0u);
   EXPECT_EQ(pool.backend_stats(1).budget_refusals, 0u);
@@ -199,36 +209,28 @@ TEST(RoutingTest, AllBudgetsSpentPlansNothingAndRefusesLoudly) {
   ASSERT_TRUE(pool.Query(0).has_value());
   ASSERT_TRUE(pool.Query(1).has_value());
   EXPECT_EQ(pool.QueryCost(), 2u);
-  // Both keys spent: the preview reports "no backend" for every id...
+  // Both keys spent: the plan issues no real request for any id, only
+  // refusal ops (the spent keys stay reachable as a last resort so an
+  // all-spent pool fails loudly rather than silently)...
   const NodeId probe = 7;
-  const auto plan = pool.PlanPrefetch({&probe, 1});
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ((*plan)[0], UINT32_MAX);
-  // ...and a real fetch is permanently refused, with the refusals recorded
-  // on the ledgers (the spent keys stay reachable as a last resort so an
-  // all-spent pool fails loudly rather than silently).
-  EXPECT_FALSE(pool.Query(probe).has_value());
-  EXPECT_GT(pool.FailedFetches(), 0u);
+  FetchPlan plan;
+  pool.PlanFetchMisses({&probe, 1}, plan);
+  EXPECT_EQ(plan.fetched[0], 0);
+  ASSERT_FALSE(plan.batches.empty());
+  for (const FetchPlan::Batch& batch : plan.batches) {
+    EXPECT_EQ(batch.trips, 0u) << "backend " << batch.backend;
+    pool.ApplyFetchBatch(batch);
+  }
   EXPECT_GT(pool.backend_stats(0).budget_refusals +
                 pool.backend_stats(1).budget_refusals,
             0u);
+  // ...and a real fetch is permanently refused, with the refusals recorded
+  // on the ledgers.
+  EXPECT_FALSE(pool.Query(probe).has_value());
+  EXPECT_GT(pool.FailedFetches(), 0u);
+  EXPECT_EQ(pool.backend_stats(0).requests + pool.backend_stats(1).requests,
+            2u);  // no request beyond the two that spent the keys
   EXPECT_EQ(pool.QueryCost(), 2u);  // refused fetches cost nothing
-}
-
-TEST(RoutingTest, PlanPrefetchDeclinesStatefulPolicies) {
-  // Cursor/load policies have no honest routing preview — the pick moves
-  // with mutable state — so the prefetcher must get "no answer", never a
-  // guess that could desynchronize tickets from the real plan.
-  SocialNetwork net(Grid(8, 8));
-  const NodeId probe = 3;
-  for (BackendSelection policy :
-       {BackendSelection::kRoundRobin, BackendSelection::kLeastLoaded,
-        BackendSelection::kBudgetAware}) {
-    BackendPool pool(net, NamedBackends({"a", "b"}), RetryPolicy{}, policy,
-                     kFaultSeed);
-    EXPECT_FALSE(pool.PlanPrefetch({&probe, 1}).has_value())
-        << BackendSelectionName(policy);
-  }
 }
 
 }  // namespace

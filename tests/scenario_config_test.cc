@@ -246,6 +246,20 @@ TEST(ScenarioConfigTest, SemanticValidation) {
   EXPECT_EQ(ScenarioConfig::FromJsonText(R"({"geweke": {"threshold": 0}})")
                 .geweke_threshold,
             0.0);
+  // Free-run stepping never reads the depth (only FetchFrontier's join
+  // does), so a depth without coalescing is refused, naming the key.
+  try {
+    ScenarioConfig::FromJsonText(R"({"pipeline_depth": 2})");
+    ADD_FAILURE() << "pipeline_depth without coalesce_frontier was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pipeline_depth"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ScenarioConfig::FromJsonText(
+                   R"({"coalesce_frontier": false, "pipeline_depth": 1})"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ScenarioConfig::FromJsonText(
+      R"({"coalesce_frontier": false, "pipeline_depth": 0})"));
   // Checkpointing requires a path...
   EXPECT_THROW(ScenarioConfig::FromJsonText(
                    R"({"checkpoint": {"every_units": 2}})"),
@@ -325,9 +339,10 @@ TEST(ScenarioConfigTest, FingerprintIsStableAcrossVersions) {
 
 TEST(ScenarioConfigTest, ParsesPipelineDepth) {
   EXPECT_EQ(ScenarioConfig::FromJsonText("{}").pipeline_depth, 0u);
-  EXPECT_EQ(
-      ScenarioConfig::FromJsonText(R"({"pipeline_depth": 3})").pipeline_depth,
-      3u);
+  EXPECT_EQ(ScenarioConfig::FromJsonText(
+                R"({"coalesce_frontier": true, "pipeline_depth": 3})")
+                .pipeline_depth,
+            3u);
 }
 
 TEST(ScenarioConfigTest, FromFileRoundTrips) {
