@@ -386,8 +386,9 @@ int main(int argc, char** argv) {
   // --- MTO under speculation: the paper's own sampler in the same
   // latency-bound regime. The uncoalesced rows are the pre-speculation
   // execution model (every fetch an individual round trip); the coalesced
-  // rows batch the speculated frontier, with misses (invalidated
-  // speculations re-picking mid-step) falling back to individual fetches.
+  // rows batch the peeked frontier, with misses (peeked picks that
+  // rewiring invalidated, re-picking mid-step) falling back to individual
+  // fetches.
   const size_t mto_rounds = std::max<size_t>(1, rounds / 40);
   std::vector<Row> mto_rows;
   for (size_t threads : {1u, 4u, 8u}) {
@@ -418,11 +419,11 @@ int main(int argc, char** argv) {
 
   // --- Pipelined rounds: depth 0 joins every frontier, paying each
   // round's slowest backend; depth-2 pipelining keeps that latency in
-  // flight on the lanes and prefetches speculative peeks, so steady-state
-  // throughput is bounded by aggregate backend bandwidth, not per-round max
-  // latency. Rendezvous routing spreads the frontier where `v % N`
-  // aliases. Positions and cost stay bit-identical across depths and
-  // routing policies.
+  // flight on the lanes behind the crawl, so steady-state throughput is
+  // bounded by aggregate backend bandwidth, not per-round max latency.
+  // Rendezvous routing spreads the frontier where `v % N` aliases.
+  // Positions and cost stay bit-identical across depths and routing
+  // policies.
   const size_t pl_rounds = std::max<size_t>(1, rounds / 40);
   std::vector<Row> pl_rows;
   for (size_t nbackends : {1u, 4u}) {

@@ -3,17 +3,17 @@
 // CrawlScheduler; they share one thread-safe API session
 // (ConcurrentInterfaceCache: merged cache, shared budget, in-flight
 // dedupe) against a simulated API with 150us per round trip, overlapping
-// their round trips across threads. The walkers step speculatively
-// (StepProtocol::kSpeculative): each round every walker announces the
-// overlay pick its step will open with, the scheduler coalesces the
-// deduplicated frontier into bulk requests, and each commit re-validates
-// its speculation against the warm cache — see bench_runtime_throughput
-// for the measured hit rate and uplift. Convergence is certified across
-// chains with the Gelman–Rubin diagnostic instead of a single long
-// burn-in, and the network size — which this example pretends the
-// provider does NOT publish — is recovered from sample collisions
-// (Katzir et al., the paper's [12]). With |V|^ in hand, AVG estimates
-// turn into COUNT estimates.
+// their round trips across threads. Each round every walker peeks the
+// overlay pick its step will open with (Sampler::PeekStep), the scheduler
+// coalesces the deduplicated frontier into bulk requests, and every walker
+// then takes its plain Step() against the warm cache, re-picking
+// individually wherever rewiring invalidated the peek — see
+// bench_runtime_throughput for the measured hit rate and uplift.
+// Convergence is certified across chains with the Gelman–Rubin
+// diagnostic instead of a single long burn-in, and the network size —
+// which this example pretends the provider does NOT publish — is
+// recovered from sample collisions (Katzir et al., the paper's [12]).
+// With |V|^ in hand, AVG estimates turn into COUNT estimates.
 //
 // Build & run:   ./build/examples/parallel_survey
 

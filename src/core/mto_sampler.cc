@@ -1,9 +1,10 @@
 #include "src/core/mto_sampler.h"
 
 #include <algorithm>
-#include <array>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/core/edge_rules.h"
@@ -106,19 +107,20 @@ bool MtoSampler::ClassifyEdge(NodeId u, NodeId& v) {
 }
 
 NodeId MtoSampler::Step() {
-  moved_first_try_ = false;
+  const std::optional<NodeId> speculated = std::exchange(speculated_, {});
+  if (speculated) ++speculative_commits_;
   if (!Fetch(current())) return current();
   const NodeId u = current();
   for (uint32_t iter = 0; iter < config_.max_inner_iterations; ++iter) {
-    const uint32_t deg = overlay_.Degree(u);
-    if (deg == 0) return current();  // overlay-isolated: absorbing
-    NodeId v = overlay_.Neighbors(u)[static_cast<size_t>(rng().UniformInt(deg))];
+    const std::span<const NodeId> neighbors = overlay_.Neighbors(u);
+    if (neighbors.empty()) return current();  // overlay-isolated: absorbing
+    NodeId v = UniformPick(neighbors);
     if (!Fetch(v)) return current();  // budget exhausted
     if (!frozen_ && !overlay_.IsProcessed(u, v)) {
       if (ClassifyEdge(u, v)) continue;  // edge removed: pick again
     }
     if (!config_.lazy || rng().Bernoulli(0.5)) {
-      moved_first_try_ = iter == 0;
+      if (iter == 0 && v == speculated) ++speculation_hits_;
       set_current(v);
       return v;
     }
@@ -128,36 +130,18 @@ NodeId MtoSampler::Step() {
   return current();
 }
 
-std::optional<NodeId> MtoSampler::ProposeStep() {
-  // Propose must never pay a query: the current node's neighborhood is
-  // read only when it is already registered or answerable from cache.
-  if (!overlay_.IsRegistered(current())) {
-    if (!interface().IsCached(current()) || !Fetch(current())) {
-      return std::nullopt;
-    }
+std::optional<NodeId> MtoSampler::PeekFirstQuery() {
+  std::span<const NodeId> neighbors;
+  if (overlay_.IsRegistered(current())) {
+    neighbors = overlay_.Neighbors(current());
+  } else if (auto r = interface().PeekCached(current())) {
+    neighbors = r->neighbors;
+  } else {
+    return current();
   }
-  const uint32_t deg = overlay_.Degree(current());
-  if (deg == 0) return std::nullopt;  // overlay-isolated: absorbing
-  // Peek the pick Step() will open with, without consuming the stream:
-  // the commit replays this exact draw from the same RNG state against the
-  // same (walker-private, hence unchanged) overlay neighborhood.
-  const std::array<uint64_t, 4> saved = rng().SaveState();
-  const NodeId v = overlay_.Neighbors(
-      current())[static_cast<size_t>(rng().UniformInt(deg))];
-  rng().RestoreState(saved);
-  return v;
-}
-
-NodeId MtoSampler::CommitStep(NodeId target) {
-  // Re-validate by replaying the full step: the first pick re-derives
-  // `target` (same RNG state, same overlay), then classification decides
-  // whether the speculated edge survives. Any re-pick fetches individually
-  // — a speculation miss — while the prefetched target stays a warm cache
-  // entry the sequential path would have queried anyway.
-  ++speculative_commits_;
-  const NodeId result = Step();
-  if (moved_first_try_ && result == target) ++speculation_hits_;
-  return result;
+  if (neighbors.empty()) return std::nullopt;  // overlay-isolated
+  speculated_ = UniformPick(neighbors);
+  return speculated_;
 }
 
 double MtoSampler::EstimateOverlayDegree(NodeId u) {

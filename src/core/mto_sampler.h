@@ -94,35 +94,12 @@ class MtoSampler final : public Sampler {
 
   NodeId Step() override;
 
-  /// Speculative two-phase stepping (StepProtocol::kSpeculative): MTO
-  /// cannot *promise* its target — classification may remove or replace
-  /// the picked edge mid-step, forcing a re-pick — but it can announce the
-  /// pick the step will open with. `ProposeStep()` peeks that pick (the
-  /// uniform overlay neighbor `Step()` would draw first) by saving and
-  /// restoring the RNG state around the draw, so it consumes *zero* draws
-  /// and never queries; a scheduler coalesces the announced picks into one
-  /// bulk fetch. `CommitStep()` then replays the full step logic against
-  /// the warm cache and re-validates: when rewiring invalidated the
-  /// speculated target it re-picks exactly as the sequential path would
-  /// (the prefetched node stays a warm cache entry — the same unique query
-  /// `Step()` would have paid — so speculation is cost-neutral and never a
-  /// correctness hazard). Trajectories are bit-identical to plain `Step()`.
-  ///
-  /// `ProposeStep()` returns std::nullopt when there is nothing safe to
-  /// announce (current node not yet fetchable from cache, or
-  /// overlay-isolated); per the kSpeculative contract the scheduler then
-  /// drives the round via plain `Step()`.
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kSpeculative;
-  }
-  std::optional<NodeId> ProposeStep() override;
-  NodeId CommitStep(NodeId target) override;
-
-  /// Speculation accounting (reset never; read by benches/tests). A commit
-  /// is a *hit* when the step moved to the speculated target on its first
-  /// inner iteration — i.e. the prefetch covered every fetch the step
-  /// needed. Re-picks after a removal, replacement re-targets, and lazy
-  /// re-draws all count as misses.
+  /// Speculation accounting (reset never; read by benches/tests). Every
+  /// `Step()` that follows a peek which named a pick counts one
+  /// speculative commit; it is a *hit* when the step moved to that pick on
+  /// its first inner iteration — i.e. the prefetch covered every fetch the
+  /// step needed. Re-picks after a removal, replacement re-targets, and
+  /// lazy re-draws all count as misses.
   uint64_t speculative_commits() const { return speculative_commits_; }
   uint64_t speculation_hits() const { return speculation_hits_; }
 
@@ -169,6 +146,18 @@ class MtoSampler final : public Sampler {
     frozen_ = frozen;
   }
 
+ protected:
+  /// MTO cannot promise its target — classification may remove or replace
+  /// the picked edge mid-step, forcing a re-pick — but it can name the pick
+  /// the step opens with: the uniform overlay neighbor `Step()` draws first,
+  /// read from the overlay (or, for a node not registered yet, from its
+  /// cached neighborhood, which the overlay would register unchanged since
+  /// edge rules only touch registered nodes). `current()` when it is not
+  /// cached; std::nullopt when overlay-isolated. The pick is recorded for
+  /// the speculation accounting of the next `Step()`, so each peek must be
+  /// followed by exactly one `Step()` (a second peek overwrites it).
+  std::optional<NodeId> PeekFirstQuery() override;
+
  private:
   /// Queries v and registers its original neighborhood in the overlay.
   /// Returns false when the query budget is exhausted.
@@ -189,9 +178,9 @@ class MtoSampler final : public Sampler {
   MtoConfig config_;
   bool frozen_ = false;
 
-  // Speculation accounting: Step() records the inner iteration its move
-  // happened on; CommitStep compares it against the speculated target.
-  bool moved_first_try_ = false;
+  // Speculation accounting: the pick of the last peek, consumed (and
+  // scored) by the next Step().
+  std::optional<NodeId> speculated_;
   uint64_t speculative_commits_ = 0;
   uint64_t speculation_hits_ = 0;
 };

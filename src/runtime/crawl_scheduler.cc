@@ -18,6 +18,10 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
   if (!factory) {
     throw std::invalid_argument("CrawlScheduler: null walker factory");
   }
+  if (config.pipeline_depth > 0 && !config.coalesce_frontier) {
+    throw std::invalid_argument(
+        "CrawlScheduler: pipeline_depth > 0 needs coalesce_frontier");
+  }
   // The scheduler owns the execution shape (threads, stepping mode,
   // pipeline depth); when the session is the concurrent cache, configure
   // its join lag here so every construction site inherits the CrawlConfig
@@ -42,7 +46,7 @@ CrawlScheduler::CrawlScheduler(RestrictedInterface& interface,
     walkers_.push_back(std::move(walker));
   }
   pool_ = std::make_unique<ThreadPool>(config.num_threads);
-  proposals_.resize(walkers_.size());
+  peeks_.resize(walkers_.size());
 }
 
 CrawlScheduler::~CrawlScheduler() = default;
@@ -134,29 +138,25 @@ void CrawlScheduler::RunFreeRounds(size_t rounds,
 void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
   obs::TraceSpan round_span(trace_, "round.coalesced");
   const size_t W = walkers_.size();
-  // Phase 1 (parallel): draw or peek step targets; proposals never fetch.
+  // Phase 1 (parallel): every walker peeks the first node its step will
+  // query; a peek never fetches, draws or moves a counter.
   pool_->Run([&](size_t t) {
     auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
-    for (size_t i = begin; i < end; ++i) {
-      Sampler& w = *walkers_[i];
-      proposals_[i] = w.step_protocol() == StepProtocol::kSingleStep
-                          ? std::nullopt
-                          : w.ProposeStep();
-    }
+    for (size_t i = begin; i < end; ++i) peeks_[i] = walkers_[i]->PeekStep();
   });
   // Phase 2 (coordinator): fetch the deduplicated frontier in bulk. Only
   // uncached targets go to the backend. Through the concurrent cache the
   // frontier is planned here and its round trips ride the fetch lanes;
   // with pipeline_depth k >= 1 the fetch returns once the outcomes are
   // *planned* (cache marked, costs charged), leaving up to k rounds of
-  // latency in flight while phase 3 commits. A bare interface serves the
+  // latency in flight while phase 3 steps. A bare interface serves the
   // frontier through its bulk endpoint, max_batch_size() ids per trip.
   frontier_.clear();
   {
     std::unordered_set<NodeId> seen;
     for (size_t i = 0; i < W; ++i) {
-      if (!proposals_[i]) continue;
-      const NodeId v = *proposals_[i];
+      if (!peeks_[i]) continue;
+      const NodeId v = *peeks_[i];
       if (!interface_->IsCached(v) && seen.insert(v).second) {
         frontier_.push_back(v);
       }
@@ -170,10 +170,9 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
       interface_->BatchQuery(frontier_);
     }
   }
-  // Phase 3 (parallel): commit against the now-warm cache. kTwoPhase walks
-  // move (only) to their announced target; kSpeculative walks re-validate
-  // their speculation inside CommitStep (or take a plain Step when there
-  // was nothing to prefetch); kSingleStep walks take their whole step here.
+  // Phase 3 (parallel): every walker takes its plain Step() against the
+  // now-warm cache — the same call free-run makes; whatever a step queries
+  // beyond its peek (MTO's re-picks) it fetches itself.
   size_t diag_base = 0;
   if (diagnostics != nullptr) {
     diag_base = diagnostics->size();
@@ -183,21 +182,7 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
     auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
     for (size_t i = begin; i < end; ++i) {
       Sampler& w = *walkers_[i];
-      switch (w.step_protocol()) {
-        case StepProtocol::kSingleStep:
-          w.Step();
-          break;
-        case StepProtocol::kTwoPhase:
-          if (proposals_[i]) w.CommitStep(*proposals_[i]);
-          break;
-        case StepProtocol::kSpeculative:
-          if (proposals_[i]) {
-            w.CommitStep(*proposals_[i]);
-          } else {
-            w.Step();
-          }
-          break;
-      }
+      w.Step();
       if (diagnostics != nullptr) {
         (*diagnostics)[diag_base + i] = w.CurrentDegreeForDiagnostic();
       }

@@ -21,20 +21,22 @@ struct CrawlConfig {
   /// Worker threads stepping them (>= 1). Walkers are statically sharded
   /// across threads in contiguous blocks.
   size_t num_threads = 1;
-  /// When true, every round runs in two phases: all walkers propose their
-  /// step targets (per-walker RNG, no fetches), the deduplicated frontier
-  /// is fetched through the interface's bulk endpoint, then all walkers
-  /// commit. This trades two extra barriers per round for coalesced backend
-  /// round trips — the winning mode when per-request latency dominates.
+  /// When true, every round runs in two phases: all walkers peek the first
+  /// node their step will query (Sampler::PeekStep: no draws, no fetches),
+  /// the deduplicated frontier is fetched through the interface's bulk
+  /// endpoint, then all walkers Step(). This trades two extra barriers per
+  /// round for coalesced backend round trips — the winning mode when
+  /// per-request latency dominates.
   /// When false, walkers free-run between sync points via plain Step() —
   /// the winning mode when the crawl is CPU-bound. Trajectories are
   /// bit-identical either way.
   bool coalesce_frontier = false;
-  /// Lag of the frontier join (coalesced stepping over a
-  /// ConcurrentInterfaceCache only; ignored otherwise): with depth k >= 1,
+  /// Lag of the frontier join over a ConcurrentInterfaceCache; needs
+  /// coalesce_frontier (the constructor throws std::invalid_argument for
+  /// depth > 0 without it; free-run never fetches a frontier). With k >= 1,
   /// up to k rounds of deferred per-backend latency work stay in flight
   /// behind the crawl on the per-backend fetch lanes. 0 (default) joins
-  /// every frontier before the commit phase. Like num_threads this is pure
+  /// every frontier before the step phase. Like num_threads this is pure
   /// execution shape: samples, trace, estimates, costs, and per-backend
   /// ledgers are bit-identical across depths (DESIGN.md §10).
   size_t pipeline_depth = 0;
@@ -88,17 +90,6 @@ class CrawlScheduler {
   /// Current positions, in walker order.
   std::vector<NodeId> Positions() const;
 
-  /// One weighted sample per walker in walker order, appended to the output
-  /// vectors; runs on the calling thread (deterministic collection order).
-  template <typename AttributeFn>
-  void Collect(AttributeFn attribute_of, std::vector<double>& values,
-               std::vector<double>& weights) {
-    for (auto& w : walkers_) {
-      values.push_back(attribute_of(*w));
-      weights.push_back(w->ImportanceWeight());
-    }
-  }
-
   /// Total steps taken across all walkers (rounds * size()).
   uint64_t total_steps() const { return total_steps_; }
 
@@ -140,7 +131,7 @@ class CrawlScheduler {
 
  private:
   void RunFreeRounds(size_t rounds, std::vector<double>* diagnostics);
-  /// Propose, fetch the frontier, commit (DESIGN.md §10).
+  /// Peek, fetch the frontier, step (DESIGN.md §8, §10).
   void RunCoalescedRound(std::vector<double>* diagnostics);
 
   RestrictedInterface* interface_;
@@ -172,7 +163,7 @@ class CrawlScheduler {
   void RefreshSpeculationGauges();
 
   // Scratch for coalesced rounds (stable across rounds to avoid churn).
-  std::vector<std::optional<NodeId>> proposals_;
+  std::vector<std::optional<NodeId>> peeks_;
   std::vector<NodeId> frontier_;
 };
 

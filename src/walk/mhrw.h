@@ -14,20 +14,15 @@ class MetropolisHastingsWalk final : public Sampler {
   MetropolisHastingsWalk(RestrictedInterface& interface, Rng& rng, NodeId start);
 
   NodeId Step() override;
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
-  std::optional<NodeId> ProposeStep() override;
-  NodeId CommitStep(NodeId target) override;
 
   /// Uniform stationary distribution: constant weight.
   double ImportanceWeight() override { return 1.0; }
   std::string name() const override { return "MHRW"; }
 
- private:
-  /// Degree k_u of the node the last proposal was drawn from, stashed by
-  /// ProposeStep so CommitStep's acceptance test needs no extra query.
-  uint32_t proposal_source_degree_ = 0;
+ protected:
+  std::optional<NodeId> PeekFirstQuery() override {
+    return PeekUniformNeighbor();
+  }
 };
 
 }  // namespace mto

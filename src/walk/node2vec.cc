@@ -13,24 +13,22 @@ Node2VecWalk::Node2VecWalk(RestrictedInterface& interface, Rng& rng,
   }
 }
 
-NodeId Node2VecWalk::Step() {
-  auto target = ProposeStep();
-  return target ? CommitStep(*target) : current();
-}
-
-NodeId Node2VecWalk::PickTarget(std::span<const NodeId> cur_neighbors,
-                                std::span<const NodeId> prev_neighbors,
-                                bool prev_ok) {
-  if (!prev_ok) {
+NodeId Node2VecWalk::PickTarget(std::span<const NodeId> cur_neighbors) {
+  // Non-counting read: prev is self-cached whenever set (the walk queried
+  // it while standing on it), so this only misses after budget exhaustion —
+  // where the fallback keeps the walk deterministic per execution shape.
+  const auto rp =
+      prev_ ? interface().PeekCached(*prev_) : std::optional<QueryView>();
+  if (!rp) {
     // First step after construction/teleport, or N(prev) unavailable (only
     // possible once a budget denies re-reads): deterministic uniform pick.
-    return cur_neighbors[static_cast<size_t>(
-        rng().UniformInt(cur_neighbors.size()))];
+    return UniformPick(cur_neighbors);
   }
   // Neighbor lists are sorted (Graph contract), so membership in N(prev)
   // is a binary search. One UniformDouble draw regardless of the outcome.
+  const std::span<const NodeId> prev_neighbors = rp->neighbors;
   const auto weight_of = [&](NodeId x) {
-    if (prev_ && x == *prev_) return 1.0 / p_;
+    if (x == *prev_) return 1.0 / p_;
     if (std::binary_search(prev_neighbors.begin(), prev_neighbors.end(), x)) {
       return 1.0;
     }
@@ -48,24 +46,22 @@ NodeId Node2VecWalk::PickTarget(std::span<const NodeId> cur_neighbors,
   return cur_neighbors.back();
 }
 
-std::optional<NodeId> Node2VecWalk::ProposeStep() {
+NodeId Node2VecWalk::Step() {
   auto r = interface().QueryRef(current());
-  if (!r || r->neighbors.empty()) return std::nullopt;
-  if (!prev_) return PickTarget(r->neighbors, {}, false);
-  // Non-counting read: prev is self-cached whenever set (the walk queried
-  // it while standing on it), so this only misses after budget exhaustion —
-  // where the fallback keeps the walk deterministic per execution shape.
-  auto rp = interface().PeekCached(*prev_);
-  if (!rp) return PickTarget(r->neighbors, {}, false);
-  return PickTarget(r->neighbors, rp->neighbors, true);
-}
-
-NodeId Node2VecWalk::CommitStep(NodeId target) {
+  if (!r || r->neighbors.empty()) return current();
+  const NodeId target = PickTarget(r->neighbors);
   if (interface().QueryRef(target)) {
     prev_ = current();
     set_current(target);
   }
   return current();
+}
+
+std::optional<NodeId> Node2VecWalk::PeekFirstQuery() {
+  auto r = interface().PeekCached(current());
+  if (!r) return current();
+  if (r->neighbors.empty()) return std::nullopt;
+  return PickTarget(r->neighbors);
 }
 
 void Node2VecWalk::Teleport(NodeId node) {

@@ -13,8 +13,8 @@ namespace mto {
 ///
 /// This is the repo's canonical *second-order* program: its frontier is the
 /// pair (prev, cur), not one node, which is exactly the state shape the
-/// one-node runtime assumptions (speculation, checkpoint walker records)
-/// never had to carry before — see DESIGN.md §13. The bias computation
+/// one-node runtime assumptions (the frontier peek, checkpoint walker
+/// records) never had to carry before — see DESIGN.md §13. The bias computation
 /// needs N(prev); `prev` is always self-cached whenever it is set (the walk
 /// queried it while standing on it), so the *deterministic fallback* below
 /// — a uniform pick when `PeekCached(prev)` misses — can only fire after
@@ -26,15 +26,10 @@ class Node2VecWalk final : public Sampler {
   Node2VecWalk(RestrictedInterface& interface, Rng& rng, NodeId start,
                double p = 1.0, double q = 1.0);
 
+  /// Draws the biased pick from the (prev, cur) neighborhoods — one RNG
+  /// draw regardless of branch — then queries it and moves there.
   NodeId Step() override;
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
-  /// Draws the biased pick from the cached (prev, cur) neighborhoods; one
-  /// RNG draw per call regardless of branch, never a backend fetch beyond
-  /// the current node's own (cached) query.
-  std::optional<NodeId> ProposeStep() override;
-  NodeId CommitStep(NodeId target) override;
+
   /// First-order approximation 1/k_v: exact at p == q == 1 (the walk *is*
   /// SRW there); for general (p, q) the true stationary distribution lives
   /// on edges and has no closed node-marginal, so estimates are reweighted
@@ -50,11 +45,15 @@ class Node2VecWalk final : public Sampler {
   std::optional<NodeId> PreviousNode() const override { return prev_; }
   void RestorePrevious(std::optional<NodeId> prev) override { prev_ = prev; }
 
+ protected:
+  /// The biased pick drawn from cached state, exactly as `Step()` draws
+  /// it, or `current()` when that is not cached yet.
+  std::optional<NodeId> PeekFirstQuery() override;
+
  private:
-  /// The biased (or fallback) pick among cur's cached neighbors. `prev_ok`
-  /// is false when N(prev) is unavailable and the fallback applies.
-  NodeId PickTarget(std::span<const NodeId> cur_neighbors,
-                    std::span<const NodeId> prev_neighbors, bool prev_ok);
+  /// The biased pick among cur's neighbors, or the uniform fallback when
+  /// there is no prev or N(prev) is not cached.
+  NodeId PickTarget(std::span<const NodeId> cur_neighbors);
 
   double p_;
   double q_;

@@ -13,28 +13,34 @@ PageRankMassWalk::PageRankMassWalk(RestrictedInterface& interface, Rng& rng,
   }
 }
 
+NodeId PageRankMassWalk::TeleportTarget() {
+  return static_cast<NodeId>(rng().UniformInt(interface().num_users()));
+}
+
+NodeId PageRankMassWalk::PickTarget(std::span<const NodeId> neighbors) {
+  // Dangling node: the surfer teleports (standard PageRank handling).
+  if (neighbors.empty()) return TeleportTarget();
+  return UniformPick(neighbors);
+}
+
 NodeId PageRankMassWalk::Step() {
-  auto target = ProposeStep();
-  return target ? CommitStep(*target) : current();
-}
-
-std::optional<NodeId> PageRankMassWalk::ProposeStep() {
+  NodeId target;
   if (rng().Bernoulli(restart_)) {
-    return static_cast<NodeId>(rng().UniformInt(interface().num_users()));
+    target = TeleportTarget();
+  } else {
+    auto r = interface().QueryRef(current());
+    if (!r) return current();
+    target = PickTarget(r->neighbors);
   }
-  auto r = interface().QueryRef(current());
-  if (!r) return std::nullopt;
-  if (r->neighbors.empty()) {
-    // Dangling node: the surfer teleports (standard PageRank handling).
-    return static_cast<NodeId>(rng().UniformInt(interface().num_users()));
-  }
-  return r->neighbors[static_cast<size_t>(
-      rng().UniformInt(r->neighbors.size()))];
-}
-
-NodeId PageRankMassWalk::CommitStep(NodeId target) {
   if (interface().QueryRef(target)) set_current(target);
   return current();
+}
+
+std::optional<NodeId> PageRankMassWalk::PeekFirstQuery() {
+  if (rng().Bernoulli(restart_)) return TeleportTarget();
+  auto r = interface().PeekCached(current());
+  if (!r) return current();
+  return PickTarget(r->neighbors);
 }
 
 }  // namespace mto

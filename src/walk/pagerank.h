@@ -14,9 +14,8 @@ namespace mto {
 ///
 /// Like RandomJumpWalk this needs id-space knowledge, but unlike it the
 /// teleport target is drawn directly from the id space (no RandomUser
-/// round trip), which makes the teleport *announceable*: the whole step is
-/// kTwoPhase, so the scheduler can coalesce and pipeline PageRank frontiers
-/// exactly like SRW ones.
+/// round trip), so a peek can name it: the scheduler coalesces and
+/// pipelines PageRank frontiers exactly like SRW ones.
 class PageRankMassWalk final : public Sampler {
  public:
   /// `restart` (teleport probability, paper-standard 0.15) must be in
@@ -24,21 +23,28 @@ class PageRankMassWalk final : public Sampler {
   PageRankMassWalk(RestrictedInterface& interface, Rng& rng, NodeId start,
                    double restart = 0.15);
 
-  NodeId Step() override;
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
   /// Draw order: one Bernoulli(restart), then either a uniform id draw
-  /// (teleport / dangling) or a uniform neighbor draw. std::nullopt only on
-  /// budget exhaustion (the current node's query is denied).
-  std::optional<NodeId> ProposeStep() override;
-  NodeId CommitStep(NodeId target) override;
+  /// (teleport / dangling) or a uniform neighbor draw; the target is then
+  /// queried and moved to. Stays put only on budget exhaustion.
+  NodeId Step() override;
+
   /// The surfer's stationary distribution is the estimation target itself,
   /// so samples are unweighted.
   double ImportanceWeight() override { return 1.0; }
   std::string name() const override { return "pagerank"; }
 
+ protected:
+  /// The teleport target, `current()` when it is not cached yet, or the
+  /// neighbor pick — the first node `Step()` will query.
+  std::optional<NodeId> PeekFirstQuery() override;
+
  private:
+  /// A uniform user id: the restart jump's target.
+  NodeId TeleportTarget();
+  /// The step's target once the restart coin came up false: a uniform
+  /// neighbor of `current`, or a teleport when it dangles.
+  NodeId PickTarget(std::span<const NodeId> neighbors);
+
   double restart_;
 };
 

@@ -21,8 +21,7 @@ NodeId RandomJumpWalk::Step() {
   // MHRW step.
   auto u = interface().QueryRef(current());
   if (!u || u->neighbors.empty()) return current();
-  NodeId proposal =
-      u->neighbors[static_cast<size_t>(rng().UniformInt(u->neighbors.size()))];
+  NodeId proposal = UniformPick(u->neighbors);
   double ku = static_cast<double>(u->degree());
   auto v = interface().QueryRef(proposal);
   if (!v) return current();

@@ -1,5 +1,6 @@
 #include "src/walk/sampler.h"
 
+#include <array>
 #include <stdexcept>
 
 namespace mto {
@@ -9,6 +10,20 @@ Sampler::Sampler(RestrictedInterface& interface, Rng& rng, NodeId start)
   if (start >= interface.num_users()) {
     throw std::invalid_argument("Sampler: start node out of range");
   }
+}
+
+std::optional<NodeId> Sampler::PeekStep() {
+  const std::array<uint64_t, 4> saved = rng_->SaveState();
+  const std::optional<NodeId> hint = PeekFirstQuery();
+  rng_->RestoreState(saved);
+  return hint;
+}
+
+std::optional<NodeId> Sampler::PeekUniformNeighbor() {
+  auto r = interface_->PeekCached(current_);
+  if (!r) return current_;
+  if (r->neighbors.empty()) return std::nullopt;
+  return UniformPick(r->neighbors);
 }
 
 UserProfile Sampler::CurrentProfile() {

@@ -1,34 +1,13 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "src/net/restricted_interface.h"
 #include "src/util/rng.h"
 
 namespace mto {
-
-/// How a batching scheduler (runtime/CrawlScheduler) should drive a walk in
-/// coalesced rounds. See the two-phase stepping contract on Sampler below.
-enum class StepProtocol {
-  /// The walk cannot announce anything useful before stepping (Random
-  /// Jump's teleports draw a fresh node id that is pointless to prefetch).
-  /// Coalesced rounds drive it via plain `Step()` in the commit phase.
-  kSingleStep,
-  /// `ProposeStep()` announces the walk's definitive target: if the commit
-  /// moves at all, it moves there (SRW, MHRW). A std::nullopt proposal
-  /// means the walk cannot move this round and no commit follows.
-  kTwoPhase,
-  /// `ProposeStep()` announces a *speculation*: the pick the step would
-  /// take on the walk's current view, peeked without consuming RNG draws.
-  /// `CommitStep()` re-runs the full step logic and re-validates — if the
-  /// walk's own mutations (MTO's edge removal/replacement) invalidate the
-  /// speculated target mid-step it re-picks, and the prefetched node stays
-  /// a warm cache entry, never a correctness hazard. A std::nullopt
-  /// proposal only means "nothing to prefetch"; the commit still runs a
-  /// full `Step()`.
-  kSpeculative,
-};
 
 /// Base class for random-walk samplers over a RestrictedInterface.
 ///
@@ -51,35 +30,23 @@ class Sampler {
   /// exhaustion via the interface.
   virtual NodeId Step() = 0;
 
-  /// Two-phase stepping for batched schedulers (runtime/CrawlScheduler):
-  /// `ProposeStep()` announces the step's target without fetching it, so a
-  /// scheduler can coalesce many walkers' targets into one bulk fetch
-  /// before every walker runs `CommitStep(target)`. In every protocol the
-  /// propose/commit pair consumes exactly the RNG draws `Step()` would, in
-  /// the same order, so `Step()` and propose/commit produce bit-identical
-  /// trajectories.
-  ///
-  /// `step_protocol()` declares how the announcement is to be read:
-  ///  * kTwoPhase (SRW, MHRW): the proposal is definitive; std::nullopt
-  ///    means the walk cannot move this round (isolated node or exhausted
-  ///    budget) and no commit follows.
-  ///  * kSpeculative (MTO): the proposal is the pick the step would take on
-  ///    the walk's current overlay view, *peeked* without consuming RNG
-  ///    draws. The commit replays the full step — classification may
-  ///    remove or replace the speculated edge mid-step, in which case the
-  ///    walk re-picks and the prefetch was merely a warm cache entry.
-  ///    std::nullopt only means "nothing to prefetch"; the commit still
-  ///    runs (via plain `Step()`).
-  ///  * kSingleStep (Random Jump): no useful announcement exists; the walk
-  ///    is driven via plain `Step()` in the commit phase.
-  virtual StepProtocol step_protocol() const {
-    return StepProtocol::kSingleStep;
-  }
-  virtual std::optional<NodeId> ProposeStep() { return std::nullopt; }
-  virtual NodeId CommitStep(NodeId target) {
-    (void)target;
-    return current_;
-  }
+  /// Prefetch hint for batching schedulers (runtime/CrawlScheduler): the
+  /// first node the next `Step()` will query that may be uncached —
+  /// `current()` itself when it is not cached, otherwise the pick the step
+  /// opens with. A scheduler coalesces many walkers' hints into one bulk
+  /// fetch before every walker takes its plain `Step()`. The peek reads
+  /// cached state only (`PeekCached`/`IsCached`), draws on a saved RNG
+  /// state that is restored before it returns, issues no fetch and moves
+  /// no counter, so peeking never changes what `Step()` does: trajectories
+  /// are bit-identical with or without it. std::nullopt means there is
+  /// nothing worth prefetching (Random Jump's teleports draw a fresh node
+  /// id through RandomUser; an isolated node never moves). The hint covers
+  /// only the step's first query; what the step queries after it (MTO's
+  /// re-picks) it fetches itself. One exception to "moves no counter":
+  /// MTO's peek records its pick, which the next `Step()` reads for its
+  /// speculation counters (never for the walk itself), so each peek must
+  /// be followed by exactly one `Step()`.
+  std::optional<NodeId> PeekStep();
 
   /// Current position of the walk.
   NodeId current() const { return current_; }
@@ -126,6 +93,23 @@ class Sampler {
   const RestrictedInterface& interface() const { return *interface_; }
   Rng& rng() { return *rng_; }
   void set_current(NodeId v) { current_ = v; }
+
+  /// The body of `PeekStep()`, run between its RNG save and restore: it
+  /// may draw freely but must read cached state only. Walks that cannot
+  /// announce anything keep the default.
+  virtual std::optional<NodeId> PeekFirstQuery() { return std::nullopt; }
+
+  /// One uniform draw over `neighbors` (non-empty). Every walk whose step
+  /// opens with a uniform neighbor pick makes it here, in `Step()` and in
+  /// the peek alike, so the two cannot drift apart.
+  NodeId UniformPick(std::span<const NodeId> neighbors) {
+    return neighbors[static_cast<size_t>(rng_->UniformInt(neighbors.size()))];
+  }
+
+  /// `PeekFirstQuery()` of a walk whose step opens with a uniform neighbor
+  /// pick (SRW, MHRW): `current()` when uncached, std::nullopt when it has
+  /// no neighbors, else the pick.
+  std::optional<NodeId> PeekUniformNeighbor();
 
  private:
   RestrictedInterface* interface_;

@@ -7,18 +7,9 @@ SimpleRandomWalk::SimpleRandomWalk(RestrictedInterface& interface, Rng& rng,
     : Sampler(interface, rng, start) {}
 
 NodeId SimpleRandomWalk::Step() {
-  auto target = ProposeStep();
-  return target ? CommitStep(*target) : current();
-}
-
-std::optional<NodeId> SimpleRandomWalk::ProposeStep() {
   auto r = interface().QueryRef(current());
-  if (!r || r->neighbors.empty()) return std::nullopt;
-  return r->neighbors[static_cast<size_t>(
-      rng().UniformInt(r->neighbors.size()))];
-}
-
-NodeId SimpleRandomWalk::CommitStep(NodeId target) {
+  if (!r || r->neighbors.empty()) return current();
+  const NodeId target = UniformPick(r->neighbors);
   // The move itself needs no information about `target` beyond its id; the
   // next Step() queries it. Query eagerly anyway so the degree diagnostic
   // reflects the node we now stand on — this mirrors the paper where every

@@ -13,13 +13,13 @@ class SimpleRandomWalk final : public Sampler {
   SimpleRandomWalk(RestrictedInterface& interface, Rng& rng, NodeId start);
 
   NodeId Step() override;
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
-  std::optional<NodeId> ProposeStep() override;
-  NodeId CommitStep(NodeId target) override;
   double ImportanceWeight() override;
   std::string name() const override { return "SRW"; }
+
+ protected:
+  std::optional<NodeId> PeekFirstQuery() override {
+    return PeekUniformNeighbor();
+  }
 };
 
 }  // namespace mto

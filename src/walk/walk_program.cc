@@ -20,9 +20,6 @@ NodeId ClampStart(const RestrictedInterface& interface, NodeId start) {
 class SrwProgram final : public WalkProgram {
  public:
   std::string_view name() const override { return "srw"; }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams&) const override {
@@ -34,9 +31,6 @@ class SrwProgram final : public WalkProgram {
 class MhrwProgram final : public WalkProgram {
  public:
   std::string_view name() const override { return "mhrw"; }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams&) const override {
@@ -48,9 +42,6 @@ class MhrwProgram final : public WalkProgram {
 class RandomJumpProgram final : public WalkProgram {
  public:
   std::string_view name() const override { return "random_jump"; }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kSingleStep;
-  }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams& params) const override {
@@ -63,9 +54,6 @@ class RandomJumpProgram final : public WalkProgram {
 class MtoProgram final : public WalkProgram {
  public:
   std::string_view name() const override { return "mto"; }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kSpeculative;
-  }
   bool uses_overlay() const override { return true; }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
@@ -81,9 +69,6 @@ class Node2VecProgram final : public WalkProgram {
   FrontierShape frontier_shape() const override {
     return FrontierShape::kSecondOrder;
   }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams& params) const override {
@@ -96,9 +81,6 @@ class Node2VecProgram final : public WalkProgram {
 class PageRankProgram final : public WalkProgram {
  public:
   std::string_view name() const override { return "pagerank"; }
-  StepProtocol step_protocol() const override {
-    return StepProtocol::kTwoPhase;
-  }
   std::unique_ptr<Sampler> MakeWalker(
       RestrictedInterface& interface, Rng& rng, NodeId start,
       const WalkProgramParams& params) const override {

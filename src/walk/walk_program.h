@@ -9,9 +9,8 @@
 
 namespace mto {
 
-/// State shape of a walk program's frontier — what a scheduler must thread
-/// through propose/commit and what a checkpoint must capture per walker
-/// beyond (position, RNG stream). See DESIGN.md §13.
+/// State shape of a walk program's frontier — what a checkpoint must
+/// capture per walker beyond (position, RNG stream). See DESIGN.md §13.
 enum class FrontierShape {
   /// The walk's full positional state is its current node (SRW, MHRW, RJ,
   /// MTO — MTO's overlay is separate, non-positional state).
@@ -36,11 +35,12 @@ struct WalkProgramParams {
 };
 
 /// A pluggable walk semantic — the unit the scenario's `"program"` key
-/// selects. A program declares, *statically*, everything the runtime and
-/// service layers must know to drive, coalesce, checkpoint, and label its
-/// walkers (frontier shape, step protocol, overlay use), and builds them
-/// via MakeWalker. Programs are stateless singletons; all per-walk state
-/// lives in the Sampler instances they build.
+/// selects. A program declares, *statically*, everything the service
+/// layer must know to checkpoint and label its walkers (frontier shape,
+/// overlay use), and builds them via MakeWalker; how a walker is stepped
+/// and prefetched is the Sampler's own business (`Step()`, `PeekStep()`).
+/// Programs are stateless singletons; all per-walk state lives in the
+/// Sampler instances they build.
 ///
 /// Built-in programs: "srw", "mhrw", "random_jump" (alias "rj"), "mto",
 /// "node2vec", "pagerank". The registry is the only walk dispatch: the
@@ -57,11 +57,6 @@ class WalkProgram {
   virtual FrontierShape frontier_shape() const {
     return FrontierShape::kOneNode;
   }
-
-  /// How a batching scheduler drives this program's walkers (the same
-  /// contract Sampler::step_protocol declares per instance, surfaced here
-  /// so layers can plan without building a walker).
-  virtual StepProtocol step_protocol() const = 0;
 
   /// True when walkers carry a mutable OverlayGraph the service layer must
   /// snapshot/restore in checkpoints and freeze at the end of burn-in.

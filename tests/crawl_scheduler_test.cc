@@ -96,7 +96,7 @@ TEST(CrawlSchedulerTest, CoalescedModeIsBitIdenticalToFreeModeAtEqualCost) {
   EXPECT_LT(batch_run.backend_requests, free_run.backend_requests);
 }
 
-TEST(CrawlSchedulerTest, MhrwTwoPhaseMatchesPlainStepping) {
+TEST(CrawlSchedulerTest, MhrwCoalescedMatchesPlainStepping) {
   SocialNetwork net(TestGraph());
   CrawlConfig free_config{8, 1, false};
   CrawlConfig batch_config{8, 4, true};
@@ -107,11 +107,11 @@ TEST(CrawlSchedulerTest, MhrwTwoPhaseMatchesPlainStepping) {
 }
 
 TEST(CrawlSchedulerTest, MtoSpeculativeSteppingIsBitIdenticalAcrossModes) {
-  // MtoSampler steps speculatively: ProposeStep peeks the overlay pick
-  // (consuming no RNG draws) so the scheduler can prefetch it, and
-  // CommitStep replays the full rewiring step against the warm cache.
-  // Positions, diagnostics, and unique-query cost must be bit-identical
-  // across 1/2/8 threads and both stepping modes.
+  // MtoSampler steps speculatively: PeekStep names the overlay pick its
+  // step opens with (consuming no RNG draws) so the scheduler can prefetch
+  // it, and the plain Step() then runs the full rewiring step against the
+  // warm cache. Positions, diagnostics, and unique-query cost must be
+  // bit-identical across 1/2/8 threads and both stepping modes.
   SocialNetwork net(TestGraph());
   std::vector<CrawlResult> runs;
   for (size_t threads : {1u, 2u, 8u}) {
@@ -146,9 +146,10 @@ TEST(CrawlSchedulerTest, MtoSpeculationMostlyHitsAndMissesAreCounted) {
     commits += walker.speculative_commits();
     hits += walker.speculation_hits();
   }
-  // Nearly every round proposes (only the very first, uncached position
-  // declines), most speculations validate, and rewiring produces at least
-  // some misses on this clustered graph.
+  // Every round but the first speculates (the first peek names the
+  // uncached start node itself, which is no speculation), most
+  // speculations hit, and rewiring produces at least some misses on this
+  // clustered graph.
   EXPECT_GE(commits, 8u * 149u);
   EXPECT_GT(hits, commits / 2);
   EXPECT_LT(hits, commits);
@@ -223,6 +224,13 @@ TEST(CrawlSchedulerTest, RejectsInvalidConfigs) {
   // ...and accepts the same shape over the concurrent cache.
   ConcurrentInterfaceCache session(iface);
   EXPECT_NO_THROW(CrawlScheduler(session, CrawlConfig{2, 2, false}, kSeed,
+                                 SrwFactory));
+  // The join lag only exists for coalesced rounds: free-run never fetches
+  // a frontier, so a depth without coalescing is refused, not ignored.
+  EXPECT_THROW(CrawlScheduler(session, CrawlConfig{2, 2, false, 2}, kSeed,
+                              SrwFactory),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CrawlScheduler(session, CrawlConfig{2, 2, true, 2}, kSeed,
                                  SrwFactory));
 }
 

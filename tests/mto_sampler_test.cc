@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/estimate/sampling_distribution.h"
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
@@ -180,70 +182,40 @@ TEST(MtoSamplerTest, BudgetExhaustionFreezesWalk) {
   EXPECT_EQ(iface.QueryCost(), 5u);
 }
 
-TEST(MtoSamplerTest, SpeculativeProtocolDeclaredAndPeekConsumesNoDraws) {
+TEST(MtoSamplerTest, PeekConsumesNoDrawsAndNamesTheOpeningPick) {
   SocialNetwork net(Barbell(6));
   RestrictedInterface iface(net);
   Rng rng(21);
   MtoSampler mto(iface, rng, 0);
-  EXPECT_EQ(mto.step_protocol(), StepProtocol::kSpeculative);
+  // An uncached start is announced as itself and records no speculation.
+  EXPECT_EQ(mto.PeekStep(), std::optional<NodeId>(0));
   mto.Step();  // register the current position
+  EXPECT_EQ(mto.speculative_commits(), 0u);
   const auto state_before = rng.SaveState();
-  auto proposal = mto.ProposeStep();
-  ASSERT_TRUE(proposal.has_value());
+  auto peek = mto.PeekStep();
+  ASSERT_TRUE(peek.has_value());
   EXPECT_EQ(rng.SaveState(), state_before);  // peeked, not consumed
-  // The proposal is exactly the pick the step opens with: with rewiring
-  // disabled mid-run it is also where the walk lands.
-  EXPECT_TRUE(mto.overlay().HasEdge(mto.current(), *proposal));
-}
-
-TEST(MtoSamplerTest, ProposeCommitTrajectoryMatchesPlainStepping) {
-  // Two samplers over identical seeds: one driven by plain Step(), one by
-  // the speculative propose/commit pair (with the proposal prefetched the
-  // way a coalescing scheduler would). Trajectories, overlays, and
-  // unique-query costs must agree bit-for-bit — in both stepping orders
-  // the pair consumes exactly the draws Step() does.
-  for (bool lazy : {false, true}) {
-    SocialNetwork net(Barbell(8));
-    RestrictedInterface iface_a(net);
-    RestrictedInterface iface_b(net);
-    Rng rng_a(22), rng_b(22);
-    MtoConfig config;
-    config.lazy = lazy;
-    MtoSampler plain(iface_a, rng_a, 0, config);
-    MtoSampler spec(iface_b, rng_b, 0, config);
-    for (int i = 0; i < 600; ++i) {
-      const NodeId a = plain.Step();
-      auto proposal = spec.ProposeStep();
-      if (proposal) iface_b.Query(*proposal);  // the scheduler's prefetch
-      const NodeId b = proposal ? spec.CommitStep(*proposal) : spec.Step();
-      ASSERT_EQ(a, b) << "step " << i << " lazy " << lazy;
-    }
-    EXPECT_EQ(iface_a.QueryCost(), iface_b.QueryCost()) << "lazy " << lazy;
-    EXPECT_EQ(plain.overlay().num_removed(), spec.overlay().num_removed());
-    EXPECT_EQ(plain.overlay().num_added(), spec.overlay().num_added());
-    EXPECT_EQ(rng_a.SaveState(), rng_b.SaveState());
-  }
+  // The peek is exactly the pick the step opens with: an overlay edge of
+  // the current node, scored by the next Step().
+  EXPECT_TRUE(mto.overlay().HasEdge(mto.current(), *peek));
+  mto.Step();
+  EXPECT_EQ(mto.speculative_commits(), 1u);
 }
 
 TEST(MtoSamplerTest, SpeculativeMissStormStaysCorrect) {
   // A dense clique pair is a worst case for speculation: early steps
   // classify (and often remove) nearly every picked edge, invalidating the
-  // speculated target over and over. Misses must be counted and the
-  // trajectory must still match the sequential path exactly (covered
-  // above); here we pin that misses actually occur and hits never exceed
-  // commits.
+  // peeked pick over and over. Misses must be counted and the trajectory
+  // must still match the sequential path exactly (walk_program_test's
+  // twin test); here we pin that misses actually occur and hits never
+  // exceed commits.
   SocialNetwork net(Barbell(11));
   RestrictedInterface iface(net);
   Rng rng(23);
   MtoSampler mto(iface, rng, 0, RemovalOnly());
   for (int i = 0; i < 2000; ++i) {
-    auto proposal = mto.ProposeStep();
-    if (proposal) {
-      iface.Query(*proposal);
-      mto.CommitStep(*proposal);
-    } else {
-      mto.Step();
-    }
+    if (auto peek = mto.PeekStep()) iface.Query(*peek);
+    mto.Step();
   }
   EXPECT_GT(mto.overlay().num_removed(), 10u);  // the storm happened
   EXPECT_GT(mto.speculative_commits(), 0u);

@@ -27,13 +27,13 @@
 namespace mto {
 namespace {
 
-enum class Stepping { kPlain, kCoalesced, kSpeculative };
+enum class Stepping { kPlain, kCoalesced, kMtoCoalesced };
 
 const char* SteppingName(Stepping stepping) {
   switch (stepping) {
     case Stepping::kPlain: return "plain";
     case Stepping::kCoalesced: return "coalesced";
-    case Stepping::kSpeculative: return "speculative";
+    case Stepping::kMtoCoalesced: return "mto_coalesced";
   }
   return "?";
 }
@@ -61,7 +61,7 @@ ScenarioConfig BaseScenario(size_t threads, Stepping stepping, bool faults) {
   config.num_walkers = 8;
   config.num_threads = threads;
   config.coalesce_frontier = stepping != Stepping::kPlain;
-  config.program.name = stepping == Stepping::kSpeculative ? "mto" : "srw";
+  config.program.name = stepping == Stepping::kMtoCoalesced ? "mto" : "srw";
   config.geweke_check_every = 20;
   config.geweke_min_length = 40;
   config.max_burn_in_rounds = 120;
@@ -171,7 +171,7 @@ std::vector<Sweep> AllSweeps() {
   std::vector<Sweep> sweeps;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     for (Stepping stepping :
-         {Stepping::kPlain, Stepping::kCoalesced, Stepping::kSpeculative}) {
+         {Stepping::kPlain, Stepping::kCoalesced, Stepping::kMtoCoalesced}) {
       for (size_t depth : {size_t{0}, size_t{1}, size_t{2}}) {
         if (stepping == Stepping::kPlain && depth > 0) continue;
         for (bool faults : {false, true}) {
@@ -190,7 +190,7 @@ TEST(PipelineEquivalenceExtrasTest, RendezvousPipelinedMatchesRendezvousSync) {
   // The equivalence contract is routing-policy independent: under
   // rendezvous routing (different trajectory than sharded, same purity) the
   // pipelined engine must still match its own depth-0 baseline bit-for-bit.
-  ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
+  ScenarioConfig config = BaseScenario(4, Stepping::kMtoCoalesced, true);
   config.strategy = BackendSelection::kRendezvous;
   const RunOutput sync = RunWithDepth(config, 0);
   const RunOutput pipelined = RunWithDepth(config, 2);
@@ -204,7 +204,7 @@ TEST(PipelineEquivalenceExtrasTest, ObservedPipelinedMatchesUnobservedSync) {
   // snapshots, run report) is bit-identical to the unobserved depth-0
   // baseline — telemetry on the lanes and in the scheduler perturbs
   // nothing (DESIGN.md §11).
-  ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
+  ScenarioConfig config = BaseScenario(4, Stepping::kMtoCoalesced, true);
   const RunOutput sync = RunWithDepth(config, 0);
   ScenarioConfig observed_config = config;
   observed_config.pipeline_depth = 2;
@@ -230,7 +230,7 @@ TEST(PipelineEquivalenceExtrasTest, PipelinedResumesSyncCheckpointBitIdentically
   // shape): a depth-0 victim's checkpoint resumes under a depth-2 pipeline
   // to the same bits. RunRounds drains the pipeline at unit boundaries, so the
   // ledgers a checkpoint captures are quiescent in both modes.
-  ScenarioConfig config = BaseScenario(4, Stepping::kSpeculative, true);
+  ScenarioConfig config = BaseScenario(4, Stepping::kMtoCoalesced, true);
   const RunOutput reference = RunWithDepth(config, 0);
   const std::string path =
       testing::TempDir() + "/pipeline_equivalence_sync_to_pipelined.ckpt";

@@ -7,17 +7,23 @@
 // and per-backend ledgers to the 1-thread plain reference, and a checkpoint
 // taken under one shape must resume under any other to the same bits.
 // Second-order state (node2vec's (prev, cur) frontier) is the new thing a
-// checkpoint must carry; these tests are the proof it does.
+// checkpoint must carry; these tests are the proof it does. Below the
+// service tier, the peek contract coalesced rounds rely on
+// (Sampler::PeekStep) is pinned once for every registered program.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/core/mto_sampler.h"
+#include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/service/crawl_service.h"
 #include "src/walk/node2vec.h"
@@ -267,6 +273,216 @@ TEST(WalkProgramEquivalenceExtrasTest, PerProgramMetricTwinsAreLabeled) {
   EXPECT_GT(
       service.metrics()->CounterValue("scheduler.rounds{program=node2vec}"),
       0u);
+}
+
+// --- The peek contract -----------------------------------------------
+
+struct PeekCase {
+  std::string label;
+  std::string program;
+  WalkProgramParams params;
+};
+
+/// Every registered program (node2vec and pagerank with the biased knobs
+/// the sweep above uses), plus MTO's lazy and removal-only variants,
+/// whose re-draws and re-picks are where a peek most often misses.
+std::vector<PeekCase> PeekCases() {
+  std::vector<PeekCase> cases;
+  for (std::string_view name : WalkProgramNames()) {
+    PeekCase c{std::string(name), std::string(name), {}};
+    c.params.p = 0.5;
+    c.params.q = 2.0;
+    c.params.restart = 0.2;
+    cases.push_back(c);
+  }
+  PeekCase lazy{"mto_lazy", "mto", {}};
+  lazy.params.mto.lazy = true;
+  cases.push_back(lazy);
+  PeekCase removal_only{"mto_removal_only", "mto", {}};
+  removal_only.params.mto.enable_replacement = false;
+  cases.push_back(removal_only);
+  return cases;
+}
+
+/// Dense communities with sparse links between them: MTO removes and
+/// replaces edges constantly.
+SocialNetwork PeekNetwork() {
+  Rng rng(31);
+  return SocialNetwork(LargestComponent(
+      StochasticBlockModel({12, 12, 12, 12, 12}, 0.9, 0.02, rng)));
+}
+
+/// A network, a walk seed and a start node for the twin-walker test.
+struct PeekInput {
+  std::string label;
+  SocialNetwork net;
+  uint64_t seed;
+  NodeId start;
+};
+
+/// The community network above, and the small barbell (two dense
+/// cliques joined by one bridge) that MTO's early steps rewire heavily.
+std::vector<PeekInput> PeekInputs() {
+  std::vector<PeekInput> inputs;
+  inputs.push_back({"sbm", PeekNetwork(), 0x7E57, 5});
+  inputs.push_back({"barbell8", SocialNetwork(Barbell(8)), 22, 0});
+  return inputs;
+}
+
+/// MTO's overlay counts and speculation counters; all zero for other walks.
+struct MtoObservables {
+  size_t overlay_registered = 0;
+  size_t overlay_removed = 0;
+  size_t overlay_added = 0;
+  uint64_t speculative_commits = 0;
+  uint64_t speculation_hits = 0;
+
+  bool operator==(const MtoObservables&) const = default;
+};
+
+MtoObservables ObserveMto(const Sampler& walker) {
+  MtoObservables o;
+  if (const auto* mto = dynamic_cast<const MtoSampler*>(&walker)) {
+    o.overlay_registered = mto->overlay().num_registered();
+    o.overlay_removed = mto->overlay().num_removed();
+    o.overlay_added = mto->overlay().num_added();
+    o.speculative_commits = mto->speculative_commits();
+    o.speculation_hits = mto->speculation_hits();
+  }
+  return o;
+}
+
+/// Everything a peek must leave alone, captured from one walker.
+struct PeekObservables {
+  std::array<uint64_t, 4> rng_state;
+  uint64_t query_cost;
+  uint64_t total_requests;
+  MtoObservables mto;
+
+  bool operator==(const PeekObservables&) const = default;
+};
+
+PeekObservables Observe(const Sampler& walker, const Rng& rng,
+                        const RestrictedInterface& iface) {
+  return {rng.SaveState(), iface.QueryCost(), iface.TotalRequests(),
+          ObserveMto(walker)};
+}
+
+TEST(WalkProgramPeekTest, PeekThenStepMatchesPlainStepping) {
+  // Twin walkers over identical seeds: one takes plain Step()s, the other
+  // peeks before every step and prefetches the hint the way a coalescing
+  // scheduler would. The peek itself must change nothing, and after every
+  // step both twins must agree on position, second-order register, RNG
+  // state, unique-query cost and MTO overlay. Each case runs from a fresh
+  // start node and from one another walker already fetched (cached, but
+  // not yet in MTO's overlay).
+  for (const PeekInput& input : PeekInputs()) {
+    for (const PeekCase& c : PeekCases()) {
+      for (bool start_cached : {false, true}) {
+        SCOPED_TRACE(input.label + " " + c.label +
+                     (start_cached ? " start cached" : ""));
+        const WalkProgram& program = GetWalkProgram(c.program);
+        RestrictedInterface plain_iface(input.net);
+        RestrictedInterface peek_iface(input.net);
+        if (start_cached) {
+          plain_iface.Query(input.start);
+          peek_iface.Query(input.start);
+        }
+        Rng plain_rng(input.seed);
+        Rng peek_rng(input.seed);
+        auto plain =
+            program.MakeWalker(plain_iface, plain_rng, input.start, c.params);
+        auto peeked =
+            program.MakeWalker(peek_iface, peek_rng, input.start, c.params);
+        size_t hints = 0;
+        for (int i = 0; i < 600; ++i) {
+          const PeekObservables before =
+              Observe(*peeked, peek_rng, peek_iface);
+          const std::optional<NodeId> hint = peeked->PeekStep();
+          ASSERT_TRUE(Observe(*peeked, peek_rng, peek_iface) == before)
+              << "peek " << i << " changed walker or session state";
+          if (hint) {
+            ++hints;
+            peek_iface.Query(*hint);
+          }
+          plain->Step();
+          peeked->Step();
+          ASSERT_EQ(plain->current(), peeked->current()) << "step " << i;
+          ASSERT_EQ(plain->PreviousNode(), peeked->PreviousNode())
+              << "step " << i;
+          ASSERT_EQ(plain_rng.SaveState(), peek_rng.SaveState())
+              << "step " << i;
+          ASSERT_EQ(plain_iface.QueryCost(), peek_iface.QueryCost())
+              << "step " << i;
+          const MtoObservables plain_mto = ObserveMto(*plain);
+          const MtoObservables peek_mto = ObserveMto(*peeked);
+          ASSERT_EQ(plain_mto.overlay_registered, peek_mto.overlay_registered)
+              << "step " << i;
+          ASSERT_EQ(plain_mto.overlay_removed, peek_mto.overlay_removed)
+              << "step " << i;
+          ASSERT_EQ(plain_mto.overlay_added, peek_mto.overlay_added)
+              << "step " << i;
+        }
+        // Random Jump announces nothing; every other program has a hint
+        // on every step of a connected graph.
+        EXPECT_EQ(hints, c.program == "random_jump" ? 0u : 600u);
+        // Every MTO step after a peek that named a pick is a speculative
+        // commit: all but the first from an uncached start (that peek
+        // names the start itself). The plain twin never peeked, so it
+        // counts none. The twins went through rewiring, and so through
+        // peeks that missed.
+        if (c.program == "mto") {
+          const MtoObservables plain_mto = ObserveMto(*plain);
+          const MtoObservables peek_mto = ObserveMto(*peeked);
+          EXPECT_EQ(peek_mto.speculative_commits,
+                    start_cached ? 600u : 599u);
+          EXPECT_EQ(plain_mto.speculative_commits, 0u);
+          EXPECT_GT(peek_mto.overlay_removed, 0u);
+          EXPECT_LT(peek_mto.speculation_hits, peek_mto.speculative_commits);
+        }
+      }
+    }
+  }
+}
+
+TEST(WalkProgramPeekTest, PeekAnnouncesAnUncachedStart) {
+  // A fresh walker's start node is the first thing its step queries, so
+  // the peek names it — putting start nodes on the first coalesced
+  // frontier instead of fetching them inline. PageRank queries its start
+  // only on the non-teleport branch; Random Jump announces nothing.
+  const SocialNetwork net = PeekNetwork();
+  for (const PeekCase& c : PeekCases()) {
+    SCOPED_TRACE(c.label);
+    const WalkProgram& program = GetWalkProgram(c.program);
+    size_t teleports = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      RestrictedInterface iface(net);
+      Rng rng(seed);
+      const NodeId start = static_cast<NodeId>(seed * 7 % net.num_users());
+      auto walker = program.MakeWalker(iface, rng, start, c.params);
+      Rng coin(0);
+      coin.RestoreState(rng.SaveState());
+      const bool teleport =
+          c.program == "pagerank" && coin.Bernoulli(c.params.restart);
+      const std::optional<NodeId> hint = walker->PeekStep();
+      EXPECT_EQ(iface.QueryCost(), 0u);
+      if (c.program == "random_jump") {
+        EXPECT_EQ(hint, std::nullopt);
+      } else if (teleport) {
+        ++teleports;
+        ASSERT_TRUE(hint.has_value());
+        // The teleport target is the step's first (and only) query.
+        walker->Step();
+        EXPECT_TRUE(iface.IsCached(*hint));
+        EXPECT_EQ(iface.QueryCost(), 1u);
+      } else {
+        EXPECT_EQ(hint, std::optional<NodeId>(start)) << "seed " << seed;
+      }
+    }
+    if (c.program == "pagerank") {
+      EXPECT_GT(teleports, 0u);
+    }
+  }
 }
 
 TEST(WalkProgramRegistryTest, RegistryResolvesEveryBuiltIn) {
