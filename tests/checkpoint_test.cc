@@ -65,6 +65,84 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A multi-megabyte image built from a seeded Rng: large enough to cross any
+/// write-buffer block boundary, with every field populated.
+ServiceCheckpoint MakeLargeCheckpoint() {
+  Rng rng(0xC4EC4);
+  ServiceCheckpoint ckpt;
+  ckpt.config_fingerprint = rng.Next();
+  ckpt.session.cached_ids.resize(200000);
+  for (NodeId& v : ckpt.session.cached_ids) {
+    v = static_cast<NodeId>(rng.Next());
+  }
+  ckpt.session.unique_queries = rng.Next();
+  ckpt.session.total_requests = rng.Next();
+  ckpt.session.backend_requests = rng.Next();
+  ckpt.ledgers.resize(4);
+  for (BackendLedger& ledger : ckpt.ledgers) {
+    BackendStats& s = ledger.stats;
+    for (uint64_t* field :
+         {&s.unique_queries, &s.requests, &s.failed_requests, &s.timeouts,
+          &s.transient_errors, &s.quota_rejections, &s.budget_refusals,
+          &s.pacing_waits, &s.simulated_us, &ledger.clock_us,
+          &ledger.last_refill_us}) {
+      *field = rng.Next();
+    }
+    ledger.bucket_tokens = rng.UniformDouble(0.0, 64.0);
+  }
+  ckpt.round_robin_cursor = rng.Next();
+  ckpt.failed_fetches = rng.Next();
+  ckpt.walkers.resize(3);
+  for (auto& walker : ckpt.walkers) {
+    walker.position = static_cast<NodeId>(rng.Next());
+    for (uint64_t& word : walker.rng_state) word = rng.Next();
+  }
+  ckpt.total_steps = rng.Next();
+  ckpt.phase = CrawlPhase::kSampling;
+  ckpt.rounds = rng.Next();
+  ckpt.collection_rounds_done = rng.Next();
+  ckpt.burn_in_converged = 1;
+  ckpt.burn_in_rounds = rng.Next();
+  ckpt.burn_in_query_cost = rng.Next();
+  ckpt.diagnostics.resize(30000);
+  for (double& d : ckpt.diagnostics) d = rng.Normal();
+  ckpt.samples.resize(100000);
+  for (auto& sample : ckpt.samples) {
+    sample.value = rng.Normal();
+    sample.weight = rng.UniformDouble();
+    sample.query_cost = rng.Next();
+    sample.node = static_cast<NodeId>(rng.Next());
+  }
+  ckpt.overlays.resize(3);
+  for (auto& overlay : ckpt.overlays) {
+    overlay.frozen = static_cast<uint8_t>(rng.UniformInt(2));
+    overlay.delta.registered.resize(5000);
+    for (NodeId& v : overlay.delta.registered) {
+      v = static_cast<NodeId>(rng.Next());
+    }
+    for (auto* keys : {&overlay.delta.removed, &overlay.delta.added,
+                       &overlay.delta.processed}) {
+      keys->resize(5000);
+      for (uint64_t& key : *keys) key = rng.Next();
+    }
+  }
+  ckpt.second_order.resize(3);
+  for (auto& record : ckpt.second_order) {
+    record.has_prev = static_cast<uint8_t>(rng.UniformInt(2));
+    record.prev = static_cast<NodeId>(rng.Next());
+  }
+  return ckpt;
+}
+
+/// FNV-1a-64 of a byte string.
+uint64_t Fnv1a64(const std::vector<char>& bytes) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return hash;
+}
+
 TEST(CheckpointTest, SaveLoadRoundTripsEveryField) {
   const ServiceCheckpoint saved = MakeCheckpoint();
   const std::string path = TempPath("roundtrip");
@@ -100,6 +178,26 @@ TEST(CheckpointTest, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.second_order[0].has_prev, 1u);
   EXPECT_EQ(loaded.second_order[0].prev, 3u);
   EXPECT_EQ(loaded.second_order[1].has_prev, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, V5ImageBytesArePinned) {
+  // The v5 byte layout is a compatibility contract: checkpoints written by
+  // one build must load in the next. Pin the exact bytes Save writes for a
+  // small image and for a multi-megabyte one, so any reordering, width
+  // change or buffering bug in the encoder shows up here.
+  const std::string path = TempPath("pinned");
+  MakeCheckpoint().Save(path);
+  const std::vector<char> small = ReadAll(path);
+  EXPECT_EQ(small.size(), 630u);
+  EXPECT_EQ(Fnv1a64(small), 0xB46F921AFA09E74BULL);
+  MakeLargeCheckpoint().Save(path);
+  const std::vector<char> large = ReadAll(path);
+  EXPECT_EQ(large.size(), 4260780u);
+  EXPECT_EQ(Fnv1a64(large), 0xD6928BEBD71E8804ULL);
+  // The large image loads back and re-encodes to the same bytes.
+  ServiceCheckpoint::Load(path).Save(path);
+  EXPECT_EQ(ReadAll(path), large);
   std::remove(path.c_str());
 }
 
