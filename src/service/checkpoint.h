@@ -42,6 +42,12 @@ enum class CrawlPhase : uint8_t { kBurnIn = 0, kSampling = 1, kDone = 2 };
 /// no silent downgrade path. A fingerprint of the scenario
 /// (ScenarioConfig::Fingerprint) guards against resuming under a different
 /// configuration.
+///
+/// Codec: checkpoint.cc names every field once, in file order, in a single
+/// field walk shared by both directions. Save appends little-endian words
+/// to a 1 MiB block and writes each full block with one call; Load reads
+/// the file once and decodes from a span cursor, so truncation and
+/// implausible counts are length compares against the bytes left.
 struct ServiceCheckpoint {
   static constexpr uint32_t kVersion = 5;
 
@@ -98,7 +104,7 @@ struct ServiceCheckpoint {
 
   /// Writes the checkpoint atomically (tmp file + rename) so a crash while
   /// saving never corrupts the previous checkpoint. Throws
-  /// std::runtime_error on I/O failure.
+  /// std::runtime_error on I/O failure, after removing the tmp file.
   void Save(const std::string& path) const;
 
   /// Loads and validates magic/version/structure. Throws

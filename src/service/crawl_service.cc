@@ -416,7 +416,6 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
   ckpt.burn_in_query_cost = burn_in_query_cost_;
   const std::span<const double> diagnostics = pipeline_->diagnostics();
   ckpt.diagnostics.assign(diagnostics.begin(), diagnostics.end());
-  ckpt.samples = samples_stream_;
   // Overlay-carrying walkers (MTO) additionally snapshot their delta per
   // walker (walker order). The rewiring RNG is the walker RNG, already
   // captured in WalkerState.
@@ -439,11 +438,18 @@ void CrawlService::SaveCheckpoint(const std::string& path) {
            walker.previous.value_or(0)});
     }
   }
+  // Lend the sample stream to the image instead of copying it; it comes
+  // back whether or not the save succeeds.
+  ckpt.samples.swap(samples_stream_);
   const auto start = std::chrono::steady_clock::now();
-  {
+  try {
     obs::TraceSpan span(trace_log_.get(), "checkpoint.save");
     ckpt.Save(path);
+  } catch (...) {
+    ckpt.samples.swap(samples_stream_);
+    throw;
   }
+  ckpt.samples.swap(samples_stream_);
   ObsRecord(ckpt_save_us_,
             static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -462,7 +468,7 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
         "LoadCheckpoint: restore requires a freshly constructed service");
   }
   const auto load_start = std::chrono::steady_clock::now();
-  const ServiceCheckpoint ckpt = ServiceCheckpoint::Load(path);
+  ServiceCheckpoint ckpt = ServiceCheckpoint::Load(path);
   ObsRecord(ckpt_load_us_,
             static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -560,7 +566,7 @@ void CrawlService::LoadCheckpoint(const std::string& path) {
   burn_in_converged_ = ckpt.burn_in_converged != 0;
   burn_in_rounds_ = static_cast<size_t>(ckpt.burn_in_rounds);
   burn_in_query_cost_ = ckpt.burn_in_query_cost;
-  samples_stream_ = ckpt.samples;
+  samples_stream_ = std::move(ckpt.samples);
   started_ = true;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -205,15 +206,43 @@ TEST(CheckpointTest, TruncatedFileFailsLoudly) {
   const std::string path = TempPath("truncated");
   MakeCheckpoint().Save(path);
   const std::vector<char> bytes = ReadAll(path);
-  // Cut the file at every interesting boundary: inside the magic, inside
-  // the header, and at several points of the payload. Every cut must
-  // throw, never return a half-read checkpoint.
-  for (size_t keep : {size_t{0}, size_t{4}, size_t{9}, size_t{30},
-                      bytes.size() / 2, bytes.size() - 1}) {
+  // Cut the file at every length from 0 bytes to one short of the image:
+  // inside the magic, inside the header, and at every point of the
+  // payload. Every cut must throw, never return a half-read checkpoint.
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
     SCOPED_TRACE("keep=" + std::to_string(keep));
     WriteAll(path, {bytes.begin(), bytes.begin() + keep});
     EXPECT_THROW(ServiceCheckpoint::Load(path), std::runtime_error);
   }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, FailedSaveRemovesItsTmpFile) {
+  namespace fs = std::filesystem;
+  // The target is a directory: the rename fails, and the tmp file the
+  // save wrote must not be left behind.
+  const std::string dir = TempPath("dir_target");
+  fs::remove_all(dir);
+  fs::remove(dir + ".tmp");
+  fs::create_directory(dir);
+  EXPECT_THROW(MakeCheckpoint().Save(dir), std::runtime_error);
+  EXPECT_FALSE(fs::exists(dir + ".tmp"));
+  EXPECT_TRUE(fs::is_directory(dir));
+  fs::remove_all(dir);
+
+  // A write that fails mid-image (the tmp path leads to a full device):
+  // the previous checkpoint at the path stays intact and still loads.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string path = TempPath("full_device");
+  MakeCheckpoint().Save(path);
+  const std::vector<char> previous = ReadAll(path);
+  fs::remove(path + ".tmp");
+  fs::create_symlink("/dev/full", path + ".tmp");
+  EXPECT_THROW(MakeLargeCheckpoint().Save(path), std::runtime_error);
+  EXPECT_FALSE(fs::is_symlink(path + ".tmp"));
+  EXPECT_EQ(ReadAll(path), previous);
+  EXPECT_EQ(ServiceCheckpoint::Load(path).config_fingerprint,
+            MakeCheckpoint().config_fingerprint);
   std::remove(path.c_str());
 }
 

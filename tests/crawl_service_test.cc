@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -215,6 +216,25 @@ TEST(CrawlServiceTest, PeriodicCheckpointsDuringRunAreResumable) {
   }
   ExpectBitIdentical(full, resumed.Finish());
   std::remove(config.checkpoint.path.c_str());
+}
+
+TEST(CrawlServiceTest, FailedSavesLeaveTheRunUntouched) {
+  // A save that throws (its path is a directory) is caught at every unit
+  // boundary, and the run continues: the sample stream lent to the image
+  // comes back, so the run ends exactly like an uninterrupted one.
+  ScenarioConfig config = FaultyScenario();
+  const ServiceResult uninterrupted = CrawlService(config).Run();
+  const std::string dir = TempCheckpointPath("dir_target");
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(dir + ".tmp");
+  std::filesystem::create_directory(dir);
+  CrawlService service(config);
+  while (service.Advance()) {
+    EXPECT_THROW(service.SaveCheckpoint(dir), std::runtime_error);
+  }
+  ExpectBitIdentical(uninterrupted, service.Finish());
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CrawlServiceTest, MhrwScenarioAlsoResumesBitIdentically) {
