@@ -234,12 +234,12 @@ TEST(CheckpointTest, FailedSaveRemovesItsTmpFile) {
   // the previous checkpoint at the path stays intact and still loads.
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const std::string path = TempPath("full_device");
+  fs::remove(path + ".tmp");
   MakeCheckpoint().Save(path);
   const std::vector<char> previous = ReadAll(path);
-  fs::remove(path + ".tmp");
   fs::create_symlink("/dev/full", path + ".tmp");
   EXPECT_THROW(MakeLargeCheckpoint().Save(path), std::runtime_error);
-  EXPECT_FALSE(fs::is_symlink(path + ".tmp"));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path + ".tmp")));
   EXPECT_EQ(ReadAll(path), previous);
   EXPECT_EQ(ServiceCheckpoint::Load(path).config_fingerprint,
             MakeCheckpoint().config_fingerprint);
