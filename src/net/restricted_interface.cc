@@ -31,15 +31,6 @@ void RestrictedInterface::ApplyFetchBatch(const FetchPlan::Batch& batch) {
   (void)batch;  // planning already settled the only ledger
 }
 
-QueryResult RestrictedInterface::MakeResult(NodeId v) const {
-  QueryResult r;
-  r.user = v;
-  r.profile = network_->profile(v);
-  auto nbrs = network_->graph().Neighbors(v);
-  r.neighbors.assign(nbrs.begin(), nbrs.end());
-  return r;
-}
-
 QueryView RestrictedInterface::MakeView(NodeId v) const {
   return {v, &network_->profile(v), network_->graph().Neighbors(v)};
 }
@@ -57,51 +48,39 @@ void RestrictedInterface::FetchInline(std::span<const NodeId> misses) {
   }
 }
 
-bool RestrictedInterface::AdmitRequest(NodeId v, const char* what) {
+std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
   if (v >= network_->num_users()) {
-    throw std::invalid_argument(std::string(what) + ": unknown user id");
+    throw std::invalid_argument("QueryRef: unknown user id");
   }
   ++total_requests_;
   if (!cached_[v]) {
     const NodeId miss[1] = {v};
     FetchInline(miss);
+    if (!cached_[v]) return std::nullopt;
   }
-  return cached_[v];
-}
-
-std::optional<QueryResult> RestrictedInterface::Query(NodeId v) {
-  if (!AdmitRequest(v, "Query")) return std::nullopt;
-  return MakeResult(v);
-}
-
-std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
-  if (!AdmitRequest(v, "QueryRef")) return std::nullopt;
   return MakeView(v);
 }
 
-std::vector<std::optional<QueryResult>> RestrictedInterface::BatchQuery(
-    std::span<const NodeId> ids) {
+void RestrictedInterface::FetchFrontier(std::span<const NodeId> ids) {
   for (NodeId v : ids) {
     if (v >= network_->num_users()) {
-      throw std::invalid_argument("BatchQuery: unknown user id");
+      throw std::invalid_argument("FetchFrontier: unknown user id");
     }
   }
-  // Distinct cache-missing ids in first-appearance order; duplicates and
-  // hits are answered from cache without touching the backend.
-  std::vector<NodeId> misses;
-  {
-    std::unordered_set<NodeId> seen;
-    for (NodeId v : ids) {
-      ++total_requests_;
-      if (!cached_[v] && seen.insert(v).second) misses.push_back(v);
-    }
+  // Distinct cache-missing ids in first-appearance order; hits and repeats
+  // are already answered from cache and cost nothing.
+  frontier_misses_.clear();
+  std::unordered_set<NodeId> seen;
+  for (NodeId v : ids) {
+    if (!IsCached(v) && seen.insert(v).second) frontier_misses_.push_back(v);
   }
-  if (!misses.empty()) FetchInline(misses);
-  std::vector<std::optional<QueryResult>> results(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (cached_[ids[i]]) results[i] = MakeResult(ids[i]);
-  }
-  return results;
+  if (!frontier_misses_.empty()) FetchFrontierMisses(frontier_misses_);
+}
+
+void RestrictedInterface::FetchFrontierMisses(
+    std::span<const NodeId> misses) {
+  total_requests_ += misses.size();
+  FetchInline(misses);
 }
 
 std::optional<uint32_t> RestrictedInterface::CachedDegree(NodeId v) const {
@@ -109,9 +88,8 @@ std::optional<uint32_t> RestrictedInterface::CachedDegree(NodeId v) const {
   return network_->graph().Degree(v);
 }
 
-std::optional<QueryResult> RestrictedInterface::RandomUser(Rng& rng) {
-  NodeId v = static_cast<NodeId>(rng.UniformInt(network_->num_users()));
-  return Query(v);
+std::optional<QueryView> RestrictedInterface::RandomUser(Rng& rng) {
+  return QueryRef(static_cast<NodeId>(rng.UniformInt(network_->num_users())));
 }
 
 void RestrictedInterface::SetMaxBatchSize(size_t max_batch_size) {

@@ -31,19 +31,10 @@ struct FetchPlan {
   std::vector<uint8_t> fetched;
 };
 
-/// Response of one individual-user query q(v) (paper Section II-A):
-/// the user's profile plus the complete list of connected users.
-struct QueryResult {
-  NodeId user;
-  UserProfile profile;
-  std::vector<NodeId> neighbors;
-
-  uint32_t degree() const { return static_cast<uint32_t>(neighbors.size()); }
-};
-
-/// Borrowed view of a query response: same information as QueryResult but
-/// pointing straight into the interface's immutable backing store, so cache
-/// hits cost zero allocations. Valid until the interface is destroyed.
+/// Response of one individual-user query q(v) (paper Section II-A): the
+/// user's profile plus the complete list of connected users, borrowed from
+/// the interface's immutable backing store, so a cache hit allocates
+/// nothing. Valid until the interface is destroyed.
 struct QueryView {
   NodeId user = 0;
   const UserProfile* profile = nullptr;
@@ -67,41 +58,39 @@ struct SessionSnapshot {
 /// third-party sampler.
 ///
 /// Models the paper's access rules precisely:
-///  * the only operation is `Query(v)` returning v's profile and neighbors;
+///  * the only operation is q(v), `QueryRef(v)`, returning v's profile and
+///    neighbors as a view into the immutable backing store;
 ///  * duplicate queries are answered from the sampler's local cache ("any
 ///    duplicate query can be answered from local cache without consuming
 ///    the query limit", Section II-B), so cost counts *unique* users only;
 ///  * the total number of users is public (footnote 4) via `num_users()`;
 ///  * `RandomUser()` models samplers that exploit a known id space (the
 ///    Random Jump baseline, Section I-B); it costs one query.
-///  * an optional hard query budget makes `Query` report exhaustion, which
-///    experiment harnesses use to cap runs.
+///  * an optional hard query budget makes `QueryRef` report exhaustion,
+///    which experiment harnesses use to cap runs.
 ///
-/// Beyond the single-user endpoint the interface models the bulk-fetch
-/// endpoints real OSN APIs expose (`users/lookup`-style): `BatchQuery`
-/// answers up to `max_batch_size()` users per backend round trip. An
-/// optional simulated per-request latency makes the round-trip economics
-/// measurable: every backend request (one cache-missing `Query`, or one
-/// chunk of a `BatchQuery`) sleeps `simulated_latency()`, while cache hits
-/// stay free. `BackendRequests()` counts the round trips paid.
+/// Beside the single-user read the interface models the bulk-fetch
+/// endpoints real OSN APIs expose (`users/lookup`-style): `FetchFrontier`
+/// fetches many users ahead of their reads, up to `max_batch_size()` per
+/// backend round trip. An optional simulated per-request latency makes the
+/// round-trip economics measurable: every backend request (one
+/// cache-missing `QueryRef`, or one chunk of a frontier) sleeps
+/// `simulated_latency()`, while cache hits stay free. `BackendRequests()`
+/// counts the round trips paid.
 ///
-/// `QueryRef` is the allocation-free variant of `Query` for hot loops: it
-/// returns a view into the backing store instead of copying the neighbor
-/// vector. Walk steps use it; code that stores responses uses `Query`.
-///
-/// Every cache-missing fetch — single or batched — is one plan/apply pair:
+/// Every cache-missing fetch — single or frontier — is one plan/apply pair:
 /// `PlanFetchMisses` decides outcomes and charges cost, `ApplyFetchBatch`
-/// settles the per-backend ledgers, and the single-threaded query methods
-/// then sleep the round trips. The base class plans the paper's
+/// settles the per-backend ledgers, and the single-threaded fetch then
+/// sleeps the round trips. The base class plans the paper's
 /// one-perfect-backend model; src/service/BackendPool plans a multi-backend
 /// fault/retry/failover model without touching the cache or
 /// cost-accounting logic here, and runtime/ConcurrentInterfaceCache drives
 /// either through the same two calls.
 ///
-/// The query methods are virtual so schedulers can swap in a thread-safe
-/// session (runtime/ConcurrentInterfaceCache) without samplers noticing.
-/// This base class itself is single-threaded: concurrent calls on one
-/// instance are undefined behavior.
+/// `QueryRef` and the frontier's fetch are virtual so schedulers can swap
+/// in a thread-safe session (runtime/ConcurrentInterfaceCache) without
+/// samplers noticing. This base class itself is single-threaded: concurrent
+/// calls on one instance are undefined behavior.
 class RestrictedInterface {
  public:
   /// Wraps a network. The interface does not own the network; keep it alive.
@@ -112,23 +101,23 @@ class RestrictedInterface {
   RestrictedInterface(const RestrictedInterface&) = delete;
   RestrictedInterface& operator=(const RestrictedInterface&) = delete;
 
-  /// Issues q(v). Counts one unit of query cost iff `v` was never queried
-  /// before. Returns std::nullopt when the query budget is exhausted and
-  /// `v` is not cached.
-  virtual std::optional<QueryResult> Query(NodeId v);
-
-  /// `Query` without the copy: identical semantics and cost accounting, but
-  /// the response borrows the interface's storage (valid until destruction).
-  /// The hot path for walk steps, which only ever read the response.
+  /// Issues q(v). Counts one request, and one unit of query cost iff `v`
+  /// was never queried before. Returns std::nullopt when the query budget
+  /// is exhausted and `v` is not cached. The response borrows the
+  /// interface's storage (valid until destruction). Throws
+  /// std::invalid_argument on an out-of-range id.
   virtual std::optional<QueryView> QueryRef(NodeId v);
 
-  /// Bulk endpoint: issues q(v) for every id, in order. Unique-query cost
-  /// accounting is identical to calling `Query` per id; the difference is
-  /// latency, which is paid once per backend chunk of up to
-  /// `max_batch_size()` cache-missing ids instead of once per miss.
-  /// Per-id results mirror `Query` (std::nullopt once the budget runs out).
-  virtual std::vector<std::optional<QueryResult>> BatchQuery(
-      std::span<const NodeId> ids);
+  /// The bulk fetch: fetches each distinct uncached id of `ids` once, in
+  /// first-appearance order, so the reads that follow are hits. Cached and
+  /// repeated ids cost nothing; each fetched id counts one request and, as
+  /// with `QueryRef`, one unit of query cost. Latency is paid once per
+  /// backend chunk of up to `max_batch_size()` ids instead of once per
+  /// miss. Ids refused by the budget stay uncached. Throws
+  /// std::invalid_argument, before fetching anything, when any id is out
+  /// of range. Not a query-path call: on the concurrent cache it must come
+  /// from one coordinator thread while no walker runs.
+  void FetchFrontier(std::span<const NodeId> ids);
 
   /// Degree of a previously queried user, without issuing a query.
   /// Returns std::nullopt when `v` has never been queried (its degree is
@@ -156,9 +145,10 @@ class RestrictedInterface {
   /// Public total user count (paper footnote 4).
   NodeId num_users() const { return network_->num_users(); }
 
-  /// A uniformly random user id; consumes one unit of query cost (the
-  /// returned user is fetched and cached). Used by Random Jump.
-  std::optional<QueryResult> RandomUser(Rng& rng);
+  /// q(v) of a uniformly random user id v through `QueryRef`: one request,
+  /// and one unit of query cost when v is uncached (it is fetched and
+  /// cached). Used by Random Jump.
+  std::optional<QueryView> RandomUser(Rng& rng);
 
   /// Unique queries issued so far — the paper's query-cost measure.
   virtual uint64_t QueryCost() const { return unique_queries_; }
@@ -166,7 +156,7 @@ class RestrictedInterface {
   /// Total requests including cache hits (for diagnostics only).
   virtual uint64_t TotalRequests() const { return total_requests_; }
 
-  /// Backend round trips paid so far (cache-missing queries plus batch
+  /// Backend round trips paid so far (cache-missing queries plus frontier
   /// chunks). With zero simulated latency this is still counted; it is the
   /// crawl's wall-clock cost model.
   virtual uint64_t BackendRequests() const { return backend_requests_; }
@@ -183,7 +173,7 @@ class RestrictedInterface {
     return simulated_latency_;
   }
 
-  /// Maximum ids the bulk endpoint serves per backend round trip (>= 1).
+  /// Maximum ids FetchFrontier serves per backend round trip (>= 1).
   virtual void SetMaxBatchSize(size_t max_batch_size);
   virtual size_t max_batch_size() const { return max_batch_size_; }
 
@@ -232,10 +222,12 @@ class RestrictedInterface {
  protected:
   /// Materializes q(v) from the (immutable) network; shared by the cache
   /// implementations. `v` must be a valid id.
-  QueryResult MakeResult(NodeId v) const;
-
-  /// Borrowed-view variant of MakeResult (no allocation).
   QueryView MakeView(NodeId v) const;
+
+  /// FetchFrontier's fetch of `misses` (valid, distinct, uncached ids, at
+  /// least one): counts one request per id and fetches them. The base
+  /// class fetches inline (FetchInline).
+  virtual void FetchFrontierMisses(std::span<const NodeId> misses);
 
   /// Records a successful fetch of `v`: caches it and charges one unit of
   /// unique-query cost.
@@ -255,10 +247,6 @@ class RestrictedInterface {
   /// Ids left uncached on return were refused (budget/backend exhaustion).
   void FetchInline(std::span<const NodeId> misses);
 
-  /// Shared front half of Query/QueryRef: validates `v`, counts the
-  /// request, fetches on a miss. Returns true iff `v` is cached afterwards.
-  bool AdmitRequest(NodeId v, const char* what);
-
   const SocialNetwork* network_;
   std::vector<bool> cached_;
   uint64_t unique_queries_ = 0;
@@ -267,7 +255,8 @@ class RestrictedInterface {
   std::optional<uint64_t> budget_;
   std::chrono::microseconds simulated_latency_{0};
   size_t max_batch_size_ = 32;
-  FetchPlan inline_plan_;  ///< FetchInline's reused plan
+  FetchPlan inline_plan_;                ///< FetchInline's reused plan
+  std::vector<NodeId> frontier_misses_;  ///< FetchFrontier's reused list
 };
 
 }  // namespace mto

@@ -1,10 +1,8 @@
 #include "src/runtime/concurrent_interface_cache.h"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 namespace mto {
@@ -36,7 +34,7 @@ ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
                            std::memory_order_relaxed);
   }
   // Take over latency simulation: the wrapped session is only the ledger
-  // from here on; round trips are slept outside its mutex (see Query).
+  // from here on; round trips are slept outside its mutex (see FetchOne).
   SetSimulatedLatency(base.simulated_latency());
   base.SetSimulatedLatency(std::chrono::microseconds(0));
   lanes_ = std::make_unique<SerialChannels>(
@@ -90,14 +88,17 @@ void ConcurrentInterfaceCache::PlanMisses(std::span<const NodeId> misses,
   base_->PlanFetchMisses(misses, plan);
 }
 
-const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
-    std::span<const NodeId> misses, bool caller_joins) {
+void ConcurrentInterfaceCache::FetchFrontierMisses(
+    std::span<const NodeId> misses) {
+  // One request per distinct uncached frontier id, every one of them a miss.
+  total_requests_.fetch_add(misses.size(), std::memory_order_relaxed);
+  ObsAdd(metrics_.misses, misses.size());
+  ObsRecord(metrics_.miss_batch, misses.size());
   FetchPlan& plan = ThreadPlan();
   PlanMisses(misses, plan);
-  // Publish planned outcomes: every miss is either claimed by the caller or
-  // (a frontier) reachable by no other query-path thread, so the flags are
-  // set directly. Readers may see these nodes while their round trips are
-  // still in flight on the lanes.
+  // Publish planned outcomes: no query-path thread runs during a frontier
+  // fetch, so the flags are set directly. Readers may see these nodes
+  // while their round trips are still in flight on the lanes.
   for (size_t i = 0; i < misses.size(); ++i) {
     if (plan.fetched[i] != 0) {
       cached_flags_[misses[i]].store(1, std::memory_order_release);
@@ -105,9 +106,9 @@ const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
   }
   for (size_t k = 0; k < plan.batches.size(); ++k) {
     const FetchPlan::Batch& batch = plan.batches[k];
-    if (caller_joins && k + 1 == plan.batches.size()) {
-      // The caller would only wait for the lanes: it serves the last
-      // backend itself, sparing the lane hand-off and wake-up per batch.
+    if (pipeline_depth_ == 0 && k + 1 == plan.batches.size()) {
+      // The join below would only wait for the lanes: serve the last
+      // backend here, sparing the lane hand-off and wake-up per batch.
       // Plan-order queues keep the ledgers as if a lane had applied it.
       base_->ApplyFetchBatch(batch);
       SleepRoundTrips(simulated_latency(), batch.trips);
@@ -115,23 +116,6 @@ const FetchPlan& ConcurrentInterfaceCache::PlanAndPost(
       PostApplyTask(batch);
     }
   }
-  return plan;
-}
-
-void ConcurrentInterfaceCache::FetchFrontier(
-    std::span<const NodeId> frontier) {
-  for (NodeId v : frontier) {
-    if (v >= num_users()) {
-      throw std::invalid_argument("FetchFrontier: unknown user id");
-    }
-  }
-  // Mirror BatchQuery's request accounting: one request per frontier slot,
-  // every one of them a miss by contract.
-  total_requests_.fetch_add(frontier.size(), std::memory_order_relaxed);
-  if (frontier.empty()) return;
-  ObsAdd(metrics_.misses, frontier.size());
-  ObsRecord(metrics_.miss_batch, frontier.size());
-  PlanAndPost(frontier, /*caller_joins=*/pipeline_depth_ == 0);
   // The lag-k join: at most pipeline_depth_ rounds of posted work may stay
   // in flight; wait out markers older than that (at depth 0, this round's
   // own). This bounds run-ahead and keeps "steps/sec limited by aggregate
@@ -260,116 +244,27 @@ void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
   s.cv.notify_all();
 }
 
-bool ConcurrentInterfaceCache::Admit(NodeId v) {
-  total_requests_.fetch_add(1, std::memory_order_relaxed);
-  // Lock-free hit path: the network is immutable, so a set flag is enough
-  // to materialize the response locally. Hits are deliberately not
-  // counted here — PublishMetrics derives them from total_requests_.
-  if (HitCached(v)) return true;
-  if (!ClaimFetch(v)) return true;  // cached while we waited (a hit, derived)
-  ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
-  const bool fetched = FetchOne(v);
-  // Walkers racing to `v` wait in ClaimFetch until here, i.e. until the
-  // response "arrived".
-  ResolveFetch(v, fetched);
-  return fetched;
-}
-
-std::optional<QueryResult> ConcurrentInterfaceCache::Query(NodeId v) {
-  if (v >= num_users()) {
-    throw std::invalid_argument("Query: unknown user id");
-  }
-  if (!Admit(v)) return std::nullopt;
-  return MakeResult(v);
-}
-
 std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
   if (v >= num_users()) {
     throw std::invalid_argument("QueryRef: unknown user id");
   }
   // Hot path: a set flag plus the immutable network is enough to answer
-  // without locks or allocations.
+  // without locks or allocations. Hits are deliberately not counted here —
+  // PublishMetrics derives them from total_requests_.
   if (HitCached(v)) {
     total_requests_.fetch_add(1, std::memory_order_relaxed);
     return MakeView(v);
   }
-  if (!Admit(v)) return std::nullopt;
+  total_requests_.fetch_add(1, std::memory_order_relaxed);
+  if (ClaimFetch(v)) {  // else cached while we waited (a hit, derived)
+    ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
+    const bool fetched = FetchOne(v);
+    // Walkers racing to `v` wait in ClaimFetch until here, i.e. until the
+    // response "arrived".
+    ResolveFetch(v, fetched);
+    if (!fetched) return std::nullopt;
+  }
   return MakeView(v);
-}
-
-std::vector<std::optional<QueryResult>> ConcurrentInterfaceCache::BatchQuery(
-    std::span<const NodeId> ids) {
-  for (NodeId v : ids) {
-    if (v >= num_users()) {
-      throw std::invalid_argument("BatchQuery: unknown user id");
-    }
-  }
-  total_requests_.fetch_add(ids.size(), std::memory_order_relaxed);
-
-  // Claim every distinct uncached id we can without blocking. Ids already
-  // being fetched by another walker are picked up afterwards, once our own
-  // claims are resolved — never while holding claims, so two overlapping
-  // BatchQuery calls cannot deadlock waiting on each other.
-  std::vector<NodeId> claimed;
-  std::vector<NodeId> busy;
-  std::unordered_map<NodeId, std::optional<QueryResult>> fetched;
-  for (NodeId v : ids) {
-    if (fetched.count(v) != 0) continue;  // duplicate within this batch
-    if (HitCached(v)) continue;
-    Shard& s = shard(v);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (HitCached(v)) continue;
-    if (s.in_flight.insert(v).second) {
-      claimed.push_back(v);
-      fetched.emplace(v, std::nullopt);
-    } else {
-      busy.push_back(v);
-    }
-  }
-  // Busy ids re-enter through Query below and count themselves there; of
-  // the rest, claims are misses and everything else (duplicates within the
-  // batch, already-cached ids) was answered from cache (hits, derived at
-  // PublishMetrics time).
-  ObsAdd(metrics_.misses, claimed.size());
-  ObsRecord(metrics_.miss_batch, claimed.size());
-
-  if (!claimed.empty()) {
-    // One task per backend touched, each on its backend's lane: round trips
-    // served by *different* backends overlap in real time, so this join
-    // costs the max over backends instead of the sum. The marker may cover
-    // other callers' later posts too; waiting on them is merely longer.
-    const FetchPlan* plan = nullptr;
-    std::exception_ptr error;
-    try {
-      plan = &PlanAndPost(claimed, /*caller_joins=*/true);
-      lanes_->WaitUntil(lanes_->Mark());
-    } catch (...) {
-      error = std::current_exception();  // resolve the claims first
-    }
-    for (size_t i = 0; i < claimed.size(); ++i) {
-      const bool ok = error == nullptr && plan->fetched[i] != 0;
-      ResolveFetch(claimed[i], ok);
-      if (ok) fetched[claimed[i]] = MakeResult(claimed[i]);
-    }
-    if (error) std::rethrow_exception(error);
-  }
-  for (NodeId v : busy) {
-    // Waits out the other walker's fetch (or re-fetches on budget refusal);
-    // the request was already counted above.
-    total_requests_.fetch_sub(1, std::memory_order_relaxed);
-    fetched[v] = Query(v);
-  }
-
-  std::vector<std::optional<QueryResult>> results(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto it = fetched.find(ids[i]);
-    if (it != fetched.end()) {
-      results[i] = it->second;
-    } else if (HitCached(ids[i])) {
-      results[i] = MakeResult(ids[i]);
-    }
-  }
-  return results;
 }
 
 }  // namespace mto

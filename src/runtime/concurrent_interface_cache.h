@@ -42,20 +42,21 @@ namespace mto {
 ///    cost) and its per-backend ledger batches are applied outside it —
 ///    for the paper's one perfect backend and a service/BackendPool alike.
 ///    A single miss applies its batches on the calling walker's thread and
-///    sleeps its round trips there. A batch (a coalesced frontier or a
-///    BatchQuery) publishes its planned outcomes and posts one
-///    apply-and-sleep task per backend to that backend's FIFO lane
-///    (util/SerialChannels), so round trips served by different backends
-///    overlap in real time.
+///    sleeps its round trips there. A frontier (`FetchFrontier`, the
+///    scheduler's coalesced prefetch) publishes its planned outcomes and
+///    posts one apply-and-sleep task per backend to that backend's FIFO
+///    lane (util/SerialChannels), so round trips served by different
+///    backends overlap in real time.
 ///  * **Frontier pipelining (`SetPipelineDepth(k)`).** `FetchFrontier`
-///    plans the coordinator's frontier, posts its lane tasks and then
-///    joins with lag k: before it returns, round R-k must have drained.
-///    With k = 0 that is the frontier's own tasks — commits see a fully
-///    settled round. With k >= 1, commits read the planned outcomes from
-///    the cache while the round trips are still "in flight" as wall time on
-///    the lanes. Every fetch is planned, in order, by the coordinator or
-///    its claiming walker before anything is posted, so the depth moves
-///    only wall-clock time: samples/trace/estimate/ledgers are bitwise
+///    plans the coordinator's frontier (its distinct uncached ids, as on
+///    every session), posts its lane tasks and then joins with lag k:
+///    before it returns, round R-k must have drained. With k = 0 that is
+///    the frontier's own tasks — commits see a fully settled round. With
+///    k >= 1, commits read the planned outcomes from the cache while the
+///    round trips are still "in flight" as wall time on the lanes. Every
+///    fetch is planned, in order, by the coordinator or its claiming
+///    walker before anything is posted, so the depth moves only
+///    wall-clock time: samples/trace/estimate/ledgers are bitwise
 ///    independent of it (DESIGN.md §10).
 ///
 /// The wrapper takes over latency simulation from the wrapped session (the
@@ -79,24 +80,14 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   void SetPipelineDepth(size_t depth);
   size_t pipeline_depth() const { return pipeline_depth_; }
 
-  /// The coordinator's frontier fetch (CrawlScheduler only): plans the
-  /// whole frontier under the ledger mutex, marks planned-fetched nodes
-  /// cached, posts each backend's apply task to its lane, and runs the
-  /// lag-k join. `frontier` must be distinct, uncached ids; must be called
-  /// from a single coordinator thread with no concurrent query-path calls
-  /// (CrawlScheduler's phase barriers guarantee this).
-  void FetchFrontier(std::span<const NodeId> frontier);
-
   /// Drains every lane; after this the ledgers are quiescent
   /// (checkpoint/stat-read safe). Coordinator only.
   void DrainPipeline();
 
-  std::optional<QueryResult> Query(NodeId v) override;
-  /// Allocation-free read path: cache hits return a borrowed view without
-  /// taking any lock; misses run the same fetch as Query.
+  /// Read path: a cache hit returns a borrowed view without taking any
+  /// lock; a miss claims the node (racing walkers wait and share one
+  /// fetch) and fetches it on this thread.
   std::optional<QueryView> QueryRef(NodeId v) override;
-  std::vector<std::optional<QueryResult>> BatchQuery(
-      std::span<const NodeId> ids) override;
   std::optional<uint32_t> CachedDegree(NodeId v) const override;
   bool IsCached(NodeId v) const override;
 
@@ -156,11 +147,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Publishes the outcome of a claimed fetch and wakes waiters.
   void ResolveFetch(NodeId v, bool fetched);
 
-  /// Counts one request for `v` and, on a miss, claims and fetches it.
-  /// Returns true iff `v` is cached afterwards. The shared front half of
-  /// Query and QueryRef.
-  bool Admit(NodeId v);
-
   /// Fetches one claimed miss: plans it (PlanMisses), applies its batches
   /// on this thread, and sleeps its round trips. Ledger order holds behind
   /// in-flight frontier batches at any depth: the session applies ops in
@@ -170,16 +156,14 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Plans `misses` into `plan` under the ledger mutex.
   void PlanMisses(std::span<const NodeId> misses, FetchPlan& plan);
 
-  /// The batch fetch shared by FetchFrontier and BatchQuery: plans
-  /// `misses` (PlanMisses), publishes the fetched nodes' cache flags, and
-  /// posts each backend's apply task to its lane. The caller joins the
-  /// lanes; when it joins right away (`caller_joins`) it applies and
-  /// sleeps the last batch itself instead of posting it. Returns this
-  /// thread's plan, valid until the thread's next fetch. `misses` must be
-  /// distinct, uncached ids that no other thread can fetch meanwhile
-  /// (claimed, or a coordinator's frontier).
-  const FetchPlan& PlanAndPost(std::span<const NodeId> misses,
-                               bool caller_joins);
+  /// The coordinator's frontier fetch (FetchFrontier, called by
+  /// CrawlScheduler between its phase barriers, so no query-path call
+  /// runs meanwhile and no other thread can fetch these ids): plans the
+  /// misses under the ledger mutex, publishes the fetched nodes' cache
+  /// flags, posts each backend's apply task to its lane, and runs the
+  /// lag-k join. At depth 0 the coordinator would only wait for the lanes,
+  /// so it applies and sleeps the last batch itself.
+  void FetchFrontierMisses(std::span<const NodeId> misses) override;
 
   /// Posts one planned batch to its backend's lane: ledger apply first,
   /// then the wall-clock price of its round trips.

@@ -1,7 +1,6 @@
 #include "src/runtime/crawl_scheduler.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/core/mto_sampler.h"
 #include "src/runtime/concurrent_interface_cache.h"
@@ -144,31 +143,20 @@ void CrawlScheduler::RunCoalescedRound(std::vector<double>* diagnostics) {
     auto [begin, end] = ThreadPool::BlockRange(W, pool_->size(), t);
     for (size_t i = begin; i < end; ++i) peeks_[i] = walkers_[i]->PeekStep();
   });
-  // Phase 2 (coordinator): fetch the deduplicated frontier in bulk. Only
-  // uncached targets go to the backend. Through the concurrent cache the
-  // frontier is planned here and its round trips ride the fetch lanes;
-  // with pipeline_depth k >= 1 the fetch returns once the outcomes are
-  // *planned* (cache marked, costs charged), leaving up to k rounds of
-  // latency in flight while phase 3 steps. A bare interface serves the
-  // frontier through its bulk endpoint, max_batch_size() ids per trip.
+  // Phase 2 (coordinator): hand the peeks to the session's bulk fetch,
+  // which sends each distinct uncached one to the backend once. Through
+  // the concurrent cache the frontier is planned here and its round trips
+  // ride the fetch lanes; with pipeline_depth k >= 1 the fetch returns once
+  // the outcomes are *planned* (cache marked, costs charged), leaving up to
+  // k rounds of latency in flight while phase 3 steps. A bare interface
+  // fetches inline, max_batch_size() ids per trip.
   frontier_.clear();
-  {
-    std::unordered_set<NodeId> seen;
-    for (size_t i = 0; i < W; ++i) {
-      if (!peeks_[i]) continue;
-      const NodeId v = *peeks_[i];
-      if (!interface_->IsCached(v) && seen.insert(v).second) {
-        frontier_.push_back(v);
-      }
-    }
+  for (const std::optional<NodeId>& peek : peeks_) {
+    if (peek) frontier_.push_back(*peek);
   }
   if (!frontier_.empty()) {
     obs::TraceSpan fetch_span(trace_, "frontier.fetch", frontier_.size());
-    if (cache_ != nullptr) {
-      cache_->FetchFrontier(frontier_);
-    } else {
-      interface_->BatchQuery(frontier_);
-    }
+    interface_->FetchFrontier(frontier_);
   }
   // Phase 3 (parallel): every walker takes its plain Step() against the
   // now-warm cache — the same call free-run makes; whatever a step queries

@@ -23,10 +23,10 @@ struct CrawlConfig {
   size_t num_threads = 1;
   /// When true, every round runs in two phases: all walkers peek the first
   /// node their step will query (Sampler::PeekStep: no draws, no fetches),
-  /// the deduplicated frontier is fetched through the interface's bulk
-  /// endpoint, then all walkers Step(). This trades two extra barriers per
-  /// round for coalesced backend round trips — the winning mode when
-  /// per-request latency dominates.
+  /// the peeks go to the interface's FetchFrontier, which fetches each
+  /// distinct uncached one once, then all walkers Step(). This trades two
+  /// extra barriers per round for coalesced backend round trips — the
+  /// winning mode when per-request latency dominates.
   /// When false, walkers free-run between sync points via plain Step() —
   /// the winning mode when the crawl is CPU-bound. Trajectories are
   /// bit-identical either way.

@@ -110,9 +110,10 @@ const char* BackendSelectionName(BackendSelection selection);
 /// (`PlanFetchMisses`/`ApplyFetchBatch`) every miss runs through. Every
 /// unique fetch costs one request on whichever backend ends up serving it —
 /// per-user endpoints under per-key quotas, the restricted-access regime
-/// the paper models. (Chunk amortization of `BatchQuery` is a property of
-/// the single-backend transport; a bulk endpoint with keyed quotas is
-/// modeled here by scaling a backend's rate/budget.)
+/// the paper models, whether it arrives as one `QueryRef` miss or inside a
+/// `FetchFrontier`. (Chunk amortization of a frontier is a property of the
+/// single-backend transport; a bulk endpoint with keyed quotas is modeled
+/// here by scaling a backend's rate/budget.)
 ///
 /// Determinism: fault, latency, and jitter draws are pure functions of
 /// (fault_seed, backend, node, attempt) — never of arrival order — so

@@ -11,9 +11,11 @@ namespace mto {
 /// observation that MHRW needs 1.5–8x more queries than SRW.
 class MetropolisHastingsWalk final : public Sampler {
  public:
-  MetropolisHastingsWalk(RestrictedInterface& interface, Rng& rng, NodeId start);
+  MetropolisHastingsWalk(RestrictedInterface& interface, Rng& rng,
+                         NodeId start)
+      : Sampler(interface, rng, start) {}
 
-  NodeId Step() override;
+  NodeId Step() override { return MetropolisStep(); }
 
   /// Uniform stationary distribution: constant weight.
   double ImportanceWeight() override { return 1.0; }

@@ -69,10 +69,4 @@ void Node2VecWalk::Teleport(NodeId node) {
   prev_.reset();
 }
 
-double Node2VecWalk::ImportanceWeight() {
-  auto r = interface().QueryRef(current());
-  if (!r || r->degree() == 0) return 0.0;
-  return 1.0 / static_cast<double>(r->degree());
-}
-
 }  // namespace mto

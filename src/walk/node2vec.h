@@ -35,7 +35,7 @@ class Node2VecWalk final : public Sampler {
   /// on edges and has no closed node-marginal, so estimates are reweighted
   /// as if degree-proportional — the standard practice when node2vec
   /// samples feed node-level estimators.
-  double ImportanceWeight() override;
+  double ImportanceWeight() override { return InverseDegreeWeight(); }
   std::string name() const override { return "node2vec"; }
 
   /// Restarts clear the second-order register: a teleport has no incoming

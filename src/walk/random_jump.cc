@@ -18,17 +18,7 @@ NodeId RandomJumpWalk::Step() {
     if (r) set_current(r->user);
     return current();
   }
-  // MHRW step.
-  auto u = interface().QueryRef(current());
-  if (!u || u->neighbors.empty()) return current();
-  NodeId proposal = UniformPick(u->neighbors);
-  double ku = static_cast<double>(u->degree());
-  auto v = interface().QueryRef(proposal);
-  if (!v) return current();
-  double kv = static_cast<double>(v->degree());
-  if (kv <= 0.0) return current();
-  if (rng().UniformDouble() < ku / kv) set_current(proposal);
-  return current();
+  return MetropolisStep();
 }
 
 }  // namespace mto

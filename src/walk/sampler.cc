@@ -26,6 +26,25 @@ std::optional<NodeId> Sampler::PeekUniformNeighbor() {
   return UniformPick(r->neighbors);
 }
 
+NodeId Sampler::MetropolisStep() {
+  auto u = interface_->QueryRef(current_);
+  if (!u || u->neighbors.empty()) return current_;
+  const NodeId proposal = UniformPick(u->neighbors);
+  const double ku = static_cast<double>(u->degree());
+  auto v = interface_->QueryRef(proposal);
+  if (!v) return current_;  // budget exhausted
+  const double kv = static_cast<double>(v->degree());
+  if (kv <= 0.0) return current_;
+  if (rng_->UniformDouble() < ku / kv) current_ = proposal;
+  return current_;
+}
+
+double Sampler::InverseDegreeWeight() {
+  auto r = interface_->QueryRef(current_);
+  if (!r || r->degree() == 0) return 0.0;
+  return 1.0 / static_cast<double>(r->degree());
+}
+
 UserProfile Sampler::CurrentProfile() {
   auto r = interface_->QueryRef(current_);
   // current() is always a node the walk has already queried, so the cache

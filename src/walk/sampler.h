@@ -111,6 +111,17 @@ class Sampler {
   /// no neighbors, else the pick.
   std::optional<NodeId> PeekUniformNeighbor();
 
+  /// One Metropolis–Hastings move targeting the uniform distribution
+  /// (MHRW, and Random Jump off its jump): propose a uniform neighbor v of
+  /// u = current(), query it, accept with min(1, k_u / k_v). Stays put on
+  /// an isolated node or an exhausted budget. Returns current().
+  NodeId MetropolisStep();
+
+  /// 1/k for the current node's true degree k (0 when isolated or
+  /// uncached): the importance weight of a walk whose stationary
+  /// distribution is proportional to degree (SRW, node2vec).
+  double InverseDegreeWeight();
+
  private:
   RestrictedInterface* interface_;
   Rng* rng_;

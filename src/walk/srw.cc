@@ -18,10 +18,4 @@ NodeId SimpleRandomWalk::Step() {
   return current();
 }
 
-double SimpleRandomWalk::ImportanceWeight() {
-  auto r = interface().QueryRef(current());
-  if (!r || r->degree() == 0) return 0.0;
-  return 1.0 / static_cast<double>(r->degree());
-}
-
 }  // namespace mto

@@ -13,7 +13,7 @@ class SimpleRandomWalk final : public Sampler {
   SimpleRandomWalk(RestrictedInterface& interface, Rng& rng, NodeId start);
 
   NodeId Step() override;
-  double ImportanceWeight() override;
+  double ImportanceWeight() override { return InverseDegreeWeight(); }
   std::string name() const override { return "SRW"; }
 
  protected:

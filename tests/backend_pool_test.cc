@@ -25,10 +25,10 @@ TEST(BackendPoolTest, PerfectBackendBehavesLikeBaseInterface) {
   SocialNetwork net = TestNet();
   BackendPool pool(net, PerfectBackends(1), RetryPolicy{},
                    BackendSelection::kSharded, kFaultSeed);
-  auto r = pool.Query(5);
+  auto r = pool.QueryRef(5);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->user, 5u);
-  pool.Query(5);
+  pool.QueryRef(5);
   EXPECT_EQ(pool.QueryCost(), 1u);
   EXPECT_EQ(pool.TotalRequests(), 2u);
   EXPECT_EQ(pool.BackendRequests(), 1u);
@@ -40,7 +40,7 @@ TEST(BackendPoolTest, ShardedSelectionAssignsByNodeId) {
   SocialNetwork net = TestNet();
   BackendPool pool(net, PerfectBackends(4), RetryPolicy{},
                    BackendSelection::kSharded, kFaultSeed);
-  for (NodeId v = 0; v < 16; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 16; ++v) pool.QueryRef(v);
   for (size_t b = 0; b < 4; ++b) {
     EXPECT_EQ(pool.backend_stats(b).unique_queries, 4u) << "backend " << b;
   }
@@ -50,7 +50,7 @@ TEST(BackendPoolTest, RoundRobinRotatesAcrossKeys) {
   SocialNetwork net = TestNet();
   BackendPool pool(net, PerfectBackends(3), RetryPolicy{},
                    BackendSelection::kRoundRobin, kFaultSeed);
-  for (NodeId v = 0; v < 9; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 9; ++v) pool.QueryRef(v);
   for (size_t b = 0; b < 3; ++b) {
     EXPECT_EQ(pool.backend_stats(b).unique_queries, 3u);
   }
@@ -60,7 +60,7 @@ TEST(BackendPoolTest, LeastLoadedBalancesRequests) {
   SocialNetwork net = TestNet();
   BackendPool pool(net, PerfectBackends(2), RetryPolicy{},
                    BackendSelection::kLeastLoaded, kFaultSeed);
-  for (NodeId v = 0; v < 10; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 10; ++v) pool.QueryRef(v);
   EXPECT_EQ(pool.backend_stats(0).requests, 5u);
   EXPECT_EQ(pool.backend_stats(1).requests, 5u);
 }
@@ -72,7 +72,7 @@ TEST(BackendPoolTest, BudgetAwarePrefersDeepestRemainingBudget) {
   // backends[1] unlimited
   BackendPool pool(net, backends, RetryPolicy{},
                    BackendSelection::kBudgetAware, kFaultSeed);
-  for (NodeId v = 0; v < 8; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 8; ++v) pool.QueryRef(v);
   // The unlimited key should absorb everything.
   EXPECT_EQ(pool.backend_stats(1).unique_queries, 8u);
   EXPECT_EQ(pool.backend_stats(0).unique_queries, 0u);
@@ -86,11 +86,11 @@ TEST(BackendPoolTest, BudgetExhaustionFailsOverToNextBackend) {
   BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
                    kFaultSeed);
   // Nodes 0,2,4,... shard to backend 0; drain both budgets.
-  for (NodeId v = 0; v < 6; ++v) EXPECT_TRUE(pool.Query(2 * v).has_value());
+  for (NodeId v = 0; v < 6; ++v) EXPECT_TRUE(pool.QueryRef(2 * v).has_value());
   EXPECT_EQ(pool.backend_stats(0).unique_queries, 3u);
   EXPECT_EQ(pool.backend_stats(1).unique_queries, 3u);
   // All keys spent: the fetch is permanently refused, node stays uncached.
-  EXPECT_FALSE(pool.Query(13).has_value());
+  EXPECT_FALSE(pool.QueryRef(13).has_value());
   EXPECT_FALSE(pool.IsCached(13));
   EXPECT_EQ(pool.FailedFetches(), 1u);
   EXPECT_GE(pool.backend_stats(0).budget_refusals, 1u);
@@ -105,7 +105,7 @@ TEST(BackendPoolTest, TransientFaultsAreRetriedAndMaskedFromCallers) {
   BackendPool pool(net, backends, retry, BackendSelection::kSharded,
                    kFaultSeed);
   for (NodeId v = 0; v < 64; ++v) {
-    EXPECT_TRUE(pool.Query(v).has_value()) << "node " << v;
+    EXPECT_TRUE(pool.QueryRef(v).has_value()) << "node " << v;
   }
   const BackendStats stats = pool.backend_stats(0);
   EXPECT_EQ(stats.unique_queries, 64u);
@@ -122,7 +122,7 @@ TEST(BackendPoolTest, FaultDrawsArePureFunctionsOfNodeAndAttempt) {
   auto run = [&](std::vector<NodeId> order) {
     BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
                      kFaultSeed);
-    for (NodeId v : order) pool.Query(v);
+    for (NodeId v : order) pool.QueryRef(v);
     std::vector<uint64_t> uniques;
     for (size_t b = 0; b < 2; ++b) {
       uniques.push_back(pool.backend_stats(b).unique_queries);
@@ -148,7 +148,7 @@ TEST(BackendPoolTest, TimeoutsBurnSimulatedTime) {
   retry.base_backoff_us = 500;
   BackendPool pool(net, backends, retry, BackendSelection::kSharded,
                    kFaultSeed);
-  EXPECT_FALSE(pool.Query(0).has_value());
+  EXPECT_FALSE(pool.QueryRef(0).has_value());
   const BackendStats stats = pool.backend_stats(0);
   EXPECT_EQ(stats.timeouts, 2u);
   EXPECT_EQ(stats.failed_requests, 2u);
@@ -164,7 +164,7 @@ TEST(BackendPoolTest, TokenBucketPacesOnSimulatedClock) {
   backends[0].burst = 2.0;
   BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
                    kFaultSeed);
-  for (NodeId v = 0; v < 10; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 10; ++v) pool.QueryRef(v);
   const BackendStats stats = pool.backend_stats(0);
   // First two ride the burst; the rest wait ~1000us each.
   EXPECT_EQ(stats.pacing_waits, 8u);
@@ -188,7 +188,7 @@ TEST(BackendPoolTest, SplitFetchAppliesLedgerOpsInPlanOrder) {
   const NodeId nodes[] = {3, 5, 8, 13, 21};
   BackendPool inline_pool(net, backends, RetryPolicy{},
                           BackendSelection::kSharded, kFaultSeed);
-  for (NodeId v : nodes) ASSERT_TRUE(inline_pool.Query(v).has_value());
+  for (NodeId v : nodes) ASSERT_TRUE(inline_pool.QueryRef(v).has_value());
 
   BackendPool split(net, backends, RetryPolicy{}, BackendSelection::kSharded,
                     kFaultSeed);
@@ -216,7 +216,7 @@ TEST(BackendPoolTest, SplitFetchAppliesLedgerOpsInPlanOrder) {
   BackendPool reversed(net, backends, RetryPolicy{},
                        BackendSelection::kSharded, kFaultSeed);
   for (size_t i = std::size(nodes); i-- > 0;) {
-    ASSERT_TRUE(reversed.Query(nodes[i]).has_value());
+    ASSERT_TRUE(reversed.QueryRef(nodes[i]).has_value());
   }
   EXPECT_NE(reversed.SnapshotBackends().ledgers[0].clock_us, want.clock_us);
   // Every queued op is spoken for: a batch that was never planned throws.
@@ -231,7 +231,7 @@ TEST(BackendPoolTest, LatencyDistributionIsDeterministicAndCharged) {
   auto run = [&] {
     BackendPool pool(net, backends, RetryPolicy{}, BackendSelection::kSharded,
                      kFaultSeed);
-    for (NodeId v = 0; v < 32; ++v) pool.Query(v);
+    for (NodeId v = 0; v < 32; ++v) pool.QueryRef(v);
     return pool.backend_stats(0).simulated_us;
   };
   const uint64_t a = run();
@@ -246,7 +246,7 @@ TEST(BackendPoolTest, SnapshotRestoreRoundTripsLedgers) {
   backends[0].rate_per_sec = 100.0;
   BackendPool pool(net, backends, RetryPolicy{},
                    BackendSelection::kRoundRobin, kFaultSeed);
-  for (NodeId v = 0; v < 20; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 20; ++v) pool.QueryRef(v);
 
   const SessionSnapshot session = pool.SnapshotSession();
   const BackendPool::PoolSnapshot snapshot = pool.SnapshotBackends();
@@ -264,8 +264,8 @@ TEST(BackendPoolTest, SnapshotRestoreRoundTripsLedgers) {
               pool.backend_stats(b).simulated_us);
   }
   // The restored pool continues exactly like the original.
-  auto a = pool.Query(40);
-  auto b = restored.Query(40);
+  auto a = pool.QueryRef(40);
+  auto b = restored.QueryRef(40);
   ASSERT_EQ(a.has_value(), b.has_value());
   EXPECT_EQ(pool.backend_stats(0).requests, restored.backend_stats(0).requests);
   EXPECT_EQ(pool.backend_stats(1).requests, restored.backend_stats(1).requests);
@@ -287,7 +287,7 @@ TEST(BackendPoolTest, WorksUnderConcurrentInterfaceCache) {
   ThreadPool threads(4);
   threads.Run([&](size_t t) {
     for (NodeId v = 0; v < 64; ++v) {
-      auto r = cache.Query((v + 16 * t) % 64);
+      auto r = cache.QueryRef((v + 16 * t) % 64);
       EXPECT_TRUE(r.has_value());
     }
   });

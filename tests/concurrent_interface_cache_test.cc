@@ -20,11 +20,14 @@ TEST(ConcurrentInterfaceCacheTest, SingleThreadSemanticsMatchBase) {
   ConcurrentInterfaceCache cache(base);
 
   for (NodeId v : {0u, 1u, 0u, 5u, 1u}) {
-    auto expected = plain.Query(v);
-    auto actual = cache.Query(v);
+    auto expected = plain.QueryRef(v);
+    auto actual = cache.QueryRef(v);
     ASSERT_TRUE(actual.has_value());
     EXPECT_EQ(actual->user, expected->user);
-    EXPECT_EQ(actual->neighbors, expected->neighbors);
+    EXPECT_EQ(std::vector<NodeId>(actual->neighbors.begin(),
+                                  actual->neighbors.end()),
+              std::vector<NodeId>(expected->neighbors.begin(),
+                                  expected->neighbors.end()));
   }
   EXPECT_EQ(cache.QueryCost(), plain.QueryCost());
   EXPECT_EQ(cache.TotalRequests(), plain.TotalRequests());
@@ -40,16 +43,21 @@ TEST(ConcurrentInterfaceCacheTest, OutOfRangeIdsAreNotCachedAndThrow) {
   ConcurrentInterfaceCache cache(base);
   EXPECT_FALSE(cache.IsCached(1000000));
   EXPECT_FALSE(cache.CachedDegree(1000000).has_value());
-  EXPECT_THROW(cache.Query(6), std::invalid_argument);
+  EXPECT_THROW(cache.QueryRef(6), std::invalid_argument);
+  const std::vector<NodeId> frontier = {0, 6};
+  EXPECT_THROW(cache.FetchFrontier(frontier), std::invalid_argument);
+  EXPECT_FALSE(cache.IsCached(0));  // validated before any fetch
+  EXPECT_EQ(cache.QueryCost(), 0u);
+  EXPECT_EQ(cache.TotalRequests(), 0u);
 }
 
 TEST(ConcurrentInterfaceCacheTest, ImportsWarmBaseCache) {
   SocialNetwork net(Cycle(6));
   RestrictedInterface base(net);
-  base.Query(3);
+  base.QueryRef(3);
   ConcurrentInterfaceCache cache(base);
   EXPECT_TRUE(cache.IsCached(3));
-  cache.Query(3);
+  cache.QueryRef(3);
   EXPECT_EQ(cache.QueryCost(), 1u);  // no re-pay for the warm node
 }
 
@@ -77,7 +85,7 @@ TEST(ConcurrentInterfaceCacheTest, OneUniqueQueryPerNodeUnderContention) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &failures, &net] {
       for (NodeId v = 0; v < net.num_users(); ++v) {
-        auto r = cache.Query(v);
+        auto r = cache.QueryRef(v);
         if (!r || r->user != v) failures.fetch_add(1);
       }
     });
@@ -86,32 +94,6 @@ TEST(ConcurrentInterfaceCacheTest, OneUniqueQueryPerNodeUnderContention) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(cache.QueryCost(), net.num_users());
   EXPECT_EQ(cache.TotalRequests(), kThreads * net.num_users());
-}
-
-TEST(ConcurrentInterfaceCacheTest, BatchQueryDedupesAcrossRacingBatches) {
-  SocialNetwork net(Complete(32));
-  RestrictedInterface base(net);
-  base.SetSimulatedLatency(std::chrono::microseconds(200));
-  base.SetMaxBatchSize(8);
-  ConcurrentInterfaceCache cache(base);
-
-  // Two overlapping id ranges fetched from two threads simultaneously:
-  // cost must equal the union, each id answered in place.
-  std::vector<NodeId> first, second;
-  for (NodeId v = 0; v < 24; ++v) first.push_back(v);
-  for (NodeId v = 8; v < 32; ++v) second.push_back(v);
-  std::atomic<size_t> failures{0};
-  auto fetch = [&cache, &failures](const std::vector<NodeId>& ids) {
-    auto results = cache.BatchQuery(ids);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (!results[i] || results[i]->user != ids[i]) failures.fetch_add(1);
-    }
-  };
-  std::thread a(fetch, first), b(fetch, second);
-  a.join();
-  b.join();
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(cache.QueryCost(), 32u);
 }
 
 TEST(ConcurrentInterfaceCacheTest, BudgetEnforcedExactlyAcrossThreads) {
@@ -129,7 +111,7 @@ TEST(ConcurrentInterfaceCacheTest, BudgetEnforcedExactlyAcrossThreads) {
     threads.emplace_back([&cache, &granted, t] {
       for (NodeId v = static_cast<NodeId>(t * 8);
            v < static_cast<NodeId>(t * 8 + 8); ++v) {
-        if (cache.Query(v)) granted.fetch_add(1);
+        if (cache.QueryRef(v)) granted.fetch_add(1);
       }
     });
   }
@@ -140,7 +122,7 @@ TEST(ConcurrentInterfaceCacheTest, BudgetEnforcedExactlyAcrossThreads) {
   uint64_t hits = 0;
   for (NodeId v = 0; v < 64; ++v) {
     if (cache.IsCached(v)) {
-      EXPECT_TRUE(cache.Query(v).has_value());
+      EXPECT_TRUE(cache.QueryRef(v).has_value());
       ++hits;
     }
   }
@@ -148,44 +130,68 @@ TEST(ConcurrentInterfaceCacheTest, BudgetEnforcedExactlyAcrossThreads) {
   EXPECT_EQ(cache.QueryCost(), kBudget);
 }
 
-TEST(ConcurrentInterfaceCacheTest, BatchQueryEmptyBatchIsFree) {
+TEST(ConcurrentInterfaceCacheTest, FetchFrontierEmptyFrontierIsFree) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);
   ConcurrentInterfaceCache cache(base);
-  std::vector<NodeId> ids;
-  EXPECT_TRUE(cache.BatchQuery(ids).empty());
+  cache.FetchFrontier({});
   EXPECT_EQ(cache.QueryCost(), 0u);
   EXPECT_EQ(cache.TotalRequests(), 0u);
+  EXPECT_EQ(cache.BackendRequests(), 0u);
 }
 
-TEST(ConcurrentInterfaceCacheTest, BatchQueryDuplicateIdsCostOne) {
+TEST(ConcurrentInterfaceCacheTest, FetchFrontierDuplicateIdsCostOne) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);
   ConcurrentInterfaceCache cache(base);
   std::vector<NodeId> ids = {5, 5, 5, 2, 5};
-  auto results = cache.BatchQuery(ids);
-  ASSERT_EQ(results.size(), ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(results[i].has_value());
-    EXPECT_EQ(results[i]->user, ids[i]);
-  }
+  cache.FetchFrontier(ids);
+  EXPECT_TRUE(cache.IsCached(5));
+  EXPECT_TRUE(cache.IsCached(2));
+  EXPECT_TRUE(base.IsCached(5));
   EXPECT_EQ(cache.QueryCost(), 2u);
-  EXPECT_EQ(cache.TotalRequests(), 5u);
+  EXPECT_EQ(cache.TotalRequests(), 2u);  // one request per fetched id
+  EXPECT_EQ(cache.BackendRequests(), 1u);
 }
 
-TEST(ConcurrentInterfaceCacheTest, BatchQueryBudgetRunsOutMidChunk) {
+TEST(ConcurrentInterfaceCacheTest, FetchFrontierPaysOneRoundTripPerChunk) {
+  // 24 misses in chunks of 8: three round trips, slept once each by the
+  // depth-0 join, where a trip per miss would sleep 24.
+  SocialNetwork net(Complete(32));
+  RestrictedInterface base(net);
+  base.SetMaxBatchSize(8);
+  base.SetSimulatedLatency(std::chrono::milliseconds(10));
+  ConcurrentInterfaceCache cache(base);
+  std::vector<NodeId> ids;
+  for (NodeId v = 0; v < 24; ++v) ids.push_back(v);
+  const auto start = std::chrono::steady_clock::now();
+  cache.FetchFrontier(ids);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(cache.BackendRequests(), 3u);
+  EXPECT_EQ(cache.QueryCost(), 24u);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(30));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  // Re-fetching is free: every id is a hit now.
+  cache.FetchFrontier(ids);
+  EXPECT_EQ(cache.BackendRequests(), 3u);
+  EXPECT_EQ(cache.TotalRequests(), 24u);
+}
+
+TEST(ConcurrentInterfaceCacheTest, FetchFrontierBudgetRunsOutMidChunk) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);
   base.SetMaxBatchSize(4);
   ConcurrentInterfaceCache cache(base);
   cache.SetBudget(2);
   std::vector<NodeId> ids = {0, 1, 2, 3};
-  auto results = cache.BatchQuery(ids);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_TRUE(results[1].has_value());
-  EXPECT_FALSE(results[2].has_value());
-  EXPECT_FALSE(results[3].has_value());
+  cache.FetchFrontier(ids);
+  EXPECT_TRUE(cache.IsCached(0));
+  EXPECT_TRUE(cache.IsCached(1));
+  EXPECT_FALSE(cache.IsCached(2));
+  EXPECT_FALSE(cache.IsCached(3));
+  EXPECT_FALSE(cache.QueryRef(2).has_value());
   EXPECT_EQ(cache.QueryCost(), 2u);
+  EXPECT_EQ(cache.BackendRequests(), 1u);  // the refusals pay no trip
 }
 
 TEST(ConcurrentInterfaceCacheTest, QueryRefHitPathIsLockFreeAndCounted) {
@@ -206,9 +212,9 @@ TEST(ConcurrentInterfaceCacheTest, SessionSnapshotRoundTripsThroughWrapper) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);
   ConcurrentInterfaceCache cache(base);
-  cache.Query(1);
-  cache.Query(1);  // wrapper-level hit the base never sees
-  cache.Query(4);
+  cache.QueryRef(1);
+  cache.QueryRef(1);  // wrapper-level hit the base never sees
+  cache.QueryRef(4);
   const SessionSnapshot snapshot = cache.SnapshotSession();
   EXPECT_EQ(snapshot.cached_ids, (std::vector<NodeId>{1, 4}));
   EXPECT_EQ(snapshot.total_requests, 3u);  // wrapper counter, not base's
@@ -222,7 +228,7 @@ TEST(ConcurrentInterfaceCacheTest, SessionSnapshotRoundTripsThroughWrapper) {
   EXPECT_EQ(other.QueryCost(), 2u);
   EXPECT_EQ(other.TotalRequests(), 3u);
   // Restored hits are answered locally without new cost.
-  EXPECT_TRUE(other.Query(1).has_value());
+  EXPECT_TRUE(other.QueryRef(1).has_value());
   EXPECT_EQ(other.QueryCost(), 2u);
 }
 
@@ -230,8 +236,8 @@ TEST(ConcurrentInterfaceCacheTest, ResetClearsWrapperAndBase) {
   SocialNetwork net(Cycle(8));
   RestrictedInterface base(net);
   ConcurrentInterfaceCache cache(base);
-  cache.Query(1);
-  cache.Query(2);
+  cache.QueryRef(1);
+  cache.QueryRef(2);
   cache.Reset();
   EXPECT_EQ(cache.QueryCost(), 0u);
   EXPECT_EQ(cache.TotalRequests(), 0u);

@@ -306,6 +306,53 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads) + "threads";
     });
 
+TEST(FetchEquivalenceExtrasTest, FrontierChargesOnlyDistinctMisses) {
+  // Every session serves FetchFrontier the same way: a cached or repeated
+  // id is answered from cache and charged nothing, so only the distinct
+  // misses count requests, unique queries and round trips. The bare
+  // interface chunks its misses into one trip per max_batch_size(); the
+  // pool pays one request per unique fetch.
+  SocialNetwork net(Cycle(64));
+  const auto make_pool = [&net] {
+    return BackendPool(net, std::vector<BackendConfig>(2), RetryPolicy{},
+                       BackendSelection::kSharded, kFaultSeed);
+  };
+  RestrictedInterface plain(net);
+  RestrictedInterface plain_base(net);
+  ConcurrentInterfaceCache cached_plain(plain_base);
+  BackendPool pool = make_pool();
+  BackendPool pool_base = make_pool();
+  ConcurrentInterfaceCache cached_pool(pool_base);
+  struct Case {
+    const char* name;
+    RestrictedInterface* session;
+    uint64_t trips_after_second;
+  };
+  const Case cases[] = {
+      {"plain", &plain, 3},
+      {"cached_plain", &cached_plain, 3},
+      {"pool", &pool, 4},
+      {"cached_pool", &cached_pool, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RestrictedInterface* session = c.session;
+    ASSERT_TRUE(session->QueryRef(3).has_value());
+    const std::vector<NodeId> first = {3, 7, 7};  // a hit, a repeated miss
+    session->FetchFrontier(first);
+    EXPECT_EQ(session->QueryCost(), 2u);
+    EXPECT_EQ(session->BackendRequests(), 2u);
+    EXPECT_EQ(session->TotalRequests(), 2u);
+    // Hits, repeats and two fresh misses, interleaved.
+    const std::vector<NodeId> second = {7, 9, 3, 9, 11, 7};
+    session->FetchFrontier(second);
+    EXPECT_EQ(session->QueryCost(), 4u);
+    EXPECT_EQ(session->BackendRequests(), c.trips_after_second);
+    EXPECT_EQ(session->TotalRequests(), 4u);
+    for (NodeId v : {3u, 7u, 9u, 11u}) EXPECT_TRUE(session->IsCached(v));
+  }
+}
+
 TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {
   // The pinned counterexample behind the 1-thread-only pacing assertion
   // above (DESIGN.md §9): token-bucket state is a function of per-backend
@@ -329,11 +376,11 @@ TEST(FetchEquivalenceExtrasTest, PacingIsArrivalOrderDependent) {
                        BackendSelection::kSharded, 0xFA17);
   };
   BackendPool ab = make_pool();
-  ASSERT_TRUE(ab.Query(0).has_value());
-  ASSERT_TRUE(ab.Query(1).has_value());
+  ASSERT_TRUE(ab.QueryRef(0).has_value());
+  ASSERT_TRUE(ab.QueryRef(1).has_value());
   BackendPool ba = make_pool();
-  ASSERT_TRUE(ba.Query(1).has_value());
-  ASSERT_TRUE(ba.Query(0).has_value());
+  ASSERT_TRUE(ba.QueryRef(1).has_value());
+  ASSERT_TRUE(ba.QueryRef(0).has_value());
   const BackendStats s_ab = ab.backend_stats(0);
   const BackendStats s_ba = ba.backend_stats(0);
   // Order-independent counts agree...

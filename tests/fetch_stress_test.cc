@@ -74,25 +74,16 @@ TEST(FetchStressTest, WalkersHammeringBackendsKeepLedgersConserved) {
       Rng rng(Rng(0xBEEF).Fork(w));
       const NodeId n = session.num_users();
       for (size_t step = 0; step < kStepsPerWalker; ++step) {
-        // Mix the three query entry points, like real samplers do.
+        // Single reads, and every third step a burst of four reads as a
+        // batch-minded caller would issue them.
         const NodeId v = static_cast<NodeId>(rng.UniformInt(n));
-        switch (step % 3) {
-          case 0:
-            if (session.Query(v)) answered.fetch_add(1);
-            break;
-          case 1:
-            if (session.QueryRef(v)) answered.fetch_add(1);
-            break;
-          default: {
-            NodeId batch[4];
-            for (NodeId& id : batch) {
-              id = static_cast<NodeId>(rng.UniformInt(n));
-            }
-            for (const auto& r : session.BatchQuery(batch)) {
-              if (r) answered.fetch_add(1);
-            }
-            break;
-          }
+        if (step % 3 != 2) {
+          if (session.QueryRef(v)) answered.fetch_add(1);
+          continue;
+        }
+        for (int k = 0; k < 4; ++k) {
+          const NodeId id = static_cast<NodeId>(rng.UniformInt(n));
+          if (session.QueryRef(id)) answered.fetch_add(1);
         }
       }
     });
@@ -129,11 +120,9 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
       Rng rng(Rng(0xD00D).Fork(w));
       const NodeId n = session.num_users();
       for (size_t step = 0; step < 300; ++step) {
-        NodeId batch[8];
-        for (NodeId& id : batch) {
-          id = static_cast<NodeId>(rng.UniformInt(n));
+        for (int k = 0; k < 8; ++k) {
+          session.QueryRef(static_cast<NodeId>(rng.UniformInt(n)));
         }
-        session.BatchQuery(batch);
       }
     });
   }
@@ -149,8 +138,8 @@ TEST(FetchStressTest, BudgetedBackendsNeverOverdrawUnderContention) {
 TEST(FetchStressTest, CachedPlainSessionPaysBareCostAndTrips) {
   // The paper's one perfect backend plans like the pool, so behind the
   // cache the same queries pay the same unique queries and round trips as
-  // on a bare interface: single misses, chunked batches with hits and
-  // duplicates, and a budget that runs out in the middle of a batch.
+  // on a bare interface: single misses, chunked frontiers with hits and
+  // duplicates, and a budget that runs out in the middle of a frontier.
   SocialNetwork net(Cycle(64));
   RestrictedInterface bare(net);
   RestrictedInterface wrapped(net);
@@ -161,20 +150,18 @@ TEST(FetchStressTest, CachedPlainSessionPaysBareCostAndTrips) {
     session.SetBudget(40);
     std::vector<bool> answered;
     for (NodeId v = 0; v < 10; ++v) {
-      answered.push_back(session.Query(v).has_value());
+      answered.push_back(session.QueryRef(v).has_value());
     }
     // Two hits, one duplicate, nine distinct misses: three chunks.
     const std::vector<NodeId> mixed = {3, 10, 11, 12, 10, 13, 14,
                                        15, 16, 17, 18, 5};
-    for (const auto& r : session.BatchQuery(mixed)) {
-      answered.push_back(r.has_value());
-    }
+    session.FetchFrontier(mixed);
+    for (NodeId v : mixed) answered.push_back(session.IsCached(v));
     // 21 units of budget left for 30 misses: 21 admitted in six chunks.
     std::vector<NodeId> over_budget;
     for (NodeId v = 20; v < 50; ++v) over_budget.push_back(v);
-    for (const auto& r : session.BatchQuery(over_budget)) {
-      answered.push_back(r.has_value());
-    }
+    session.FetchFrontier(over_budget);
+    for (NodeId v : over_budget) answered.push_back(session.IsCached(v));
     answered.push_back(session.QueryRef(60).has_value());  // budget spent
     return answered;
   };

@@ -214,7 +214,7 @@ TEST(MtoSamplerTest, SpeculativeMissStormStaysCorrect) {
   Rng rng(23);
   MtoSampler mto(iface, rng, 0, RemovalOnly());
   for (int i = 0; i < 2000; ++i) {
-    if (auto peek = mto.PeekStep()) iface.Query(*peek);
+    if (auto peek = mto.PeekStep()) iface.QueryRef(*peek);
     mto.Step();
   }
   EXPECT_GT(mto.overlay().num_removed(), 10u);  // the storm happened
@@ -242,7 +242,7 @@ TEST(MtoSamplerTest, OverlaySnapshotRestoreRoundTripsBitIdentically) {
   // way RestoreSession would: every registered node was once queried).
   RestrictedInterface iface2(net);
   for (NodeId v = 0; v < net.num_users(); ++v) {
-    if (iface.IsCached(v)) iface2.Query(v);
+    if (iface.IsCached(v)) iface2.QueryRef(v);
   }
   Rng rng2(999);  // arbitrary; overwritten by the restore
   MtoSampler resumed(iface2, rng2, 0);

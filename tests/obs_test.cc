@@ -267,7 +267,7 @@ TEST(ConservationTest, BudgetRefusalsNeverCountAsRequests) {
   tiny.budget = 5;
   BackendPool pool(net, {tiny}, RetryPolicy{}, BackendSelection::kSharded,
                    0xFA17);
-  for (NodeId v = 0; v < 50; ++v) pool.Query(v);
+  for (NodeId v = 0; v < 50; ++v) pool.QueryRef(v);
   const BackendStats s = pool.backend_stats(0);
   EXPECT_EQ(s.unique_queries, 5u);
   EXPECT_EQ(s.requests, s.unique_queries + s.failed_requests);

@@ -60,7 +60,7 @@ void ExpectBackendConservation(const BackendPool& pool) {
 TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
   // Hostile coordinator schedule against a sequential depth-0 twin: every
   // round pipeline-fetches a frontier and, while up to two rounds of its
-  // lane batches are still in flight, hammers the commit-phase Query path
+  // lane batches are still in flight, hammers the commit-phase QueryRef path
   // from four threads (disjoint per-thread node sets, so logical fetch
   // sequences are comparable). Their inline misses apply their ledger ops
   // behind the queued frontier batches. Because outcomes are pure
@@ -101,18 +101,14 @@ TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
 
   for (size_t r = 0; r < kRounds; ++r) {
     // Coordinator phase: fetch this round's uncached frontier.
-    std::vector<NodeId> misses;
-    for (NodeId v : frontier_of(r)) {
-      if (!pipelined.IsCached(v)) misses.push_back(v);
-    }
-    if (!misses.empty()) pipelined.FetchFrontier(misses);
+    pipelined.FetchFrontier(frontier_of(r));
     // Commit phase: concurrent single-node queries through the live
     // pipeline (inline misses applied behind in-flight lane batches, cache
     // hits).
     std::vector<std::thread> workers;
     for (size_t t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
-        for (NodeId v : burst_of(r, t)) pipelined.Query(v);
+        for (NodeId v : burst_of(r, t)) pipelined.QueryRef(v);
       });
     }
     for (auto& w : workers) w.join();
@@ -121,13 +117,9 @@ TEST(PipelineStressTest, InvalidationStormMatchesSequentialTwinExactly) {
 
   // Sequential twin replays the same logical schedule.
   for (size_t r = 0; r < kRounds; ++r) {
-    std::vector<NodeId> misses;
-    for (NodeId v : frontier_of(r)) {
-      if (!twin.IsCached(v)) misses.push_back(v);
-    }
-    if (!misses.empty()) twin.BatchQuery(misses);
+    twin.FetchFrontier(frontier_of(r));
     for (size_t t = 0; t < 4; ++t) {
-      for (NodeId v : burst_of(r, t)) twin.Query(v);
+      for (NodeId v : burst_of(r, t)) twin.QueryRef(v);
     }
   }
 

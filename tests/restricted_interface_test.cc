@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -18,7 +19,7 @@ class RestrictedInterfaceTest : public testing::Test {
 };
 
 TEST_F(RestrictedInterfaceTest, QueryReturnsNeighbors) {
-  auto r = iface_.Query(0);
+  auto r = iface_.QueryRef(0);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->user, 0u);
   EXPECT_EQ(r->degree(), net_.graph().Degree(0));
@@ -26,39 +27,39 @@ TEST_F(RestrictedInterfaceTest, QueryReturnsNeighbors) {
 }
 
 TEST_F(RestrictedInterfaceTest, UniqueQueryCostOnly) {
-  iface_.Query(0);
-  iface_.Query(0);
-  iface_.Query(0);
+  iface_.QueryRef(0);
+  iface_.QueryRef(0);
+  iface_.QueryRef(0);
   EXPECT_EQ(iface_.QueryCost(), 1u);
   EXPECT_EQ(iface_.TotalRequests(), 3u);
-  iface_.Query(1);
+  iface_.QueryRef(1);
   EXPECT_EQ(iface_.QueryCost(), 2u);
 }
 
 TEST_F(RestrictedInterfaceTest, CachedDegreeOnlyAfterQuery) {
   EXPECT_FALSE(iface_.CachedDegree(2).has_value());
-  iface_.Query(2);
+  iface_.QueryRef(2);
   ASSERT_TRUE(iface_.CachedDegree(2).has_value());
   EXPECT_EQ(*iface_.CachedDegree(2), net_.graph().Degree(2));
 }
 
 TEST_F(RestrictedInterfaceTest, IsCachedTracksQueries) {
   EXPECT_FALSE(iface_.IsCached(3));
-  iface_.Query(3);
+  iface_.QueryRef(3);
   EXPECT_TRUE(iface_.IsCached(3));
 }
 
 TEST_F(RestrictedInterfaceTest, BudgetBlocksNewQueriesOnly) {
   iface_.SetBudget(2);
-  EXPECT_TRUE(iface_.Query(0).has_value());
-  EXPECT_TRUE(iface_.Query(1).has_value());
-  EXPECT_FALSE(iface_.Query(2).has_value());   // budget exhausted
-  EXPECT_TRUE(iface_.Query(0).has_value());    // cache hit still answers
+  EXPECT_TRUE(iface_.QueryRef(0).has_value());
+  EXPECT_TRUE(iface_.QueryRef(1).has_value());
+  EXPECT_FALSE(iface_.QueryRef(2).has_value());   // budget exhausted
+  EXPECT_TRUE(iface_.QueryRef(0).has_value());    // cache hit still answers
   EXPECT_EQ(iface_.QueryCost(), 2u);
 }
 
 TEST_F(RestrictedInterfaceTest, UnknownUserThrows) {
-  EXPECT_THROW(iface_.Query(100), std::invalid_argument);
+  EXPECT_THROW(iface_.QueryRef(100), std::invalid_argument);
 }
 
 TEST_F(RestrictedInterfaceTest, RandomUserCostsOneQuery) {
@@ -66,12 +67,14 @@ TEST_F(RestrictedInterfaceTest, RandomUserCostsOneQuery) {
   auto r = iface_.RandomUser(rng);
   ASSERT_TRUE(r.has_value());
   EXPECT_LT(r->user, net_.num_users());
+  EXPECT_TRUE(iface_.IsCached(r->user));
   EXPECT_EQ(iface_.QueryCost(), 1u);
+  EXPECT_EQ(iface_.TotalRequests(), 1u);
 }
 
 TEST_F(RestrictedInterfaceTest, ResetClearsState) {
-  iface_.Query(0);
-  iface_.Query(1);
+  iface_.QueryRef(0);
+  iface_.QueryRef(1);
   iface_.Reset();
   EXPECT_EQ(iface_.QueryCost(), 0u);
   EXPECT_EQ(iface_.TotalRequests(), 0u);
@@ -91,89 +94,113 @@ TEST_F(RestrictedInterfaceTest, OutOfRangeIdsAreSimplyNotCached) {
   EXPECT_FALSE(iface_.CachedDegree(0xFFFFFFFFu).has_value());
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryCostsMatchPerIdQueries) {
+TEST_F(RestrictedInterfaceTest, FetchFrontierFetchesEachDistinctMissOnce) {
   std::vector<NodeId> ids = {0, 1, 1, 2, 0};
-  auto results = iface_.BatchQuery(ids);
-  ASSERT_EQ(results.size(), ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(results[i].has_value());
-    EXPECT_EQ(results[i]->user, ids[i]);
-    EXPECT_EQ(results[i]->degree(), net_.graph().Degree(ids[i]));
+  iface_.FetchFrontier(ids);
+  for (NodeId v : ids) EXPECT_TRUE(iface_.IsCached(v));
+  EXPECT_EQ(iface_.QueryCost(), 3u);      // unique ids only
+  EXPECT_EQ(iface_.TotalRequests(), 3u);  // one request per fetched id
+  EXPECT_EQ(iface_.BackendRequests(), 1u);
+  // The reads that follow are hits: requests, no cost.
+  for (NodeId v : ids) {
+    auto r = iface_.QueryRef(v);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->user, v);
+    EXPECT_EQ(r->degree(), net_.graph().Degree(v));
   }
-  EXPECT_EQ(iface_.QueryCost(), 3u);       // unique ids only
-  EXPECT_EQ(iface_.TotalRequests(), 5u);   // every id counted
+  EXPECT_EQ(iface_.QueryCost(), 3u);
+  EXPECT_EQ(iface_.TotalRequests(), 8u);
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryPaysOneRoundTripPerChunk) {
+TEST_F(RestrictedInterfaceTest, FetchFrontierPaysOneRoundTripPerChunk) {
   iface_.SetMaxBatchSize(3);
   std::vector<NodeId> ids = {0, 1, 2, 3, 4, 5, 6};
-  iface_.BatchQuery(ids);
+  iface_.FetchFrontier(ids);
   // 7 misses in chunks of 3 -> 3 round trips; re-fetching is free.
   EXPECT_EQ(iface_.BackendRequests(), 3u);
-  iface_.BatchQuery(ids);
+  iface_.FetchFrontier(ids);
   EXPECT_EQ(iface_.BackendRequests(), 3u);
+  EXPECT_EQ(iface_.TotalRequests(), 7u);
   // Single-user queries pay one trip per miss.
-  iface_.Query(7);
+  iface_.QueryRef(7);
   EXPECT_EQ(iface_.BackendRequests(), 4u);
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryHonorsBudgetPerId) {
-  iface_.SetBudget(2);
-  std::vector<NodeId> ids = {0, 1, 2, 0};
-  auto results = iface_.BatchQuery(ids);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_TRUE(results[1].has_value());
-  EXPECT_FALSE(results[2].has_value());  // budget ran out
-  EXPECT_TRUE(results[3].has_value());   // cached duplicate still answers
-  EXPECT_EQ(iface_.QueryCost(), 2u);
+TEST(RestrictedInterfaceLatencyTest, FetchFrontierSleepsOncePerChunk) {
+  // 24 misses in chunks of 8: three round trips slept, where a trip per
+  // miss would sleep 24.
+  SocialNetwork net(Complete(32));
+  RestrictedInterface iface(net);
+  iface.SetMaxBatchSize(8);
+  iface.SetSimulatedLatency(std::chrono::milliseconds(10));
+  std::vector<NodeId> ids;
+  for (NodeId v = 0; v < 24; ++v) ids.push_back(v);
+  const auto start = std::chrono::steady_clock::now();
+  iface.FetchFrontier(ids);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(iface.BackendRequests(), 3u);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(30));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryRejectsUnknownIdsAndZeroBatch) {
+TEST_F(RestrictedInterfaceTest, FetchFrontierHonorsBudgetPerId) {
+  iface_.SetBudget(2);
+  std::vector<NodeId> ids = {0, 1, 2, 0};
+  iface_.FetchFrontier(ids);
+  EXPECT_TRUE(iface_.IsCached(0));
+  EXPECT_TRUE(iface_.IsCached(1));
+  EXPECT_FALSE(iface_.IsCached(2));  // budget ran out
+  EXPECT_EQ(iface_.QueryCost(), 2u);
+  EXPECT_FALSE(iface_.QueryRef(2).has_value());
+  EXPECT_TRUE(iface_.QueryRef(0).has_value());  // cached id still answers
+}
+
+TEST_F(RestrictedInterfaceTest, FetchFrontierRejectsUnknownIdsAndZeroBatch) {
   std::vector<NodeId> ids = {0, 100};
-  EXPECT_THROW(iface_.BatchQuery(ids), std::invalid_argument);
+  EXPECT_THROW(iface_.FetchFrontier(ids), std::invalid_argument);
   EXPECT_EQ(iface_.QueryCost(), 0u);  // validated before any fetch
+  EXPECT_EQ(iface_.TotalRequests(), 0u);
+  EXPECT_FALSE(iface_.IsCached(0));
   EXPECT_THROW(iface_.SetMaxBatchSize(0), std::invalid_argument);
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryEmptyBatchIsFree) {
-  std::vector<NodeId> ids;
-  auto results = iface_.BatchQuery(ids);
-  EXPECT_TRUE(results.empty());
+TEST_F(RestrictedInterfaceTest, FetchFrontierEmptyFrontierIsFree) {
+  iface_.FetchFrontier({});
   EXPECT_EQ(iface_.QueryCost(), 0u);
   EXPECT_EQ(iface_.TotalRequests(), 0u);
   EXPECT_EQ(iface_.BackendRequests(), 0u);
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryDuplicatesShareOneChunkSlot) {
+TEST_F(RestrictedInterfaceTest, FetchFrontierDuplicatesShareOneChunkSlot) {
   iface_.SetMaxBatchSize(2);
   // Three distinct misses among duplicates: chunks {0,1},{2} -> 2 trips,
   // and the duplicate of 0 must not consume a chunk slot.
   std::vector<NodeId> ids = {0, 0, 1, 2, 1};
-  auto results = iface_.BatchQuery(ids);
-  for (const auto& r : results) EXPECT_TRUE(r.has_value());
+  iface_.FetchFrontier(ids);
+  for (NodeId v : ids) EXPECT_TRUE(iface_.IsCached(v));
   EXPECT_EQ(iface_.QueryCost(), 3u);
-  EXPECT_EQ(iface_.TotalRequests(), 5u);
+  EXPECT_EQ(iface_.TotalRequests(), 3u);
   EXPECT_EQ(iface_.BackendRequests(), 2u);
 }
 
-TEST_F(RestrictedInterfaceTest, BatchQueryBudgetRunsOutMidChunk) {
+TEST_F(RestrictedInterfaceTest, FetchFrontierBudgetRunsOutMidChunk) {
   iface_.SetMaxBatchSize(3);
   iface_.SetBudget(2);
   std::vector<NodeId> ids = {0, 1, 2, 3};
-  auto results = iface_.BatchQuery(ids);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_TRUE(results[1].has_value());
-  EXPECT_FALSE(results[2].has_value());
-  EXPECT_FALSE(results[3].has_value());
+  iface_.FetchFrontier(ids);
+  EXPECT_TRUE(iface_.IsCached(0));
+  EXPECT_TRUE(iface_.IsCached(1));
+  EXPECT_FALSE(iface_.IsCached(2));
+  EXPECT_FALSE(iface_.IsCached(3));
   // The chunk's round trip was already paid when its first miss was
   // admitted; the refusals must not pay another.
   EXPECT_EQ(iface_.BackendRequests(), 1u);
   EXPECT_EQ(iface_.QueryCost(), 2u);
   // Lifting the budget fetches the stragglers in a fresh trip.
   iface_.SetBudget(std::nullopt);
-  auto again = iface_.BatchQuery(ids);
-  EXPECT_TRUE(again[2].has_value());
-  EXPECT_TRUE(again[3].has_value());
+  iface_.FetchFrontier(ids);
+  EXPECT_TRUE(iface_.IsCached(2));
+  EXPECT_TRUE(iface_.IsCached(3));
   EXPECT_EQ(iface_.BackendRequests(), 2u);
   EXPECT_EQ(iface_.QueryCost(), 4u);
 }
@@ -204,17 +231,17 @@ TEST_F(RestrictedInterfaceTest, PlanChargesTripsAndFillsPlanLikeThePool) {
   EXPECT_EQ(iface_.BackendRequests(), 2u);
 }
 
-TEST_F(RestrictedInterfaceTest, QueryRefMatchesQueryAndCost) {
-  auto ref = iface_.QueryRef(0);
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->user, 0u);
+TEST_F(RestrictedInterfaceTest, QueryRefHitCountsARequestButNoCost) {
+  auto first = iface_.QueryRef(0);
+  ASSERT_TRUE(first.has_value());
   EXPECT_EQ(iface_.QueryCost(), 1u);
-  auto copy = iface_.Query(0);
-  ASSERT_TRUE(copy.has_value());
-  ASSERT_EQ(ref->degree(), copy->degree());
-  for (size_t i = 0; i < copy->neighbors.size(); ++i) {
-    EXPECT_EQ(ref->neighbors[i], copy->neighbors[i]);
-  }
+  auto hit = iface_.QueryRef(0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->user, 0u);
+  // Both views borrow the same backing store.
+  EXPECT_EQ(hit->neighbors.data(), first->neighbors.data());
+  EXPECT_EQ(hit->neighbors.size(), net_.graph().Degree(0));
+  EXPECT_EQ(hit->profile, first->profile);
   EXPECT_EQ(iface_.QueryCost(), 1u);      // hit: no extra unique query
   EXPECT_EQ(iface_.TotalRequests(), 2u);  // but both requests counted
 }
@@ -228,9 +255,9 @@ TEST_F(RestrictedInterfaceTest, QueryRefHonorsBudget) {
 }
 
 TEST_F(RestrictedInterfaceTest, SessionSnapshotRoundTrips) {
-  iface_.Query(0);
-  iface_.Query(3);
-  iface_.Query(0);
+  iface_.QueryRef(0);
+  iface_.QueryRef(3);
+  iface_.QueryRef(0);
   const SessionSnapshot snapshot = iface_.SnapshotSession();
   EXPECT_EQ(snapshot.cached_ids, (std::vector<NodeId>{0, 3}));
   EXPECT_EQ(snapshot.unique_queries, 2u);
@@ -251,14 +278,14 @@ TEST_F(RestrictedInterfaceTest, SessionSnapshotRoundTrips) {
   EXPECT_THROW(other.RestoreSession(bad), std::invalid_argument);
 }
 
-TEST(RestrictedInterfaceProfileTest, ProfileSurfacedThroughQuery) {
+TEST(RestrictedInterfaceProfileTest, ProfileSurfacedThroughQueryRef) {
   std::vector<UserProfile> profiles(3);
   profiles[2].description_length = 123;
   SocialNetwork net(Path(3), profiles);
   RestrictedInterface iface(net);
-  auto r = iface.Query(2);
+  auto r = iface.QueryRef(2);
   ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->profile.description_length, 123u);
+  EXPECT_EQ(r->profile->description_length, 123u);
 }
 
 }  // namespace

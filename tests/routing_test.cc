@@ -35,7 +35,7 @@ size_t FetchAndReportBackend(BackendPool& pool, NodeId v) {
   for (size_t b = 0; b < pool.num_backends(); ++b) {
     before.push_back(pool.backend_stats(b).unique_queries);
   }
-  pool.Query(v);
+  pool.QueryRef(v);
   for (size_t b = 0; b < pool.num_backends(); ++b) {
     if (pool.backend_stats(b).unique_queries > before[b]) return b;
   }
@@ -193,9 +193,9 @@ TEST(RoutingTest, SpentBudgetExcludesBackendWithoutRefusals) {
   sharded_backends[0].budget = 2;
   BackendPool sharded(net, sharded_backends, RetryPolicy{},
                       BackendSelection::kSharded, kFaultSeed);
-  ASSERT_TRUE(sharded.Query(0).has_value());  // even ids shard to alpha
-  ASSERT_TRUE(sharded.Query(2).has_value());
-  ASSERT_TRUE(sharded.Query(4).has_value());  // spent: refusal, then beta
+  ASSERT_TRUE(sharded.QueryRef(0).has_value());  // even ids shard to alpha
+  ASSERT_TRUE(sharded.QueryRef(2).has_value());
+  ASSERT_TRUE(sharded.QueryRef(4).has_value());  // spent: refusal, then beta
   EXPECT_GT(sharded.backend_stats(0).budget_refusals, 0u);
 }
 
@@ -206,8 +206,8 @@ TEST(RoutingTest, AllBudgetsSpentPlansNothingAndRefusesLoudly) {
   backends[1].budget = 1;
   BackendPool pool(net, backends, RetryPolicy{},
                    BackendSelection::kRendezvous, kFaultSeed);
-  ASSERT_TRUE(pool.Query(0).has_value());
-  ASSERT_TRUE(pool.Query(1).has_value());
+  ASSERT_TRUE(pool.QueryRef(0).has_value());
+  ASSERT_TRUE(pool.QueryRef(1).has_value());
   EXPECT_EQ(pool.QueryCost(), 2u);
   // Both keys spent: the plan issues no real request for any id, only
   // refusal ops (the spent keys stay reachable as a last resort so an
@@ -226,7 +226,7 @@ TEST(RoutingTest, AllBudgetsSpentPlansNothingAndRefusesLoudly) {
             0u);
   // ...and a real fetch is permanently refused, with the refusals recorded
   // on the ledgers.
-  EXPECT_FALSE(pool.Query(probe).has_value());
+  EXPECT_FALSE(pool.QueryRef(probe).has_value());
   EXPECT_GT(pool.FailedFetches(), 0u);
   EXPECT_EQ(pool.backend_stats(0).requests + pool.backend_stats(1).requests,
             2u);  // no request beyond the two that spent the keys

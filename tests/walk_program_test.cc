@@ -385,8 +385,8 @@ TEST(WalkProgramPeekTest, PeekThenStepMatchesPlainStepping) {
         RestrictedInterface plain_iface(input.net);
         RestrictedInterface peek_iface(input.net);
         if (start_cached) {
-          plain_iface.Query(input.start);
-          peek_iface.Query(input.start);
+          plain_iface.QueryRef(input.start);
+          peek_iface.QueryRef(input.start);
         }
         Rng plain_rng(input.seed);
         Rng peek_rng(input.seed);
@@ -403,7 +403,7 @@ TEST(WalkProgramPeekTest, PeekThenStepMatchesPlainStepping) {
               << "peek " << i << " changed walker or session state";
           if (hint) {
             ++hints;
-            peek_iface.Query(*hint);
+            peek_iface.QueryRef(*hint);
           }
           plain->Step();
           peeked->Step();
