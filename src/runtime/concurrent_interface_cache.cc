@@ -16,6 +16,15 @@ FetchPlan& ThreadPlan() {
   return plan;
 }
 
+/// The calling thread's request slot: threads are dealt slots round-robin
+/// on their first count, process-wide.
+size_t ThreadRequestSlot(size_t slots) {
+  static std::atomic<size_t> next_ticket{0};
+  thread_local const size_t ticket =
+      next_ticket.fetch_add(1, std::memory_order_relaxed);
+  return ticket % slots;
+}
+
 /// Sleeps the wall-clock price of `trips` backend round trips.
 void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips) {
   if (rtt.count() > 0 && trips > 0) {
@@ -26,7 +35,9 @@ void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips) {
 }  // namespace
 
 ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
-    : RestrictedInterface(base.network()), base_(&base) {
+    : RestrictedInterface(base.network()),
+      base_(&base),
+      request_slots_(std::make_unique<RequestSlot[]>(kRequestSlots)) {
   const NodeId n = num_users();
   cached_flags_ = std::make_unique<std::atomic<uint8_t>[]>(n);
   for (NodeId v = 0; v < n; ++v) {
@@ -57,6 +68,19 @@ void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
     metrics_.miss_batch = registry->GetHistogram("cache.miss_batch_size");
   }
   lanes_->SetObservability(registry, trace);
+}
+
+void ConcurrentInterfaceCache::CountRequests(uint64_t n) {
+  request_slots_[ThreadRequestSlot(kRequestSlots)].count.fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+uint64_t ConcurrentInterfaceCache::TotalRequests() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < kRequestSlots; ++i) {
+    total += request_slots_[i].count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 void ConcurrentInterfaceCache::PublishMetrics() {
@@ -91,7 +115,7 @@ void ConcurrentInterfaceCache::PlanMisses(std::span<const NodeId> misses,
 void ConcurrentInterfaceCache::FetchFrontierMisses(
     std::span<const NodeId> misses) {
   // One request per distinct uncached frontier id, every one of them a miss.
-  total_requests_.fetch_add(misses.size(), std::memory_order_relaxed);
+  CountRequests(misses.size());
   ObsAdd(metrics_.misses, misses.size());
   ObsRecord(metrics_.miss_batch, misses.size());
   FetchPlan& plan = ThreadPlan();
@@ -189,7 +213,7 @@ SessionSnapshot ConcurrentInterfaceCache::SnapshotSession() const {
     std::lock_guard<std::mutex> lock(base_mutex_);
     snapshot = base_->SnapshotSession();
   }
-  snapshot.total_requests = total_requests_.load(std::memory_order_relaxed);
+  snapshot.total_requests = TotalRequests();
   return snapshot;
 }
 
@@ -205,7 +229,7 @@ void ConcurrentInterfaceCache::RestoreSession(
     cached_flags_[v].store(base_->IsCached(v) ? 1 : 0,
                            std::memory_order_relaxed);
   }
-  total_requests_.store(snapshot.total_requests, std::memory_order_relaxed);
+  StoreTotalRequests(snapshot.total_requests);
 }
 
 void ConcurrentInterfaceCache::Reset() {
@@ -215,7 +239,14 @@ void ConcurrentInterfaceCache::Reset() {
   for (NodeId v = 0; v < n; ++v) {
     cached_flags_[v].store(0, std::memory_order_relaxed);
   }
-  total_requests_.store(0, std::memory_order_relaxed);
+  StoreTotalRequests(0);
+}
+
+void ConcurrentInterfaceCache::StoreTotalRequests(uint64_t total) {
+  request_slots_[0].count.store(total, std::memory_order_relaxed);
+  for (size_t i = 1; i < kRequestSlots; ++i) {
+    request_slots_[i].count.store(0, std::memory_order_relaxed);
+  }
 }
 
 bool ConcurrentInterfaceCache::ClaimFetch(NodeId v) {
@@ -250,12 +281,9 @@ std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {
   }
   // Hot path: a set flag plus the immutable network is enough to answer
   // without locks or allocations. Hits are deliberately not counted here —
-  // PublishMetrics derives them from total_requests_.
-  if (HitCached(v)) {
-    total_requests_.fetch_add(1, std::memory_order_relaxed);
-    return MakeView(v);
-  }
-  total_requests_.fetch_add(1, std::memory_order_relaxed);
+  // PublishMetrics derives them from TotalRequests().
+  CountRequests(1);
+  if (HitCached(v)) return MakeView(v);
   if (ClaimFetch(v)) {  // else cached while we waited (a hit, derived)
     ObsAdd(metrics_.misses);  // we own the fetch, whatever its outcome
     const bool fetched = FetchOne(v);

@@ -92,9 +92,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   bool IsCached(NodeId v) const override;
 
   uint64_t QueryCost() const override;
-  uint64_t TotalRequests() const override {
-    return total_requests_.load(std::memory_order_relaxed);
-  }
+  /// Sums the per-thread request slots: exact whenever no walker is
+  /// counting (the quiescent points where it is read).
+  uint64_t TotalRequests() const override;
   uint64_t BackendRequests() const override;
   void SetBudget(std::optional<uint64_t> budget) override;
 
@@ -103,10 +103,13 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   size_t max_batch_size() const override;
 
   /// Session checkpointing (src/service): snapshots read the wrapped
-  /// ledger's state but report this wrapper's total-request counter (the
-  /// wrapped session never sees cache hits). RestoreSession forwards to the
-  /// wrapped session and re-imports its cache flags. Neither is safe while
-  /// walkers are running; call them only between scheduler rounds.
+  /// ledger's state but report this wrapper's request total (the wrapped
+  /// session never sees cache hits). RestoreSession forwards to the
+  /// wrapped session, re-imports its cache flags and puts the restored
+  /// total in one request slot. Neither is safe while walkers are running;
+  /// call them only between scheduler rounds. Walkers that outlive a
+  /// Reset or RestoreSession must be re-Teleported (Sampler holds the
+  /// neighbours of its position).
   SessionSnapshot SnapshotSession() const override;
   void RestoreSession(const SessionSnapshot& snapshot) override;
 
@@ -126,9 +129,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   /// Publishes the derived cache.hits gauge: TotalRequests() minus the
   /// miss counter. Hits are *not* counted on the hot path — the lock-free
-  /// hit path already bumps the session's total-request counter, so the
-  /// split is pure arithmetic at pull time (exact at quiescent points,
-  /// like BackendPool::PublishMetrics). No-op when observability is off.
+  /// hit path already bumps its thread's request slot, so the split is
+  /// pure arithmetic at pull time (exact at quiescent points, like
+  /// BackendPool::PublishMetrics). No-op when observability is off.
   void PublishMetrics();
 
  private:
@@ -175,10 +178,17 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     return cached_flags_[v].load(std::memory_order_acquire) != 0;
   }
 
+  /// Adds `n` requests to the calling thread's slot.
+  void CountRequests(uint64_t n);
+
+  /// Sets TotalRequests() to `total`: slot 0 holds it, the rest are zeroed.
+  /// Quiescent points only (Reset, RestoreSession).
+  void StoreTotalRequests(uint64_t total);
+
   /// Resolved metric pointers; all null when observability is off.
   /// `hits` is a gauge, not a counter: the lock-free hit path is the
   /// hottest line in the crawl, so hits are derived at publish time from
-  /// the pre-existing total-request counter instead of being counted.
+  /// TotalRequests() instead of being counted.
   struct CacheMetrics {
     obs::Gauge* hits = nullptr;
     obs::Counter* misses = nullptr;
@@ -188,7 +198,15 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
 
   RestrictedInterface* base_;
   std::unique_ptr<std::atomic<uint8_t>[]> cached_flags_;
-  std::atomic<uint64_t> total_requests_{0};
+  /// Request counts, one cache line per slot. A thread adds only to its
+  /// own slot (threads are dealt slots round-robin, so two share one only
+  /// beyond kRequestSlots threads), which keeps the hit path free of a
+  /// write every walker contends on.
+  static constexpr size_t kRequestSlots = 64;
+  struct alignas(64) RequestSlot {
+    std::atomic<uint64_t> count{0};
+  };
+  std::unique_ptr<RequestSlot[]> request_slots_;
   CacheMetrics metrics_;
   mutable std::mutex base_mutex_;
   Shard shards_[kShards];

@@ -116,7 +116,8 @@ class CrawlScheduler {
   /// (seed, num_walkers, factory): teleports each walker and overwrites its
   /// RNG stream, and sets the step counter. Restored positions must already
   /// be cached in the interface (RestoreSession runs first), so subsequent
-  /// steps replay exactly.
+  /// steps replay exactly; the teleport then holds each walker's
+  /// neighbours, so the request total also resumes as if uninterrupted.
   void RestoreWalkers(const std::vector<WalkerState>& states,
                       uint64_t total_steps);
 

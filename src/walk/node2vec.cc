@@ -47,12 +47,12 @@ NodeId Node2VecWalk::PickTarget(std::span<const NodeId> cur_neighbors) {
 }
 
 NodeId Node2VecWalk::Step() {
-  auto r = interface().QueryRef(current());
-  if (!r || r->neighbors.empty()) return current();
-  const NodeId target = PickTarget(r->neighbors);
-  if (interface().QueryRef(target)) {
+  const auto neighbors = CurrentNeighbors();
+  if (!neighbors || neighbors->empty()) return current();
+  const NodeId target = PickTarget(*neighbors);
+  if (auto r = interface().QueryRef(target)) {
     prev_ = current();
-    set_current(target);
+    MoveTo(*r);
   }
   return current();
 }

@@ -28,11 +28,11 @@ NodeId PageRankMassWalk::Step() {
   if (rng().Bernoulli(restart_)) {
     target = TeleportTarget();
   } else {
-    auto r = interface().QueryRef(current());
-    if (!r) return current();
-    target = PickTarget(r->neighbors);
+    const auto neighbors = CurrentNeighbors();
+    if (!neighbors) return current();
+    target = PickTarget(*neighbors);
   }
-  if (interface().QueryRef(target)) set_current(target);
+  if (auto r = interface().QueryRef(target)) MoveTo(*r);
   return current();
 }
 

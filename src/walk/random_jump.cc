@@ -15,7 +15,7 @@ RandomJumpWalk::RandomJumpWalk(RestrictedInterface& interface, Rng& rng,
 NodeId RandomJumpWalk::Step() {
   if (rng().Bernoulli(jump_probability_)) {
     auto r = interface().RandomUser(rng());
-    if (r) set_current(r->user);
+    if (r) MoveTo(*r);
     return current();
   }
   return MetropolisStep();

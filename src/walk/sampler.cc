@@ -10,6 +10,25 @@ Sampler::Sampler(RestrictedInterface& interface, Rng& rng, NodeId start)
   if (start >= interface.num_users()) {
     throw std::invalid_argument("Sampler: start node out of range");
   }
+  Sampler::Teleport(start);
+}
+
+void Sampler::Teleport(NodeId node) {
+  if (auto r = interface_->PeekCached(node)) {
+    MoveTo(*r);
+  } else {
+    set_current(node);
+  }
+}
+
+std::optional<std::span<const NodeId>> Sampler::CurrentNeighbors() {
+  if (held_degree_ != kNotHeld) {
+    return std::span<const NodeId>(held_neighbors_, held_degree_);
+  }
+  auto r = interface_->QueryRef(current_);
+  if (!r) return std::nullopt;
+  MoveTo(*r);
+  return r->neighbors;
 }
 
 std::optional<NodeId> Sampler::PeekStep() {
@@ -27,41 +46,43 @@ std::optional<NodeId> Sampler::PeekUniformNeighbor() {
 }
 
 NodeId Sampler::MetropolisStep() {
-  auto u = interface_->QueryRef(current_);
-  if (!u || u->neighbors.empty()) return current_;
-  const NodeId proposal = UniformPick(u->neighbors);
-  const double ku = static_cast<double>(u->degree());
+  const auto u = CurrentNeighbors();
+  if (!u || u->empty()) return current_;
+  const NodeId proposal = UniformPick(*u);
+  const double ku = static_cast<double>(u->size());
   auto v = interface_->QueryRef(proposal);
   if (!v) return current_;  // budget exhausted
   const double kv = static_cast<double>(v->degree());
   if (kv <= 0.0) return current_;
-  if (rng_->UniformDouble() < ku / kv) current_ = proposal;
+  if (rng_->UniformDouble() < ku / kv) MoveTo(*v);
   return current_;
 }
 
 double Sampler::InverseDegreeWeight() {
-  auto r = interface_->QueryRef(current_);
-  if (!r || r->degree() == 0) return 0.0;
-  return 1.0 / static_cast<double>(r->degree());
+  const auto n = CurrentNeighbors();
+  if (!n || n->empty()) return 0.0;
+  return 1.0 / static_cast<double>(n->size());
 }
 
 UserProfile Sampler::CurrentProfile() {
-  auto r = interface_->QueryRef(current_);
   // current() is always a node the walk has already queried, so the cache
-  // answers even under an exhausted budget.
+  // answers even under an exhausted budget; a held node is cached, and the
+  // profile is read from the cache at no request.
+  std::optional<QueryView> r;
+  if (CurrentNeighbors()) r = interface_->PeekCached(current_);
   if (!r) throw std::logic_error("Sampler: current node not cached");
   return *r->profile;
 }
 
 double Sampler::CurrentDegreeForDiagnostic() {
-  auto r = interface_->QueryRef(current_);
-  return r ? static_cast<double>(r->degree()) : 0.0;
+  const auto n = CurrentNeighbors();
+  return n ? static_cast<double>(n->size()) : 0.0;
 }
 
 uint32_t Sampler::CurrentDegree() {
-  auto r = interface_->QueryRef(current_);
-  if (!r) throw std::logic_error("Sampler: current node not cached");
-  return r->degree();
+  const auto n = CurrentNeighbors();
+  if (!n) throw std::logic_error("Sampler: current node not cached");
+  return static_cast<uint32_t>(n->size());
 }
 
 }  // namespace mto

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -16,6 +17,22 @@ namespace mto {
 /// ablation studies only when explicitly reused). Each `Step()` advances the
 /// chain one transition; the harness interleaves steps with a Geweke
 /// burn-in check and reads samples off `current()`.
+///
+/// The held span: a sampler keeps the neighbours of `current()` (a span
+/// into the interface's immutable network) from the read that put it
+/// there, so its next `Step()` and its sample readers (`CurrentDegree*`,
+/// `CurrentProfile`, the degree weights) issue no request for the node it
+/// stands on. It is set by every move through a successful read
+/// (`MoveTo`), and by `Teleport` and construction when the node is
+/// already cached (through `PeekCached`, which costs no request). It is
+/// cleared by `set_current` (MTO's moves); the next reader then queries
+/// `current()` once and holds the answer. A read of a held node would be
+/// a cache hit, so holding changes no draw, trajectory, unique query or
+/// trip; it only keeps those hits out of the request total.
+///
+/// A held span presumes `current()` stays cached. A session `Reset()` or
+/// `RestoreSession()` breaks that, so walkers that live across one must be
+/// re-`Teleport`ed afterwards (CrawlScheduler::RestoreWalkers does).
 class Sampler {
  public:
   /// `start` must be a valid user id of the interface's network.
@@ -74,8 +91,9 @@ class Sampler {
   /// Human-readable sampler name ("SRW", "MHRW", "RJ", "MTO").
   virtual std::string name() const = 0;
 
-  /// Moves the walk to `node` without transition semantics (restart).
-  virtual void Teleport(NodeId node) { current_ = node; }
+  /// Moves the walk to `node` without transition semantics (restart),
+  /// holding its neighbours when it is cached.
+  virtual void Teleport(NodeId node);
 
   /// Second-order state (walks whose frontier is `(prev, cur)` rather than
   /// one node — WalkProgram::FrontierShape::kSecondOrder): the node the
@@ -92,7 +110,23 @@ class Sampler {
   RestrictedInterface& interface() { return *interface_; }
   const RestrictedInterface& interface() const { return *interface_; }
   Rng& rng() { return *rng_; }
-  void set_current(NodeId v) { current_ = v; }
+  /// Moves to `v` without holding its neighbours.
+  void set_current(NodeId v) {
+    current_ = v;
+    held_degree_ = kNotHeld;
+  }
+
+  /// Moves to the node `view` answers for and holds its neighbours.
+  void MoveTo(const QueryView& view) {
+    current_ = view.user;
+    held_neighbors_ = view.neighbors.data();
+    held_degree_ = view.degree();
+  }
+
+  /// The neighbours of `current()`: the held span, or else one `QueryRef`
+  /// whose answer is then held. std::nullopt when that read is refused
+  /// (an uncached node under an exhausted budget).
+  std::optional<std::span<const NodeId>> CurrentNeighbors();
 
   /// The body of `PeekStep()`, run between its RNG save and restore: it
   /// may draw freely but must read cached state only. Walks that cannot
@@ -123,9 +157,16 @@ class Sampler {
   double InverseDegreeWeight();
 
  private:
+  /// `held_degree_` when no span is held.
+  static constexpr uint32_t kNotHeld = UINT32_MAX;
+
   RestrictedInterface* interface_;
   Rng* rng_;
   NodeId current_;
+  // The held span of current_: it sits in the padding after current_, so a
+  // walker grows by one pointer.
+  uint32_t held_degree_ = kNotHeld;
+  const NodeId* held_neighbors_ = nullptr;
 };
 
 }  // namespace mto

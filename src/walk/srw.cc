@@ -7,14 +7,13 @@ SimpleRandomWalk::SimpleRandomWalk(RestrictedInterface& interface, Rng& rng,
     : Sampler(interface, rng, start) {}
 
 NodeId SimpleRandomWalk::Step() {
-  auto r = interface().QueryRef(current());
-  if (!r || r->neighbors.empty()) return current();
-  const NodeId target = UniformPick(r->neighbors);
-  // The move itself needs no information about `target` beyond its id; the
-  // next Step() queries it. Query eagerly anyway so the degree diagnostic
-  // reflects the node we now stand on — this mirrors the paper where every
+  const auto neighbors = CurrentNeighbors();
+  if (!neighbors || neighbors->empty()) return current();
+  const NodeId target = UniformPick(*neighbors);
+  // One read per step: the target's answer is held, so the next Step() and
+  // the sample readers need no request for it. As in the paper, every
   // visited node costs one (unique) query.
-  if (interface().QueryRef(target)) set_current(target);
+  if (auto r = interface().QueryRef(target)) MoveTo(*r);
   return current();
 }
 

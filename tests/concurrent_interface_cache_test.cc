@@ -245,5 +245,48 @@ TEST(ConcurrentInterfaceCacheTest, ResetClearsWrapperAndBase) {
   EXPECT_FALSE(base.IsCached(1));
 }
 
+TEST(ConcurrentInterfaceCacheTest, RequestTotalIsExactAtQuiescentPoints) {
+  // Every thread counts into its own request slot; the total must be exact
+  // whenever no thread is counting, including across a snapshot, a restore
+  // onto slots that still hold counts, more counting on threads the cache
+  // has never seen, and a reset.
+  SocialNetwork net(Complete(32));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  constexpr size_t kThreads = 8;
+  const auto count_on_fresh_threads = [&](size_t reads_per_thread) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&cache, &net, t, reads_per_thread] {
+        for (size_t i = 0; i < reads_per_thread; ++i) {
+          cache.QueryRef(static_cast<NodeId>((t + i) % net.num_users()));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+
+  count_on_fresh_threads(500);
+  EXPECT_EQ(cache.TotalRequests(), kThreads * 500);
+  const SessionSnapshot snapshot = cache.SnapshotSession();
+  EXPECT_EQ(snapshot.total_requests, kThreads * 500);
+
+  count_on_fresh_threads(300);  // counts the restore below must discard
+  EXPECT_EQ(cache.TotalRequests(), kThreads * 800);
+  cache.RestoreSession(snapshot);
+  EXPECT_EQ(cache.TotalRequests(), kThreads * 500);
+  EXPECT_EQ(cache.SnapshotSession().total_requests, kThreads * 500);
+
+  count_on_fresh_threads(200);
+  cache.QueryRef(0);  // and one on this thread
+  EXPECT_EQ(cache.TotalRequests(), kThreads * 700 + 1);
+
+  cache.Reset();
+  EXPECT_EQ(cache.TotalRequests(), 0u);
+  count_on_fresh_threads(100);
+  EXPECT_EQ(cache.TotalRequests(), kThreads * 100);
+  EXPECT_EQ(cache.QueryCost(), net.num_users());  // refetched after Reset
+}
+
 }  // namespace
 }  // namespace mto

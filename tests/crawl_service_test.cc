@@ -76,10 +76,12 @@ void ExpectBitIdentical(const ServiceResult& a, const ServiceResult& b) {
 
 /// Runs to completion, interrupting after `kill_after_units` units: saves a
 /// checkpoint there, destroys the service ("crash"), and resumes in a fresh
-/// one built from the same config.
+/// one built from the same config. `total_requests`, when given, receives
+/// the resumed session's request total at the end.
 ServiceResult RunWithKillAndResume(const ScenarioConfig& config,
                                    size_t kill_after_units,
-                                   const std::string& path) {
+                                   const std::string& path,
+                                   uint64_t* total_requests = nullptr) {
   {
     CrawlService victim(config);
     for (size_t i = 0; i < kill_after_units && victim.Advance(); ++i) {
@@ -91,7 +93,20 @@ ServiceResult RunWithKillAndResume(const ScenarioConfig& config,
   resumed.LoadCheckpoint(path);
   while (resumed.Advance()) {
   }
-  return resumed.Finish();
+  ServiceResult result = resumed.Finish();
+  if (total_requests != nullptr) {
+    *total_requests = resumed.session().TotalRequests();
+  }
+  return result;
+}
+
+/// An uninterrupted run, and its session's request total at the end.
+ServiceResult RunUninterrupted(const ScenarioConfig& config,
+                               uint64_t& total_requests) {
+  CrawlService service(config);
+  ServiceResult result = service.Run();
+  total_requests = service.session().TotalRequests();
+  return result;
 }
 
 TEST(CrawlServiceTest, RunsFaultyScenarioToCompletion) {
@@ -151,13 +166,19 @@ TEST(CrawlServiceTest, EstimatesAverageDegreeAndFreezesMtoOverlays) {
 
 TEST(CrawlServiceTest, ResumeIsBitIdenticalAtEveryKillPoint) {
   ScenarioConfig config = FaultyScenario();
-  const ServiceResult uninterrupted = CrawlService(config).Run();
+  uint64_t requests = 0;
+  const ServiceResult uninterrupted = RunUninterrupted(config, requests);
   const std::string path = TempCheckpointPath("kill_points");
   // Kill points spanning burn-in (epochs) and sampling (collection rounds).
+  // The request total resumes too: a restored walker holds its cached
+  // position, as the uninterrupted one did, so neither re-reads it.
   for (size_t kill_after : {0u, 1u, 2u, 5u, 9u, 20u}) {
     SCOPED_TRACE("kill_after=" + std::to_string(kill_after));
+    uint64_t resumed_requests = 0;
     ExpectBitIdentical(uninterrupted,
-                       RunWithKillAndResume(config, kill_after, path));
+                       RunWithKillAndResume(config, kill_after, path,
+                                            &resumed_requests));
+    EXPECT_EQ(resumed_requests, requests);
   }
   std::remove(path.c_str());
 }
@@ -254,12 +275,16 @@ TEST(CrawlServiceTest, MtoScenarioResumesBitIdenticallyAtEveryKillPoint) {
   // overlay), under injected faults.
   ScenarioConfig config = FaultyScenario();
   config.program.name = "mto";
-  const ServiceResult uninterrupted = CrawlService(config).Run();
+  uint64_t requests = 0;
+  const ServiceResult uninterrupted = RunUninterrupted(config, requests);
   const std::string path = TempCheckpointPath("mto_kill_points");
   for (size_t kill_after : {0u, 1u, 2u, 5u, 9u, 20u}) {
     SCOPED_TRACE("kill_after=" + std::to_string(kill_after));
+    uint64_t resumed_requests = 0;
     ExpectBitIdentical(uninterrupted,
-                       RunWithKillAndResume(config, kill_after, path));
+                       RunWithKillAndResume(config, kill_after, path,
+                                            &resumed_requests));
+    EXPECT_EQ(resumed_requests, requests);
   }
   std::remove(path.c_str());
 }

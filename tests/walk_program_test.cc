@@ -28,6 +28,7 @@
 #include "src/service/crawl_service.h"
 #include "src/walk/node2vec.h"
 #include "src/walk/pagerank.h"
+#include "src/walk/srw.h"
 #include "src/walk/walk_program.h"
 
 namespace mto {
@@ -483,6 +484,60 @@ TEST(WalkProgramPeekTest, PeekAnnouncesAnUncachedStart) {
       EXPECT_GT(teleports, 0u);
     }
   }
+}
+
+// --- Per-step request accounting -------------------------------------
+
+TEST(WalkProgramRequestTest, SteadyStateStepsIssueFixedRequestCounts) {
+  // On a fully cached graph every request is a hit, so the counts below
+  // are the read path's own traffic. A walk holds the neighbours of the
+  // node it stands on: each step reads only its target (MTO reads nothing
+  // once its overlay holds every node), and the sample readers of a
+  // walker that moved through a read issue nothing. MTO moves without a
+  // read, so its first reader after a move queries once; it is left out
+  // of the reader row.
+  const SocialNetwork net = PeekNetwork();
+  const std::map<std::string, uint64_t> step_requests = {
+      {"srw", 1},  {"mhrw", 1},     {"random_jump", 1},
+      {"mto", 0},  {"node2vec", 1}, {"pagerank", 1}};
+  ASSERT_EQ(step_requests.size(), WalkProgramNames().size());
+  for (const PeekCase& c : PeekCases()) {
+    SCOPED_TRACE(c.label);
+    RestrictedInterface iface(net);
+    for (NodeId v = 0; v < net.num_users(); ++v) iface.QueryRef(v);
+    Rng rng(7);
+    auto walker = GetWalkProgram(c.program).MakeWalker(iface, rng, 3,
+                                                       c.params);
+    for (int i = 0; i < 2000; ++i) walker->Step();  // into steady state
+    if (const auto* mto = dynamic_cast<const MtoSampler*>(walker.get())) {
+      ASSERT_EQ(mto->overlay().num_registered(), net.num_users());
+    }
+    const uint64_t per_step = step_requests.at(c.program);
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t before = iface.TotalRequests();
+      walker->Step();
+      ASSERT_EQ(iface.TotalRequests() - before, per_step) << "step " << i;
+      if (c.program == "mto") continue;
+      walker->CurrentDegreeForDiagnostic();
+      walker->CurrentDegree();
+      walker->CurrentProfile();
+      walker->ImportanceWeight();
+      ASSERT_EQ(iface.TotalRequests() - before, per_step)
+          << "readers after step " << i;
+    }
+    // A teleport to a cached node holds it at no request.
+    const uint64_t before = iface.TotalRequests();
+    walker->Teleport(11);
+    EXPECT_EQ(walker->current(), 11u);
+    EXPECT_EQ(walker->CurrentDegree(), net.graph().Degree(11));
+    EXPECT_EQ(iface.TotalRequests(), before);
+    EXPECT_EQ(iface.QueryCost(), net.num_users());
+  }
+}
+
+TEST(WalkProgramRequestTest, HeldStateKeepsTheWalkerSmall) {
+  // 100k-walker crawls pay for every byte a walker grows by.
+  EXPECT_LE(sizeof(SimpleRandomWalk), 40u);
 }
 
 TEST(WalkProgramRegistryTest, RegistryResolvesEveryBuiltIn) {
