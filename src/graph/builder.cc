@@ -1,9 +1,77 @@
 #include "src/graph/builder.h"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
+#include <span>
 
 namespace mto {
+namespace {
+
+/// Arcs grouped by source: bucket `u` is targets[offsets[u], offsets[u+1]),
+/// ascending and duplicate-free.
+struct ArcBuckets {
+  std::vector<size_t> offsets;  // num_nodes + 1 entries
+  std::vector<NodeId> targets;
+
+  std::span<const NodeId> operator[](NodeId u) const {
+    return {targets.data() + offsets[u], targets.data() + offsets[u + 1]};
+  }
+};
+
+/// Buckets every non-loop arc of `arcs`, after `orient`, by its `u`: one
+/// counting pass and a prefix sum, one scatter of the `v`s, then a sort and
+/// unique per bucket (buckets are degree-sized), compacted in place.
+template <typename Orient>
+ArcBuckets BucketArcs(const std::vector<Edge>& arcs, NodeId num_nodes,
+                      Orient orient) {
+  ArcBuckets b;
+  b.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  for (const Edge& a : arcs) {
+    if (a.u != a.v) ++b.offsets[orient(a).u + 1];
+  }
+  std::partial_sum(b.offsets.begin(), b.offsets.end(), b.offsets.begin());
+  b.targets.resize(b.offsets[num_nodes]);
+  // After the scatter offsets[u] is the end of bucket u.
+  for (const Edge& a : arcs) {
+    if (a.u == a.v) continue;
+    const Edge o = orient(a);
+    b.targets[b.offsets[o.u]++] = o.v;
+  }
+  size_t begin = 0;  // bucket u's start in the scatter
+  size_t kept = 0;   // targets kept by buckets 0..u-1
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    const auto first = b.targets.begin() + static_cast<ptrdiff_t>(begin);
+    const auto last = b.targets.begin() + static_cast<ptrdiff_t>(b.offsets[u]);
+    begin = b.offsets[u];
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    const auto out = b.targets.begin() + static_cast<ptrdiff_t>(kept);
+    if (out != first) std::move(first, unique_end, out);
+    b.offsets[u] = kept;
+    kept += static_cast<size_t>(unique_end - first);
+  }
+  b.offsets[num_nodes] = kept;
+  b.targets.resize(kept);
+  return b;
+}
+
+/// The edges (u, v), ascending, of every v in bucket u that `keep(buckets,
+/// u, v)` accepts. The buckets are freed before the caller builds its Graph.
+template <typename Orient, typename Keep>
+std::vector<Edge> BucketedEdges(const std::vector<Edge>& arcs,
+                                NodeId num_nodes, Orient orient, Keep keep) {
+  const ArcBuckets b = BucketArcs(arcs, num_nodes, orient);
+  std::vector<Edge> edges;
+  edges.reserve(b.targets.size());
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (NodeId v : b[u]) {
+      if (keep(b, u, v)) edges.push_back({u, v});
+    }
+  }
+  return edges;
+}
+
+}  // namespace
 
 void GraphBuilder::ReserveNodes(NodeId n) {
   num_nodes_ = std::max(num_nodes_, n);
@@ -20,37 +88,27 @@ void GraphBuilder::AddArc(NodeId from, NodeId to) {
 }
 
 Graph GraphBuilder::Build() const {
-  std::vector<Edge> edges;
-  edges.reserve(arcs_.size());
-  for (const Edge& a : arcs_) {
-    if (a.u == a.v) continue;
-    edges.push_back(a.Normalized());
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return Graph(num_nodes_, edges);
+  // Bucketed by the smaller endpoint, every edge appears once, ascending.
+  return Graph(num_nodes_,
+               BucketedEdges(arcs_, num_nodes_,
+                             [](const Edge& a) { return a.Normalized(); },
+                             [](const ArcBuckets&, NodeId, NodeId) {
+                               return true;
+                             }));
 }
 
 Graph GraphBuilder::BuildMutual() const {
-  std::vector<Edge> arcs;
-  arcs.reserve(arcs_.size());
-  for (const Edge& a : arcs_) {
-    if (a.u != a.v) arcs.push_back(a);  // keep direction
-  }
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
   // An undirected edge survives iff both (u,v) and (v,u) are present.
-  std::vector<Edge> edges;
-  for (const Edge& a : arcs) {
-    if (a.u < a.v &&
-        std::binary_search(arcs.begin(), arcs.end(), Edge{a.v, a.u})) {
-      edges.push_back(a);
-    }
-  }
-  return Graph(num_nodes_, edges);
+  return Graph(num_nodes_,
+               BucketedEdges(arcs_, num_nodes_, [](const Edge& a) { return a; },
+                             [](const ArcBuckets& b, NodeId u, NodeId v) {
+                               const auto back = b[v];
+                               return u < v && std::binary_search(
+                                                   back.begin(), back.end(), u);
+                             }));
 }
 
-Graph LargestComponent(const Graph& g, std::vector<NodeId>* mapping) {
+Graph LargestComponent(Graph g, std::vector<NodeId>* mapping) {
   const NodeId n = g.num_nodes();
   std::vector<NodeId> comp(n, kInvalidNode);
   NodeId num_comps = 0;
@@ -75,6 +133,13 @@ Graph LargestComponent(const Graph& g, std::vector<NodeId>* mapping) {
     comp_size.push_back(size);
     ++num_comps;
   }
+  if (num_comps <= 1) {
+    if (mapping != nullptr) {
+      mapping->resize(n);
+      std::iota(mapping->begin(), mapping->end(), NodeId{0});
+    }
+    return g;
+  }
   NodeId best = 0;
   for (NodeId c = 1; c < num_comps; ++c) {
     if (comp_size[c] > comp_size[best]) best = c;
@@ -84,16 +149,17 @@ Graph LargestComponent(const Graph& g, std::vector<NodeId>* mapping) {
   for (NodeId v = 0; v < n; ++v) {
     if (comp[v] == best) map[v] = next++;
   }
-  GraphBuilder builder;
-  builder.ReserveNodes(next);
+  // The relabelling keeps the order of ids, so the kept edges come out
+  // ascending and duplicate-free, as Graph wants them.
+  std::vector<Edge> edges;
   for (NodeId u = 0; u < n; ++u) {
     if (map[u] == kInvalidNode) continue;
     for (NodeId v : g.Neighbors(u)) {
-      if (u < v && map[v] != kInvalidNode) builder.AddEdge(map[u], map[v]);
+      if (u < v) edges.push_back({map[u], map[v]});
     }
   }
   if (mapping != nullptr) *mapping = std::move(map);
-  return builder.Build();
+  return Graph(next, edges);
 }
 
 }  // namespace mto

@@ -31,11 +31,14 @@ class GraphBuilder {
 
   /// Builds the undirected graph: self-loops dropped, duplicates collapsed.
   /// Directed arcs added via AddArc are treated as undirected edges here.
+  /// Linear apart from a sort of each degree-sized bucket: the arcs are
+  /// counting-sorted by their smaller endpoint.
   Graph Build() const;
 
   /// Builds the undirected graph keeping only mutual arcs: edge (u,v) is
   /// included iff both arcs u->v and v->u were added. Undirected edges added
-  /// via AddEdge count as both arcs.
+  /// via AddEdge count as both arcs. Buckets the arcs by source, as Build
+  /// does, and looks each arc's reverse up in its target's bucket.
   Graph BuildMutual() const;
 
  private:
@@ -45,8 +48,10 @@ class GraphBuilder {
 
 /// Relabels the graph to its largest connected component; `mapping`, when
 /// non-null, receives old-id -> new-id (num_nodes entries; kInvalidNode for
-/// dropped nodes).
+/// dropped nodes). A connected (or empty) graph is returned as passed in,
+/// its edge list untouched, and `mapping` is overwritten with the identity;
+/// pass the graph with std::move when the input is no longer needed.
 inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
-Graph LargestComponent(const Graph& g, std::vector<NodeId>* mapping = nullptr);
+Graph LargestComponent(Graph g, std::vector<NodeId>* mapping = nullptr);
 
 }  // namespace mto

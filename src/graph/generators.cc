@@ -25,6 +25,63 @@ uint64_t EdgeKey(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
+/// The Holme–Kim process behind HolmeKim: calls `emit(u, v)` once per
+/// edge, in generation order. It never emits a duplicate or a self-loop (the
+/// seed clique is distinct, and so are each new node's targets), so a caller
+/// can count the edges as they come.
+template <typename Emit>
+void HolmeKimEdges(NodeId n, uint32_t m, double triad_p, Rng& rng,
+                   Emit&& emit) {
+  if (m < 1 || m >= n) throw std::invalid_argument("HolmeKim: need 1 <= m < n");
+  if (triad_p < 0.0 || triad_p > 1.0) {
+    throw std::invalid_argument("HolmeKim: bad triad_p");
+  }
+  // `ends` holds one entry per edge endpoint; sampling a uniform element is
+  // sampling proportional to degree. `adjacency` supports the triad step
+  // (uniform neighbor of the previous target).
+  std::vector<NodeId> ends;
+  std::vector<std::vector<NodeId>> adjacency(n);
+  auto add_edge = [&](NodeId u, NodeId v) {
+    emit(u, v);
+    ends.push_back(u);
+    ends.push_back(v);
+    adjacency[u].push_back(v);
+    adjacency[v].push_back(u);
+  };
+  NodeId seed = m + 1;
+  for (NodeId i = 0; i < seed; ++i) {
+    for (NodeId j = i + 1; j < seed; ++j) add_edge(i, j);
+  }
+  std::vector<NodeId> targets;
+  for (NodeId v = seed; v < n; ++v) {
+    targets.clear();
+    NodeId prev_target = kInvalidNode;
+    while (targets.size() < m) {
+      NodeId t = kInvalidNode;
+      if (prev_target != kInvalidNode && rng.Bernoulli(triad_p)) {
+        // Triad step (Holme–Kim): connect to a uniform neighbor of the
+        // previous target, closing a triangle v - prev_target - t.
+        const auto& nbrs = adjacency[prev_target];
+        t = nbrs[static_cast<size_t>(rng.UniformInt(nbrs.size()))];
+      }
+      if (t == kInvalidNode) {
+        t = ends[static_cast<size_t>(rng.UniformInt(ends.size()))];
+      }
+      // v's only edges so far are this iteration's targets, so (v, t)
+      // already exists iff t is one of them.
+      if (t == v ||
+          std::find(targets.begin(), targets.end(), t) != targets.end()) {
+        // Collision: fall back to a fresh preferential pick next loop.
+        prev_target = kInvalidNode;
+        continue;
+      }
+      targets.push_back(t);
+      prev_target = t;
+    }
+    for (NodeId t : targets) add_edge(v, t);
+  }
+}
+
 }  // namespace
 
 Graph Barbell(NodeId clique_size) {
@@ -141,62 +198,10 @@ Graph BarabasiAlbert(NodeId n, uint32_t m, Rng& rng) {
 }
 
 Graph HolmeKim(NodeId n, uint32_t m, double triad_p, Rng& rng) {
-  if (m < 1 || m >= n) throw std::invalid_argument("HolmeKim: need 1 <= m < n");
-  if (triad_p < 0.0 || triad_p > 1.0) {
-    throw std::invalid_argument("HolmeKim: bad triad_p");
-  }
   GraphBuilder builder;
   builder.ReserveNodes(n);
-  // `ends` holds one entry per edge endpoint; sampling a uniform element is
-  // sampling proportional to degree. `adjacency` supports the triad step
-  // (uniform neighbor of the previous target).
-  std::vector<NodeId> ends;
-  std::vector<std::vector<NodeId>> adjacency(n);
-  auto add_edge = [&](NodeId u, NodeId v) {
-    builder.AddEdge(u, v);
-    ends.push_back(u);
-    ends.push_back(v);
-    adjacency[u].push_back(v);
-    adjacency[v].push_back(u);
-  };
-  NodeId seed = m + 1;
-  for (NodeId i = 0; i < seed; ++i) {
-    for (NodeId j = i + 1; j < seed; ++j) add_edge(i, j);
-  }
-  std::vector<NodeId> targets;
-  for (NodeId v = seed; v < n; ++v) {
-    targets.clear();
-    NodeId prev_target = kInvalidNode;
-    while (targets.size() < m) {
-      NodeId t = kInvalidNode;
-      if (prev_target != kInvalidNode && rng.Bernoulli(triad_p)) {
-        // Triad step (Holme–Kim): connect to a uniform neighbor of the
-        // previous target, closing a triangle v - prev_target - t.
-        const auto& nbrs = adjacency[prev_target];
-        t = nbrs[static_cast<size_t>(rng.UniformInt(nbrs.size()))];
-      }
-      if (t == kInvalidNode) {
-        t = ends[static_cast<size_t>(rng.UniformInt(ends.size()))];
-      }
-      // v's only edges so far are this iteration's targets, so (v, t)
-      // already exists iff t is one of them.
-      if (t == v ||
-          std::find(targets.begin(), targets.end(), t) != targets.end()) {
-        // Collision: fall back to a fresh preferential pick next loop.
-        prev_target = kInvalidNode;
-        continue;
-      }
-      targets.push_back(t);
-      prev_target = t;
-    }
-    for (NodeId t : targets) {
-      ends.push_back(v);
-      ends.push_back(t);
-      adjacency[v].push_back(t);
-      adjacency[t].push_back(v);
-      builder.AddEdge(v, t);
-    }
-  }
+  HolmeKimEdges(n, m, triad_p, rng,
+                [&builder](NodeId u, NodeId v) { builder.AddEdge(u, v); });
   return builder.Build();
 }
 
@@ -339,11 +344,11 @@ Graph CommunityPowerlaw(const CommunityPowerlawParams& params, Rng& rng) {
     core_size = std::max(core_size, static_cast<NodeId>(community_m + 2));
     core_size = std::min(core_size, size);
     core_ranges[i] = {base, base + core_size};
-    Graph core = HolmeKim(core_size, community_m, params.triad_p, rng);
-    for (const Edge& e : core.Edges()) {
-      builder.AddEdge(base + e.u, base + e.v);
-    }
-    in_edges += core.num_edges();
+    HolmeKimEdges(core_size, community_m, params.triad_p, rng,
+                  [&](NodeId u, NodeId v) {
+                    builder.AddEdge(base + u, base + v);
+                    ++in_edges;
+                  });
     // Carve the remaining nodes into micro-cliques.
     NodeId next = base + core_size;
     const NodeId end = base + size;
@@ -386,11 +391,11 @@ Graph CommunityPowerlaw(const CommunityPowerlawParams& params, Rng& rng) {
     };
     builder.AddEdge(pick_core(bi), pick_core(bj));
   }
-  // Free the arcs before the component pass builds its own copy: that pass
-  // is the memory peak of building a dataset.
-  const Graph graph = builder.Build();
+  // Free the arcs before the component pass: a disconnected graph is
+  // relabelled into a second copy.
+  Graph graph = builder.Build();
   builder = GraphBuilder();
-  return LargestComponent(graph);
+  return LargestComponent(std::move(graph));
 }
 
 }  // namespace mto

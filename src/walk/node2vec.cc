@@ -58,10 +58,10 @@ NodeId Node2VecWalk::Step() {
 }
 
 std::optional<NodeId> Node2VecWalk::PeekFirstQuery() {
-  auto r = interface().PeekCached(current());
-  if (!r) return current();
-  if (r->neighbors.empty()) return std::nullopt;
-  return PickTarget(r->neighbors);
+  const auto neighbors = PeekCurrentNeighbors();
+  if (!neighbors) return current();
+  if (neighbors->empty()) return std::nullopt;
+  return PickTarget(*neighbors);
 }
 
 void Node2VecWalk::Teleport(NodeId node) {

@@ -38,9 +38,9 @@ NodeId PageRankMassWalk::Step() {
 
 std::optional<NodeId> PageRankMassWalk::PeekFirstQuery() {
   if (rng().Bernoulli(restart_)) return TeleportTarget();
-  auto r = interface().PeekCached(current());
-  if (!r) return current();
-  return PickTarget(r->neighbors);
+  const auto neighbors = PeekCurrentNeighbors();
+  if (!neighbors) return current();
+  return PickTarget(*neighbors);
 }
 
 }  // namespace mto

@@ -31,6 +31,14 @@ std::optional<std::span<const NodeId>> Sampler::CurrentNeighbors() {
   return r->neighbors;
 }
 
+std::optional<std::span<const NodeId>> Sampler::PeekCurrentNeighbors() const {
+  if (held_degree_ != kNotHeld) {
+    return std::span<const NodeId>(held_neighbors_, held_degree_);
+  }
+  if (auto r = interface_->PeekCached(current_)) return r->neighbors;
+  return std::nullopt;
+}
+
 std::optional<NodeId> Sampler::PeekStep() {
   const std::array<uint64_t, 4> saved = rng_->SaveState();
   const std::optional<NodeId> hint = PeekFirstQuery();
@@ -39,10 +47,10 @@ std::optional<NodeId> Sampler::PeekStep() {
 }
 
 std::optional<NodeId> Sampler::PeekUniformNeighbor() {
-  auto r = interface_->PeekCached(current_);
-  if (!r) return current_;
-  if (r->neighbors.empty()) return std::nullopt;
-  return UniformPick(r->neighbors);
+  const auto neighbors = PeekCurrentNeighbors();
+  if (!neighbors) return current_;
+  if (neighbors->empty()) return std::nullopt;
+  return UniformPick(*neighbors);
 }
 
 NodeId Sampler::MetropolisStep() {

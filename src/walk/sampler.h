@@ -22,7 +22,7 @@ namespace mto {
 /// into the interface's immutable network) from the read that put it
 /// there, so its next `Step()` and its sample readers (`CurrentDegree*`,
 /// `CurrentProfile`, the degree weights) issue no request for the node it
-/// stands on. It is set by every move through a successful read
+/// stands on, and its peek reads no cache. It is set by every move through a successful read
 /// (`MoveTo`), and by `Teleport` and construction when the node is
 /// already cached (through `PeekCached`, which costs no request). It is
 /// cleared by `set_current` (MTO's moves); the next reader then queries
@@ -127,6 +127,11 @@ class Sampler {
   /// whose answer is then held. std::nullopt when that read is refused
   /// (an uncached node under an exhausted budget).
   std::optional<std::span<const NodeId>> CurrentNeighbors();
+
+  /// The neighbours of `current()` for a peek, with no request: the held
+  /// span, else the cached answer (`PeekCached`); std::nullopt when the
+  /// node is not cached. A held node is cached, so both name the same span.
+  std::optional<std::span<const NodeId>> PeekCurrentNeighbors() const;
 
   /// The body of `PeekStep()`, run between its RNG save and restore: it
   /// may draw freely but must read cached state only. Walks that cannot

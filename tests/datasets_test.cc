@@ -102,8 +102,9 @@ TEST(DatasetsTest, SmallRecipesBuildTheirPinnedEdgeLists) {
   ExpectPinnedEdgeLists(/*small=*/true);
 }
 
-/// Builds the full-size graphs (~1.5 s in Release, ~35 s under ASan), so
-/// it only runs in the slow `datasets_test_full` ctest entry.
+/// Builds the full-size graphs (about 0.3 s in Release, 7 s under ASan),
+/// so it runs in its own `datasets_test_full` ctest entry, which carries
+/// no `slow` label: the PR set checks these bytes too.
 TEST(DatasetsTest, DISABLED_FullRecipesBuildTheirPinnedEdgeLists) {
   ExpectPinnedEdgeLists(/*small=*/false);
 }

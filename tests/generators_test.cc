@@ -105,6 +105,31 @@ TEST(GeneratorsTest, HolmeKimClusteringExceedsBa) {
   EXPECT_GT(AverageClustering(hk), AverageClustering(ba) + 0.05);
 }
 
+/// FNV-1a over the edge list: each endpoint as 4 little-endian bytes, in
+/// `Edges()` order (the hash datasets_test pins the recipes with).
+uint64_t EdgeListHash(const Graph& g) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Edge& e : g.Edges()) {
+    for (NodeId x : {e.u, e.v}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (x >> (8 * byte)) & 0xFFu;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+/// HolmeKim's exact bytes. CommunityPowerlaw runs the same process for its
+/// cores, so the draw order behind both is pinned here and by the recipes.
+TEST(GeneratorsTest, HolmeKimEdgeListIsPinned) {
+  Rng rng(7);
+  const Graph g = HolmeKim(1000, 3, 0.5, rng);
+  EXPECT_EQ(g.num_nodes(), 1000u);
+  EXPECT_EQ(g.num_edges(), 2994u);  // the 4-clique, then 3 per new node
+  EXPECT_EQ(EdgeListHash(g), 0xcc2b80ffadc00dccULL);
+}
+
 TEST(GeneratorsTest, HolmeKimInvalidArgsThrow) {
   Rng rng(7);
   EXPECT_THROW(HolmeKim(10, 0, 0.5, rng), std::invalid_argument);
