@@ -4,9 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "src/core/edge_rules.h"
 #include "src/core/full_overlay.h"
 #include "src/core/mto_sampler.h"
+#include "src/core/overlay_graph.h"
 #include "src/graph/builder.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
@@ -61,6 +64,42 @@ void BM_MtoSteps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MtoSteps);
+
+/// RegisterNode of every node of the bench network, in id order, into a
+/// fresh overlay: the table insert, the 16-byte record and the one
+/// mutation-index probe an untouched node costs.
+void BM_OverlayRegister(benchmark::State& state) {
+  const Graph& g = BenchNetwork().graph();
+  for (auto _ : state) {
+    OverlayGraph overlay;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      overlay.RegisterNode(v, g.Neighbors(v));
+    }
+    benchmark::DoNotOptimize(overlay.num_registered());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_OverlayRegister);
+
+/// One Neighbors and one IsProcessed hit per item on a populated overlay:
+/// every node registered and every edge classified, as late in a burn-in.
+void BM_OverlayLookup(benchmark::State& state) {
+  const Graph& g = BenchNetwork().graph();
+  OverlayGraph overlay;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    overlay.RegisterNode(v, g.Neighbors(v));
+    for (NodeId w : g.Neighbors(v)) overlay.MarkProcessed(v, w);
+  }
+  NodeId v = 0;
+  for (auto _ : state) {
+    const std::span<const NodeId> nbrs = overlay.Neighbors(v);
+    const NodeId w = nbrs.empty() ? v : nbrs[nbrs.size() / 2];
+    benchmark::DoNotOptimize(overlay.IsProcessed(v, w));
+    v = (v + 1) % g.num_nodes();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OverlayLookup);
 
 void BM_RemovalCriterion(benchmark::State& state) {
   uint32_t c = 0;

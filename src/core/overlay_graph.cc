@@ -10,11 +10,20 @@ uint64_t OverlayGraph::Key(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
 
-void OverlayGraph::SetEdge(Node& node, NodeId w, bool present) {
-  const std::span<const NodeId> nbrs = node.current();
+const OverlayGraph::Node* OverlayGraph::FindNode(NodeId v) const {
+  const uint32_t* index = nodes_.Find(v);
+  return index == nullptr ? nullptr : &records_[*index];
+}
+
+void OverlayGraph::SetEdge(uint32_t index, NodeId w, bool present) {
+  Node& node = records_[index];
+  const std::span<const NodeId> nbrs = Current(node);
   if (std::binary_search(nbrs.begin(), nbrs.end(), w) == present) return;
-  if (!node.rewired) node.rewired.emplace(nbrs.begin(), nbrs.end());
-  std::vector<NodeId>& list = *node.rewired;
+  if (node.rewired == kNone) {
+    node.rewired = static_cast<uint32_t>(rewired_.size());
+    rewired_.emplace_back(nbrs.begin(), nbrs.end());
+  }
+  std::vector<NodeId>& list = rewired_[node.rewired];
   const auto pos = std::lower_bound(list.begin(), list.end(), w);
   if (present) {
     list.insert(pos, w);
@@ -23,42 +32,56 @@ void OverlayGraph::SetEdge(Node& node, NodeId w, bool present) {
   }
 }
 
-void OverlayGraph::RegisterNode(NodeId v, std::span<const NodeId> original) {
-  auto [it, inserted] = nodes_.try_emplace(v, Node{original, {}});
-  if (!inserted) return;
-  Node& node = it->second;
-  // Apply recorded removals.
-  if (!removed_.empty()) {
-    for (NodeId w : original) {
-      if (removed_.count(Key(v, w)) != 0) SetEdge(node, w, false);
-    }
+void OverlayGraph::IndexMutation(NodeId x, NodeId partner) {
+  const auto link = static_cast<uint32_t>(links_.size());
+  const auto [head, inserted] = mutation_heads_.Insert(x, link);
+  links_.push_back({partner, inserted ? kNone : *head});
+  *head = link;
+}
+
+void OverlayGraph::Touch(NodeId x, NodeId partner, bool recorded,
+                         bool present) {
+  if (const uint32_t* index = nodes_.Find(x)) {
+    SetEdge(*index, partner, present);
+  } else if (recorded) {
+    IndexMutation(x, partner);
   }
-  // Apply recorded additions involving v.
-  for (uint64_t key : added_) {
-    const NodeId a = static_cast<NodeId>(key >> 32);
-    const NodeId b = static_cast<NodeId>(key & 0xFFFFFFFFu);
-    if (a == v) {
-      SetEdge(node, b, true);
-    } else if (b == v) {
-      SetEdge(node, a, true);
+}
+
+void OverlayGraph::RegisterNode(NodeId v, std::span<const NodeId> original) {
+  const auto index = static_cast<uint32_t>(records_.size());
+  if (!nodes_.Insert(v, index).second) return;
+  records_.push_back(
+      {original.data(), static_cast<uint32_t>(original.size()), kNone});
+  // Apply the recorded removals and additions involving v: its mutation
+  // chain names every partner, so an untouched node costs this one probe.
+  const uint32_t* head = mutation_heads_.Find(v);
+  if (head == nullptr) return;
+  for (uint32_t link = *head; link != kNone; link = links_[link].next) {
+    const NodeId w = links_[link].partner;
+    const uint64_t key = Key(v, w);
+    if (removed_.Contains(key)) {
+      SetEdge(index, w, false);
+    } else if (added_.Contains(key)) {
+      SetEdge(index, w, true);
     }
   }
 }
 
 std::span<const NodeId> OverlayGraph::Neighbors(NodeId v) const {
-  auto it = nodes_.find(v);
-  if (it == nodes_.end()) {
+  const Node* node = FindNode(v);
+  if (node == nullptr) {
     throw std::logic_error("OverlayGraph::Neighbors: node not registered");
   }
-  return it->second.current();
+  return Current(*node);
 }
 
 std::span<const NodeId> OverlayGraph::OriginalNeighbors(NodeId v) const {
-  auto it = nodes_.find(v);
-  if (it == nodes_.end()) {
+  const Node* node = FindNode(v);
+  if (node == nullptr) {
     throw std::logic_error("OverlayGraph::OriginalNeighbors: not registered");
   }
-  return it->second.original;
+  return {node->original, node->degree};
 }
 
 bool OverlayGraph::HasEdge(NodeId u, NodeId v) const {
@@ -67,12 +90,10 @@ bool OverlayGraph::HasEdge(NodeId u, NodeId v) const {
 }
 
 void OverlayGraph::RemoveEdge(NodeId u, NodeId v) {
-  uint64_t key = Key(u, v);
-  if (added_.erase(key) == 0) removed_.insert(key);
-  for (NodeId x : {u, v}) {
-    auto it = nodes_.find(x);
-    if (it != nodes_.end()) SetEdge(it->second, x == u ? v : u, false);
-  }
+  const uint64_t key = Key(u, v);
+  const bool recorded = !added_.Erase(key) && removed_.Insert(key).second;
+  Touch(u, v, recorded, false);
+  Touch(v, u, recorded, false);
 }
 
 void OverlayGraph::AddEdge(NodeId u, NodeId v) {
@@ -84,40 +105,42 @@ void OverlayGraph::AddEdge(NodeId u, NodeId v) {
     if (HasEdge(x, x == u ? v : u)) return;
     break;
   }
-  uint64_t key = Key(u, v);
-  if (removed_.erase(key) == 0) added_.insert(key);
-  for (NodeId x : {u, v}) {
-    auto it = nodes_.find(x);
-    if (it != nodes_.end()) SetEdge(it->second, x == u ? v : u, true);
-  }
+  const uint64_t key = Key(u, v);
+  const bool recorded = !removed_.Erase(key) && added_.Insert(key).second;
+  Touch(u, v, recorded, true);
+  Touch(v, u, recorded, true);
 }
 
 void OverlayGraph::MarkProcessed(NodeId u, NodeId v) {
-  processed_.insert(Key(u, v));
+  processed_.Insert(Key(u, v));
 }
 
 bool OverlayGraph::IsProcessed(NodeId u, NodeId v) const {
-  return processed_.count(Key(u, v)) != 0;
+  return processed_.Contains(Key(u, v));
 }
 
 bool OverlayGraph::PathExistsAvoiding(NodeId u, NodeId v,
                                       size_t max_visits) const {
-  if (!IsRegistered(u)) return false;
+  const Node* source = FindNode(u);
+  if (source == nullptr) return false;
   // Fast path: a shared overlay neighbor is a length-2 detour.
-  if (IsRegistered(v) && CountCommon(Neighbors(u), Neighbors(v)) > 0) {
+  if (const Node* target = FindNode(v);
+      target != nullptr && CountCommon(Current(*source), Current(*target)) > 0) {
     return true;
   }
-  std::unordered_set<NodeId> seen{u};
+  FlatTable<NodeId, Unit> seen;
+  seen.Insert(u);
   std::vector<NodeId> frontier{u};
   std::vector<NodeId> next;
   while (!frontier.empty() && seen.size() < max_visits) {
     next.clear();
     for (NodeId x : frontier) {
-      if (!IsRegistered(x)) continue;  // reachable but not expandable
-      for (NodeId y : Neighbors(x)) {
+      const Node* node = FindNode(x);
+      if (node == nullptr) continue;  // reachable but not expandable
+      for (NodeId y : Current(*node)) {
         if ((x == u && y == v) || (x == v && y == u)) continue;  // the edge
         if (y == v) return true;
-        if (seen.insert(y).second) {
+        if (seen.Insert(y).second) {
           next.push_back(y);
           if (seen.size() >= max_visits) return false;
         }
@@ -130,51 +153,64 @@ bool OverlayGraph::PathExistsAvoiding(NodeId u, NodeId v,
 
 std::unordered_map<NodeId, int> OverlayGraph::DegreeDeltas() const {
   std::unordered_map<NodeId, int> delta;
-  for (uint64_t key : removed_) {
+  removed_.ForEach([&delta](uint64_t key, Unit) {
     --delta[static_cast<NodeId>(key >> 32)];
     --delta[static_cast<NodeId>(key & 0xFFFFFFFFu)];
-  }
-  for (uint64_t key : added_) {
+  });
+  added_.ForEach([&delta](uint64_t key, Unit) {
     ++delta[static_cast<NodeId>(key >> 32)];
     ++delta[static_cast<NodeId>(key & 0xFFFFFFFFu)];
-  }
+  });
   return delta;
 }
 
 OverlayGraph::Delta OverlayGraph::SnapshotDelta() const {
   Delta delta;
   delta.registered.reserve(nodes_.size());
-  for (const auto& [v, _] : nodes_) delta.registered.push_back(v);
-  delta.removed.assign(removed_.begin(), removed_.end());
-  delta.added.assign(added_.begin(), added_.end());
-  delta.processed.assign(processed_.begin(), processed_.end());
+  nodes_.ForEach([&delta](NodeId v, uint32_t) { delta.registered.push_back(v); });
+  for (auto [set, keys] : {std::pair{&removed_, &delta.removed},
+                           std::pair{&added_, &delta.added},
+                           std::pair{&processed_, &delta.processed}}) {
+    keys->reserve(set->size());
+    set->ForEach([keys](uint64_t key, Unit) { keys->push_back(key); });
+    std::sort(keys->begin(), keys->end());
+  }
   std::sort(delta.registered.begin(), delta.registered.end());
-  std::sort(delta.removed.begin(), delta.removed.end());
-  std::sort(delta.added.begin(), delta.added.end());
-  std::sort(delta.processed.begin(), delta.processed.end());
   return delta;
 }
 
 void OverlayGraph::RestoreDelta(
     const Delta& delta,
     const std::function<std::span<const NodeId>(NodeId)>& neighbors_of) {
-  nodes_.clear();
-  removed_ = {delta.removed.begin(), delta.removed.end()};
-  added_ = {delta.added.begin(), delta.added.end()};
-  processed_ = {delta.processed.begin(), delta.processed.end()};
+  *this = OverlayGraph();
+  for (auto [keys, set] : {std::pair{&delta.removed, &removed_},
+                           std::pair{&delta.added, &added_}}) {
+    set->Reserve(keys->size());
+    for (uint64_t key : *keys) {
+      if (!set->Insert(key).second) continue;
+      const auto a = static_cast<NodeId>(key >> 32);
+      const auto b = static_cast<NodeId>(key & 0xFFFFFFFFu);
+      IndexMutation(a, b);
+      if (a != b) IndexMutation(b, a);
+    }
+  }
+  processed_.Reserve(delta.processed.size());
+  for (uint64_t key : delta.processed) processed_.Insert(key);
+  nodes_.Reserve(delta.registered.size());
+  records_.reserve(delta.registered.size());
   for (NodeId v : delta.registered) RegisterNode(v, neighbors_of(v));
 }
 
 Graph OverlayGraph::InducedOverlay(std::vector<NodeId>* mapping) const {
   std::vector<NodeId> nodes;
   nodes.reserve(nodes_.size());
-  for (const auto& [v, _] : nodes_) nodes.push_back(v);
+  nodes_.ForEach([&nodes](NodeId v, uint32_t) { nodes.push_back(v); });
   std::sort(nodes.begin(), nodes.end());
   std::unordered_map<NodeId, NodeId> relabel;
   for (NodeId i = 0; i < nodes.size(); ++i) relabel[nodes[i]] = i;
   std::vector<Edge> edges;
   for (NodeId u : nodes) {
-    for (NodeId w : nodes_.at(u).current()) {
+    for (NodeId w : Current(*FindNode(u))) {
       if (u < w && relabel.count(w) != 0) {
         edges.push_back({relabel[u], relabel[w]});
       }

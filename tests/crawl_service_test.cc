@@ -316,6 +316,42 @@ TEST(CrawlServiceTest, MtoScenarioIsBitIdenticalAcrossThreadsAndModes) {
   std::remove(path.c_str());
 }
 
+TEST(CrawlServiceTest, LiveMtoCheckpointBytesArePinned) {
+  // CheckpointTest.V5ImageBytesArePinned pins synthetic images only. This
+  // pins the image of a real mid-burn-in MTO crawl, so a change in what the
+  // overlay records (registered set, rewiring keys, classification marks)
+  // or in the order it hands them over shows up as changed bytes.
+  ScenarioConfig config = FaultyScenario();
+  config.program.name = "mto";
+  config.program.params.mto.replace_probability = 1.0;  // force additions
+  const std::string path = TempCheckpointPath("mto_pinned");
+  {
+    CrawlService service(config);
+    for (int unit = 0; unit < 5 && service.Advance(); ++unit) {
+    }
+    service.SaveCheckpoint(path);
+  }
+  // The image must carry real rewiring, not just registrations.
+  size_t removed = 0;
+  size_t added = 0;
+  for (const auto& overlay : ServiceCheckpoint::Load(path).overlays) {
+    removed += overlay.delta.removed.size();
+    added += overlay.delta.added.size();
+  }
+  EXPECT_GT(removed, 0u);
+  EXPECT_GT(added, 0u);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+  uint64_t fnv1a = 0xCBF29CE484222325ULL;
+  for (char c : bytes) {
+    fnv1a = (fnv1a ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 6370u);
+  EXPECT_EQ(fnv1a, 0x80DC306B520767B1ULL);
+  std::remove(path.c_str());
+}
+
 TEST(CrawlServiceTest, MtoPeriodicCheckpointsDuringRunAreResumable) {
   ScenarioConfig config = FaultyScenario();
   config.program.name = "mto";

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <map>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/graph/generators.h"
 #include "src/graph/graph_stats.h"
+#include "src/util/rng.h"
 
 namespace mto {
 namespace {
@@ -247,6 +258,199 @@ TEST(OverlayGraphTest, RestoredDeltaMatchesIncrementalRegistration) {
         << v;
   }
   EXPECT_EQ(restored.Neighbors(3).data(), g.Neighbors(3).data());
+}
+
+TEST(OverlayGraphTest, AllOnesIdsAndKeysAreOrdinary) {
+  // The flat tables mark an empty slot with an all-ones word; a node id or
+  // an edge key of that value must behave like any other.
+  constexpr NodeId kMax = ~NodeId{0};
+  const std::vector<NodeId> max_list{0, 1};
+  const std::vector<NodeId> zero_list{kMax};
+  auto list_of = [&](NodeId v) {
+    return std::span<const NodeId>(v == kMax ? max_list : zero_list);
+  };
+  OverlayGraph overlay;
+  EXPECT_FALSE(overlay.IsRegistered(kMax));
+  overlay.RemoveEdge(kMax, 1);  // recorded before kMax registers
+  overlay.RegisterNode(kMax, list_of(kMax));
+  overlay.RegisterNode(0, list_of(0));
+  EXPECT_TRUE(overlay.IsRegistered(kMax));
+  EXPECT_EQ(overlay.Degree(kMax), 1u);
+  EXPECT_TRUE(overlay.HasEdge(0, kMax));
+  EXPECT_FALSE(overlay.IsProcessed(kMax, kMax));
+  overlay.MarkProcessed(kMax, kMax);  // the all-ones edge key
+  EXPECT_TRUE(overlay.IsProcessed(kMax, kMax));
+
+  const OverlayGraph::Delta delta = overlay.SnapshotDelta();
+  EXPECT_EQ(delta.registered, (std::vector<NodeId>{0, kMax}));
+  EXPECT_EQ(delta.processed, (std::vector<uint64_t>{~uint64_t{0}}));
+  OverlayGraph restored;
+  restored.RestoreDelta(delta, list_of);
+  EXPECT_EQ(restored.Degree(kMax), 1u);
+  EXPECT_TRUE(restored.IsProcessed(kMax, kMax));
+  EXPECT_EQ(restored.num_removed(), 1u);
+}
+
+/// The overlay's contract on plain ordered containers: the overlay edge set
+/// is (original edges \ removed) ∪ added, held as one adjacency set per
+/// node whether or not the node is registered.
+struct ReferenceOverlay {
+  explicit ReferenceOverlay(const Graph& g) : adj(g.num_nodes()) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      adj[v].insert(g.Neighbors(v).begin(), g.Neighbors(v).end());
+    }
+  }
+  static uint64_t Key(NodeId u, NodeId v) {
+    if (u > v) std::swap(u, v);
+    return (uint64_t{u} << 32) | v;
+  }
+  void Remove(NodeId u, NodeId v) {
+    if (added.erase(Key(u, v)) == 0) removed.insert(Key(u, v));
+    adj[u].erase(v);
+    adj[v].erase(u);
+  }
+  void Add(NodeId u, NodeId v) {
+    if (removed.erase(Key(u, v)) == 0) added.insert(Key(u, v));
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::map<NodeId, int> DegreeDeltas() const {
+    std::map<NodeId, int> delta;
+    for (uint64_t key : removed) {
+      --delta[static_cast<NodeId>(key >> 32)];
+      --delta[static_cast<NodeId>(key)];
+    }
+    for (uint64_t key : added) {
+      ++delta[static_cast<NodeId>(key >> 32)];
+      ++delta[static_cast<NodeId>(key)];
+    }
+    return delta;
+  }
+
+  std::vector<std::set<NodeId>> adj;
+  std::set<NodeId> registered;
+  std::set<uint64_t> removed, added, processed;
+};
+
+template <typename T>
+T PickFrom(const std::set<T>& set, Rng& rng) {
+  return *std::next(set.begin(),
+                    static_cast<std::ptrdiff_t>(rng.UniformInt(set.size())));
+}
+
+void ExpectMatches(const OverlayGraph& overlay, const ReferenceOverlay& ref) {
+  ASSERT_EQ(overlay.num_registered(), ref.registered.size());
+  ASSERT_EQ(overlay.num_removed(), ref.removed.size());
+  ASSERT_EQ(overlay.num_added(), ref.added.size());
+  for (NodeId v : ref.registered) {
+    const auto nbrs = overlay.Neighbors(v);
+    ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), ref.adj[v].begin(),
+                           ref.adj[v].end()))
+        << "node " << v;
+  }
+  const auto deltas = overlay.DegreeDeltas();
+  const std::map<NodeId, int> ordered(deltas.begin(), deltas.end());
+  ASSERT_EQ(ordered, ref.DegreeDeltas());
+}
+
+/// One seeded random op sequence on a HolmeKim graph of `n` nodes, checked
+/// against the reference after every op, then snapshotted and restored.
+void RunRandomOps(uint64_t seed, NodeId n, int ops) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n));
+  Rng rng(seed);
+  const Graph g = HolmeKim(n, 4, 0.5, rng);
+  OverlayGraph overlay;
+  ReferenceOverlay ref(g);
+  auto random_node = [&] { return static_cast<NodeId>(rng.UniformInt(n)); };
+  for (int op = 0; op < ops; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    NodeId u = random_node();
+    NodeId v = random_node();
+    const double r = rng.UniformDouble();
+    if (r < 0.12) {  // register a node
+      overlay.RegisterNode(u, g.Neighbors(u));
+      ref.registered.insert(u);
+    } else if (r < 0.37) {  // remove a present edge
+      if (ref.adj[u].empty()) continue;
+      v = PickFrom(ref.adj[u], rng);
+      overlay.RemoveEdge(u, v);
+      ref.Remove(u, v);
+    } else if (r < 0.52) {  // add a missing edge
+      if (u == v || ref.adj[u].count(v) != 0) continue;
+      overlay.AddEdge(u, v);
+      ref.Add(u, v);
+    } else if (r < 0.62) {  // cancel a removal
+      if (ref.removed.empty()) continue;
+      const uint64_t key = PickFrom(ref.removed, rng);
+      u = static_cast<NodeId>(key >> 32);
+      v = static_cast<NodeId>(key);
+      overlay.AddEdge(v, u);
+      ref.Add(u, v);
+    } else if (r < 0.72) {  // cancel an addition
+      if (ref.added.empty()) continue;
+      const uint64_t key = PickFrom(ref.added, rng);
+      u = static_cast<NodeId>(key >> 32);
+      v = static_cast<NodeId>(key);
+      overlay.RemoveEdge(v, u);
+      ref.Remove(u, v);
+    } else if (r < 0.77) {  // re-add a present edge: a no-op
+      if (ref.adj[u].empty() || ref.registered.count(u) == 0) continue;
+      v = PickFrom(ref.adj[u], rng);
+      overlay.AddEdge(u, v);
+    } else {  // classify an arbitrary pair
+      overlay.MarkProcessed(u, v);
+      ref.processed.insert(ReferenceOverlay::Key(u, v));
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(overlay, ref));
+    for (auto [a, b] : {std::pair{u, v}, std::pair{v, u},
+                        std::pair{u, random_node()}}) {
+      ASSERT_EQ(overlay.IsProcessed(a, b),
+                ref.processed.count(ReferenceOverlay::Key(a, b)) != 0);
+      if (ref.registered.count(a) != 0) {
+        ASSERT_EQ(overlay.HasEdge(a, b), ref.adj[a].count(b) != 0);
+      }
+    }
+  }
+
+  const OverlayGraph::Delta delta = overlay.SnapshotDelta();
+  EXPECT_EQ(delta.registered, std::vector<NodeId>(ref.registered.begin(),
+                                                  ref.registered.end()));
+  EXPECT_EQ(delta.removed,
+            std::vector<uint64_t>(ref.removed.begin(), ref.removed.end()));
+  EXPECT_EQ(delta.added,
+            std::vector<uint64_t>(ref.added.begin(), ref.added.end()));
+  EXPECT_EQ(delta.processed, std::vector<uint64_t>(ref.processed.begin(),
+                                                   ref.processed.end()));
+  OverlayGraph restored;
+  restored.RestoreDelta(delta, [&g](NodeId x) { return g.Neighbors(x); });
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(restored, ref));
+  for (uint64_t key : ref.processed) {
+    ASSERT_TRUE(restored.IsProcessed(static_cast<NodeId>(key),
+                                     static_cast<NodeId>(key >> 32)));
+  }
+  // Registering the rest after the restore still applies every record.
+  for (NodeId x = 0; x < n; ++x) {
+    restored.RegisterNode(x, g.Neighbors(x));
+    ref.registered.insert(x);
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(restored, ref));
+}
+
+TEST(OverlayGraphTest, RandomOpsMatchReferenceModel) {
+  // Seeded random op sequences against the reference: registrations in
+  // random order (many after their edges were rewired), removals, additions,
+  // remove/add cancellations in both directions, and classification marks.
+  // The long runs end with about 400 removals and 700 marks, so those
+  // tables grow six or seven times from 16 slots. The many short runs keep
+  // the tables small, where a probe run often wraps past the end, so
+  // cancellations erase from wrapped runs: an erase that does not shift
+  // entries back across the end of the array fails here.
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(RunRandomOps(seed, 500, 3000));
+  }
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(RunRandomOps(seed, 60, 400));
+  }
 }
 
 }  // namespace
