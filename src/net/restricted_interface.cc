@@ -1,13 +1,33 @@
 #include "src/net/restricted_interface.h"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 namespace mto {
 
+FetchPlan& ThreadPlan() {
+  thread_local FetchPlan plan;
+  return plan;
+}
+
+void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips) {
+  if (rtt.count() > 0 && trips > 0) {
+    std::this_thread::sleep_for(rtt * static_cast<int64_t>(trips));
+  }
+}
+
 RestrictedInterface::RestrictedInterface(const SocialNetwork& network)
-    : network_(&network), cached_(network.num_users(), false) {}
+    : network_(&network),
+      owned_ledger_(std::make_unique<Ledger>(network.num_users())),
+      ledger_(owned_ledger_.get()),
+      cached_(ledger_->cached.get()) {}
+
+RestrictedInterface::RestrictedInterface(SharedLedger shared)
+    : network_(shared.owner.network_),
+      ledger_(shared.owner.ledger_),
+      cached_(ledger_->cached.get()) {}
 
 void RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
                                           FetchPlan& plan) {
@@ -15,71 +35,86 @@ void RestrictedInterface::PlanFetchMisses(std::span<const NodeId> misses,
   plan.fetched.assign(misses.size(), 0);
   size_t admitted = 0;
   for (; admitted < misses.size() && !BudgetExhausted(); ++admitted) {
-    MarkFetched(misses[admitted]);
+    ChargeFetch();
     plan.fetched[admitted] = 1;
   }
   if (admitted == 0) return;
   // The one perfect backend's ledger is a trip counter: charging it now
   // leaves nothing for ApplyFetchBatch to defer.
-  const auto trips =
-      static_cast<uint32_t>((admitted + max_batch_size_ - 1) / max_batch_size_);
-  backend_requests_ += trips;
+  const size_t batch = ledger_->max_batch_size;
+  const auto trips = static_cast<uint32_t>((admitted + batch - 1) / batch);
+  ledger_->backend_requests += trips;
   plan.batches.push_back({0, trips, trips});
-}
-
-void RestrictedInterface::ApplyFetchBatch(const FetchPlan::Batch& batch) {
-  (void)batch;  // planning already settled the only ledger
 }
 
 QueryView RestrictedInterface::MakeView(NodeId v) const {
   return {v, &network_->profile(v), network_->graph().Neighbors(v)};
 }
 
-void RestrictedInterface::FetchInline(std::span<const NodeId> misses) {
-  PlanFetchMisses(misses, inline_plan_);
-  uint64_t trips = 0;
-  for (const FetchPlan::Batch& batch : inline_plan_.batches) {
-    ApplyFetchBatch(batch);
-    trips += batch.trips;
-  }
-  if (simulated_latency_.count() > 0 && trips > 0) {
-    std::this_thread::sleep_for(simulated_latency_ *
-                                static_cast<int64_t>(trips));
+void RestrictedInterface::CacheFetched(std::span<const NodeId> misses,
+                                       const FetchPlan& plan) {
+  for (size_t i = 0; i < misses.size(); ++i) {
+    if (plan.fetched[i] != 0) MarkCached(misses[i]);
   }
 }
 
+void RestrictedInterface::FetchInline(std::span<const NodeId> misses) {
+  FetchPlan& plan = ThreadPlan();
+  PlanFetchMisses(misses, plan);
+  CacheFetched(misses, plan);
+  uint64_t trips = 0;
+  for (const FetchPlan::Batch& batch : plan.batches) {
+    ApplyFetchBatch(batch);
+    trips += batch.trips;
+  }
+  SleepRoundTrips(ledger_->simulated_latency, trips);
+}
+
 std::optional<QueryView> RestrictedInterface::QueryRef(NodeId v) {
-  if (v >= network_->num_users()) {
+  if (v >= num_users()) {
     throw std::invalid_argument("QueryRef: unknown user id");
   }
-  ++total_requests_;
-  if (!cached_[v]) {
+  ++ledger_->total_requests;
+  if (!HitCached(v)) {
     const NodeId miss[1] = {v};
     FetchInline(miss);
-    if (!cached_[v]) return std::nullopt;
+    if (!HitCached(v)) return std::nullopt;
   }
   return MakeView(v);
 }
 
 void RestrictedInterface::FetchFrontier(std::span<const NodeId> ids) {
   for (NodeId v : ids) {
-    if (v >= network_->num_users()) {
+    if (v >= num_users()) {
       throw std::invalid_argument("FetchFrontier: unknown user id");
     }
   }
   // Distinct cache-missing ids in first-appearance order; hits and repeats
-  // are already answered from cache and cost nothing.
+  // are already answered from cache and cost nothing. Sorted (id, position)
+  // keys put each id's first appearance first, with no per-call hash set.
+  frontier_keys_.clear();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!HitCached(ids[i])) {
+      frontier_keys_.push_back(uint64_t{ids[i]} << 32 | i);
+    }
+  }
+  std::sort(frontier_keys_.begin(), frontier_keys_.end());
+  frontier_keys_.erase(
+      std::unique(frontier_keys_.begin(), frontier_keys_.end(),
+                  [](uint64_t a, uint64_t b) { return a >> 32 == b >> 32; }),
+      frontier_keys_.end());
+  for (uint64_t& key : frontier_keys_) key = key << 32 | key >> 32;
+  std::sort(frontier_keys_.begin(), frontier_keys_.end());  // by position
   frontier_misses_.clear();
-  std::unordered_set<NodeId> seen;
-  for (NodeId v : ids) {
-    if (!IsCached(v) && seen.insert(v).second) frontier_misses_.push_back(v);
+  for (uint64_t key : frontier_keys_) {
+    frontier_misses_.push_back(static_cast<NodeId>(key));
   }
   if (!frontier_misses_.empty()) FetchFrontierMisses(frontier_misses_);
 }
 
 void RestrictedInterface::FetchFrontierMisses(
     std::span<const NodeId> misses) {
-  total_requests_ += misses.size();
+  ledger_->total_requests += misses.size();
   FetchInline(misses);
 }
 
@@ -89,45 +124,55 @@ std::optional<uint32_t> RestrictedInterface::CachedDegree(NodeId v) const {
 }
 
 std::optional<QueryView> RestrictedInterface::RandomUser(Rng& rng) {
-  return QueryRef(static_cast<NodeId>(rng.UniformInt(network_->num_users())));
+  return QueryRef(static_cast<NodeId>(rng.UniformInt(num_users())));
 }
 
 void RestrictedInterface::SetMaxBatchSize(size_t max_batch_size) {
   if (max_batch_size == 0) {
     throw std::invalid_argument("SetMaxBatchSize: batch size must be >= 1");
   }
-  max_batch_size_ = max_batch_size;
+  ledger_->max_batch_size = max_batch_size;
 }
 
 SessionSnapshot RestrictedInterface::SnapshotSession() const {
   SessionSnapshot snapshot;
-  for (NodeId v = 0; v < cached_.size(); ++v) {
-    if (cached_[v]) snapshot.cached_ids.push_back(v);
+  for (NodeId v = 0; v < num_users(); ++v) {
+    if (cached_[v].load(std::memory_order_relaxed) != 0) {
+      snapshot.cached_ids.push_back(v);
+    }
   }
-  snapshot.unique_queries = unique_queries_;
-  snapshot.total_requests = total_requests_;
-  snapshot.backend_requests = backend_requests_;
+  snapshot.unique_queries = ledger_->unique_queries;
+  snapshot.total_requests = TotalRequests();
+  snapshot.backend_requests = ledger_->backend_requests;
   return snapshot;
 }
 
 void RestrictedInterface::RestoreSession(const SessionSnapshot& snapshot) {
-  for (NodeId v : snapshot.cached_ids) {
-    if (v >= network_->num_users()) {
-      throw std::invalid_argument("RestoreSession: unknown user id");
-    }
+  const std::vector<NodeId>& ids = snapshot.cached_ids;
+  if (!ids.empty() && ids.back() >= num_users()) {
+    throw std::invalid_argument("RestoreSession: unknown user id");
   }
-  cached_.assign(network_->num_users(), false);
-  for (NodeId v : snapshot.cached_ids) cached_[v] = true;
-  unique_queries_ = snapshot.unique_queries;
-  total_requests_ = snapshot.total_requests;
-  backend_requests_ = snapshot.backend_requests;
+  if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) !=
+          ids.end() ||
+      snapshot.unique_queries != ids.size()) {
+    throw std::invalid_argument(
+        "RestoreSession: cached ids are not strictly ascending or disagree "
+        "with unique_queries");
+  }
+  RestrictedInterface::Reset();  // the ledger only, whoever overrides Reset
+  for (NodeId v : ids) cached_[v].store(1, std::memory_order_relaxed);
+  ledger_->unique_queries = snapshot.unique_queries;
+  ledger_->total_requests = snapshot.total_requests;
+  ledger_->backend_requests = snapshot.backend_requests;
 }
 
 void RestrictedInterface::Reset() {
-  cached_.assign(network_->num_users(), false);
-  unique_queries_ = 0;
-  total_requests_ = 0;
-  backend_requests_ = 0;
+  for (NodeId v = 0; v < num_users(); ++v) {
+    cached_[v].store(0, std::memory_order_relaxed);
+  }
+  ledger_->unique_queries = 0;
+  ledger_->total_requests = 0;
+  ledger_->backend_requests = 0;
 }
 
 }  // namespace mto

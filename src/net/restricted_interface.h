@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -13,10 +15,10 @@ namespace mto {
 /// A planned-but-not-applied fetch of a miss group, filled by
 /// `PlanFetchMisses` into storage the caller owns and reuses, so a
 /// steady-state plan allocates nothing. Planning already decided every
-/// per-node outcome, cached and charged the fetched nodes, and moved every
-/// routing counter. What remains is per-backend ledger work, queued inside
-/// the session in plan order: one `ApplyFetchBatch` call per entry of
-/// `batches` completes it, from any thread, in any order.
+/// per-node outcome, charged the fetched nodes' unique cost, and moved
+/// every routing counter. What remains is per-backend ledger work, queued
+/// inside the session in plan order: one `ApplyFetchBatch` call per entry
+/// of `batches` completes it, from any thread, in any order.
 struct FetchPlan {
   /// One backend's share of the plan: `ops` queued ledger ops, of which
   /// `trips` are real round trips (the rest are budget refusals).
@@ -26,10 +28,17 @@ struct FetchPlan {
     uint32_t trips = 0;
   };
   std::vector<Batch> batches;
-  /// Parallel to the planned misses: 1 iff that node was fetched (it is
-  /// cached and cost was charged), 0 iff it was refused.
+  /// Parallel to the planned misses: 1 iff that node was fetched (its
+  /// cost was charged), 0 iff it was refused.
   std::vector<uint8_t> fetched;
 };
+
+/// The calling thread's reused plan: every fetch path is done with its plan
+/// before it returns (lane tasks carry their batch by value).
+FetchPlan& ThreadPlan();
+
+/// Sleeps the wall-clock price of `trips` backend round trips.
+void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips);
 
 /// Response of one individual-user query q(v) (paper Section II-A): the
 /// user's profile plus the complete list of connected users, borrowed from
@@ -46,11 +55,13 @@ struct QueryView {
 /// Checkpointable session state: which users are cached plus the cost
 /// counters. `SnapshotSession`/`RestoreSession` round-trip it so a crawl can
 /// resume from disk with the exact ledger of an uninterrupted run (see
-/// src/service/checkpoint.h).
+/// src/service/checkpoint.h). Each cached user cost one unique query.
 struct SessionSnapshot {
-  std::vector<NodeId> cached_ids;  ///< ascending
+  std::vector<NodeId> cached_ids;  ///< strictly ascending
   uint64_t unique_queries = 0;
   uint64_t total_requests = 0;
+  /// The ledger's trip counter: always 0 for a BackendPool, whose trips are
+  /// kept and restored in its backend ledgers (pinned by the v5 bytes).
   uint64_t backend_requests = 0;
 };
 
@@ -80,12 +91,16 @@ struct SessionSnapshot {
 ///
 /// Every cache-missing fetch — single or frontier — is one plan/apply pair:
 /// `PlanFetchMisses` decides outcomes and charges cost, `ApplyFetchBatch`
-/// settles the per-backend ledgers, and the single-threaded fetch then
-/// sleeps the round trips. The base class plans the paper's
-/// one-perfect-backend model; src/service/BackendPool plans a multi-backend
-/// fault/retry/failover model without touching the cache or
-/// cost-accounting logic here, and runtime/ConcurrentInterfaceCache drives
-/// either through the same two calls.
+/// settles the per-backend ledgers, and the fetch path that planned then
+/// caches the fetched nodes and sleeps the round trips. The base class
+/// plans the paper's one-perfect-backend model; src/service/BackendPool
+/// plans a multi-backend fault/retry/failover model without touching the
+/// cache or cost-accounting logic here, and runtime/ConcurrentInterfaceCache
+/// drives either through the same two calls.
+///
+/// All session state lives in one `Ledger`, which a session built from a
+/// network owns; the concurrent cache is built over its wrapped session's
+/// ledger (the protected sharing constructor), so nothing is mirrored.
 ///
 /// `QueryRef` and the frontier's fetch are virtual so schedulers can swap
 /// in a thread-safe session (runtime/ConcurrentInterfaceCache) without
@@ -123,13 +138,11 @@ class RestrictedInterface {
   /// Returns std::nullopt when `v` has never been queried (its degree is
   /// unknown to a third party) — this powers Theorem 5's N* set — or when
   /// `v` is not a valid user id.
-  virtual std::optional<uint32_t> CachedDegree(NodeId v) const;
+  std::optional<uint32_t> CachedDegree(NodeId v) const;
 
   /// True iff `v` is a valid user id that has been queried before (and is
   /// hence locally cached). Out-of-range ids are simply not cached.
-  virtual bool IsCached(NodeId v) const {
-    return v < cached_.size() && cached_[v];
-  }
+  bool IsCached(NodeId v) const { return v < num_users() && HitCached(v); }
 
   /// Non-counting cache read: the response for `v` iff it is already
   /// cached, std::nullopt otherwise (including out-of-range ids). Unlike
@@ -137,7 +150,7 @@ class RestrictedInterface {
   /// not even total_requests — so a sampler may read an already-paid
   /// neighborhood (node2vec's N(prev)) without perturbing the
   /// checkpointable session state.
-  virtual std::optional<QueryView> PeekCached(NodeId v) const {
+  std::optional<QueryView> PeekCached(NodeId v) const {
     if (!IsCached(v)) return std::nullopt;
     return MakeView(v);
   }
@@ -151,44 +164,46 @@ class RestrictedInterface {
   std::optional<QueryView> RandomUser(Rng& rng);
 
   /// Unique queries issued so far — the paper's query-cost measure.
-  virtual uint64_t QueryCost() const { return unique_queries_; }
+  uint64_t QueryCost() const { return ledger_->unique_queries; }
 
   /// Total requests including cache hits (for diagnostics only).
-  virtual uint64_t TotalRequests() const { return total_requests_; }
+  virtual uint64_t TotalRequests() const { return ledger_->total_requests; }
 
   /// Backend round trips paid so far (cache-missing queries plus frontier
   /// chunks). With zero simulated latency this is still counted; it is the
   /// crawl's wall-clock cost model.
-  virtual uint64_t BackendRequests() const { return backend_requests_; }
+  virtual uint64_t BackendRequests() const {
+    return ledger_->backend_requests;
+  }
 
   /// Sets a hard budget on unique queries; std::nullopt = unlimited.
-  virtual void SetBudget(std::optional<uint64_t> budget) { budget_ = budget; }
+  void SetBudget(std::optional<uint64_t> budget) { ledger_->budget = budget; }
 
   /// Sleep executed per backend round trip; zero (the default) disables the
   /// latency simulation entirely.
   void SetSimulatedLatency(std::chrono::microseconds latency) {
-    simulated_latency_ = latency;
+    ledger_->simulated_latency = latency;
   }
   std::chrono::microseconds simulated_latency() const {
-    return simulated_latency_;
+    return ledger_->simulated_latency;
   }
 
   /// Maximum ids FetchFrontier serves per backend round trip (>= 1).
-  virtual void SetMaxBatchSize(size_t max_batch_size);
-  virtual size_t max_batch_size() const { return max_batch_size_; }
+  void SetMaxBatchSize(size_t max_batch_size);
+  size_t max_batch_size() const { return ledger_->max_batch_size; }
 
   /// Two-phase fetch: plans the fetch of `misses` into `plan` — routing,
-  /// budget checks, fault-draw outcomes, cache marking and unique-cost
-  /// accounting all happen before this returns — and queues the
-  /// per-backend ledger ops for `ApplyFetchBatch`. The base class admits
-  /// misses in order until the budget is spent and charges its only
-  /// ledger, the round-trip counter, right here: one trip per chunk of up
-  /// to `max_batch_size()` admitted misses, as one batch on backend 0.
+  /// budget checks, fault-draw outcomes and unique-cost accounting all
+  /// happen before this returns — and queues the per-backend ledger ops
+  /// for `ApplyFetchBatch`; it caches nothing (see CacheFetched). The base
+  /// class admits misses in order until the budget is spent and charges
+  /// its only ledger, the round-trip counter, right here: one trip per
+  /// chunk of up to `max_batch_size()` admitted misses, on backend 0.
   ///
   /// Caller contract: `misses` must be valid, distinct, uncached ids; the
   /// call must be externally serialized with every other query-path entry
-  /// point (it mutates the cache and cost ledger); and every batch must be
-  /// applied before the next checkpoint/stat read reaches the ledgers.
+  /// point (it mutates the cost ledger); and every batch must be applied
+  /// before the next checkpoint/stat read reaches the ledgers.
   virtual void PlanFetchMisses(std::span<const NodeId> misses,
                                FetchPlan& plan);
 
@@ -198,18 +213,20 @@ class RestrictedInterface {
   /// PlanFetchMisses. Sleeps nothing: the caller pays the wall-clock price
   /// of `batch.trips` round trips. A no-op in the base class, whose plan
   /// already settled its ledger.
-  virtual void ApplyFetchBatch(const FetchPlan::Batch& batch);
+  virtual void ApplyFetchBatch(const FetchPlan::Batch& /*batch*/) {}
 
   /// Independent serial connections worth modelling as fetch lanes: one
   /// per backend. The base class has one perfect backend.
   virtual size_t FetchLanes() const { return 1; }
 
   /// Copies out the checkpointable session state (cache + counters).
-  virtual SessionSnapshot SnapshotSession() const;
+  SessionSnapshot SnapshotSession() const;
 
   /// Restores a previously snapshotted session: every id in
   /// `snapshot.cached_ids` becomes cached and the counters are overwritten.
-  /// Throws std::invalid_argument on out-of-range ids.
+  /// Throws std::invalid_argument, before changing any state, on an
+  /// inconsistent snapshot: out-of-range or not strictly ascending ids, or
+  /// `unique_queries != cached_ids.size()`.
   virtual void RestoreSession(const SessionSnapshot& snapshot);
 
   /// Clears the cache and counters (new sampler session).
@@ -220,6 +237,12 @@ class RestrictedInterface {
   const SocialNetwork& network() const { return *network_; }
 
  protected:
+  /// Builds a session over `shared.owner`'s network and ledger: both then
+  /// read and charge the same cache flags, cost, budget, batch size and
+  /// latency. The owner must outlive this session.
+  struct SharedLedger { RestrictedInterface& owner; };
+  explicit RestrictedInterface(SharedLedger shared);
+
   /// Materializes q(v) from the (immutable) network; shared by the cache
   /// implementations. `v` must be a valid id.
   QueryView MakeView(NodeId v) const;
@@ -229,34 +252,54 @@ class RestrictedInterface {
   /// class fetches inline (FetchInline).
   virtual void FetchFrontierMisses(std::span<const NodeId> misses);
 
-  /// Records a successful fetch of `v`: caches it and charges one unit of
-  /// unique-query cost.
-  void MarkFetched(NodeId v) {
-    cached_[v] = true;
-    ++unique_queries_;
-  }
+  /// Plans charge, fetch paths cache: each node a plan fetched (`misses` is
+  /// the planned list) is cached, with a release store, once it arrived.
+  void MarkCached(NodeId v) { cached_[v].store(1, std::memory_order_release); }
+  void CacheFetched(std::span<const NodeId> misses, const FetchPlan& plan);
+
+  /// Records a planned successful fetch: one unit of unique-query cost.
+  void ChargeFetch() { ++ledger_->unique_queries; }
 
   /// True iff a budget is set and spent.
   bool BudgetExhausted() const {
-    return budget_.has_value() && unique_queries_ >= *budget_;
+    return ledger_->budget.has_value() &&
+           ledger_->unique_queries >= *ledger_->budget;
+  }
+
+  /// Cache-hit predicate for the query paths (`v` must be a valid id): one
+  /// load of the flag pointer held here and one acquire load of the flag.
+  bool HitCached(NodeId v) const {
+    return cached_[v].load(std::memory_order_acquire) != 0;
   }
 
  private:
+  struct Ledger {
+    explicit Ledger(NodeId num_users)
+        : cached(std::make_unique<std::atomic<uint8_t>[]>(num_users)) {}
+    std::unique_ptr<std::atomic<uint8_t>[]> cached;
+    uint64_t unique_queries = 0;
+    uint64_t total_requests = 0;
+    uint64_t backend_requests = 0;
+    std::optional<uint64_t> budget;
+    std::chrono::microseconds simulated_latency{0};
+    size_t max_batch_size = 32;
+  };
+
   /// The single-threaded fetch of distinct cache-missing ids: plans them,
-  /// applies every batch, then sleeps `simulated_latency()` per round trip.
-  /// Ids left uncached on return were refused (budget/backend exhaustion).
+  /// caches the fetched ones, applies every batch, then sleeps
+  /// `simulated_latency()` per round trip. Ids left uncached on return
+  /// were refused (budget/backend exhaustion).
   void FetchInline(std::span<const NodeId> misses);
 
   const SocialNetwork* network_;
-  std::vector<bool> cached_;
-  uint64_t unique_queries_ = 0;
-  uint64_t total_requests_ = 0;
-  uint64_t backend_requests_ = 0;
-  std::optional<uint64_t> budget_;
-  std::chrono::microseconds simulated_latency_{0};
-  size_t max_batch_size_ = 32;
-  FetchPlan inline_plan_;                ///< FetchInline's reused plan
-  std::vector<NodeId> frontier_misses_;  ///< FetchFrontier's reused list
+  std::unique_ptr<Ledger> owned_ledger_;  ///< null in a sharing session
+  Ledger* const ledger_;
+  /// The ledger's cache flags (0 = uncached, 1 = cached), for the hit path.
+  std::atomic<uint8_t>* const cached_;
+  /// FetchFrontier's reused scratch: (id, position) sort keys and the
+  /// distinct misses they yield.
+  std::vector<uint64_t> frontier_keys_;
+  std::vector<NodeId> frontier_misses_;
 };
 
 }  // namespace mto

@@ -2,19 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace mto {
 namespace {
-
-/// Per-thread plan storage. Every fetch path is done with its plan before
-/// it returns (lane tasks carry their batch by value), so one plan per
-/// thread serves every call and a steady-state fetch allocates no plan.
-FetchPlan& ThreadPlan() {
-  thread_local FetchPlan plan;
-  return plan;
-}
 
 /// The calling thread's request slot: threads are dealt slots round-robin
 /// on their first count, process-wide.
@@ -25,32 +16,14 @@ size_t ThreadRequestSlot(size_t slots) {
   return ticket % slots;
 }
 
-/// Sleeps the wall-clock price of `trips` backend round trips.
-void SleepRoundTrips(std::chrono::microseconds rtt, uint64_t trips) {
-  if (rtt.count() > 0 && trips > 0) {
-    std::this_thread::sleep_for(rtt * static_cast<int64_t>(trips));
-  }
-}
-
 }  // namespace
 
 ConcurrentInterfaceCache::ConcurrentInterfaceCache(RestrictedInterface& base)
-    : RestrictedInterface(base.network()),
+    : RestrictedInterface(SharedLedger{base}),
       base_(&base),
-      request_slots_(std::make_unique<RequestSlot[]>(kRequestSlots)) {
-  const NodeId n = num_users();
-  cached_flags_ = std::make_unique<std::atomic<uint8_t>[]>(n);
-  for (NodeId v = 0; v < n; ++v) {
-    cached_flags_[v].store(base.IsCached(v) ? 1 : 0,
-                           std::memory_order_relaxed);
-  }
-  // Take over latency simulation: the wrapped session is only the ledger
-  // from here on; round trips are slept outside its mutex (see FetchOne).
-  SetSimulatedLatency(base.simulated_latency());
-  base.SetSimulatedLatency(std::chrono::microseconds(0));
-  lanes_ = std::make_unique<SerialChannels>(
-      std::max<size_t>(1, base.FetchLanes()));
-}
+      request_slots_(std::make_unique<RequestSlot[]>(kRequestSlots)),
+      lanes_(std::make_unique<SerialChannels>(
+          std::max<size_t>(1, base.FetchLanes()))) {}
 
 void ConcurrentInterfaceCache::SetPipelineDepth(size_t depth) {
   DrainPipeline();
@@ -107,8 +80,8 @@ void ConcurrentInterfaceCache::PlanMisses(std::span<const NodeId> misses,
                                           FetchPlan& plan) {
   std::lock_guard<std::mutex> lock(base_mutex_);
   // The plan runs on the caller, in miss order, at every depth: the same
-  // state mutations (routing counters, cache marks, cost) the depth-0
-  // crawl makes. Only the ledger/latency tail is deferred.
+  // state mutations (routing counters, cost) the depth-0 crawl makes. Only
+  // the ledger/latency tail is deferred.
   base_->PlanFetchMisses(misses, plan);
 }
 
@@ -120,14 +93,10 @@ void ConcurrentInterfaceCache::FetchFrontierMisses(
   ObsRecord(metrics_.miss_batch, misses.size());
   FetchPlan& plan = ThreadPlan();
   PlanMisses(misses, plan);
-  // Publish planned outcomes: no query-path thread runs during a frontier
-  // fetch, so the flags are set directly. Readers may see these nodes
-  // while their round trips are still in flight on the lanes.
-  for (size_t i = 0; i < misses.size(); ++i) {
-    if (plan.fetched[i] != 0) {
-      cached_flags_[misses[i]].store(1, std::memory_order_release);
-    }
-  }
+  // Cache the planned outcomes: no query-path thread runs during a
+  // frontier fetch, so the flags are set directly. Readers may see these
+  // nodes while their round trips are still in flight on the lanes.
+  CacheFetched(misses, plan);
   for (size_t k = 0; k < plan.batches.size(); ++k) {
     const FetchPlan::Batch& batch = plan.batches[k];
     if (pipeline_depth_ == 0 && k + 1 == plan.batches.size()) {
@@ -171,74 +140,21 @@ bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
   return plan.fetched[0] != 0;
 }
 
-bool ConcurrentInterfaceCache::IsCached(NodeId v) const {
-  return v < num_users() &&
-         cached_flags_[v].load(std::memory_order_acquire) != 0;
-}
-
-std::optional<uint32_t> ConcurrentInterfaceCache::CachedDegree(
-    NodeId v) const {
-  if (!IsCached(v)) return std::nullopt;
-  return network().graph().Degree(v);
-}
-
-uint64_t ConcurrentInterfaceCache::QueryCost() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
-  return base_->QueryCost();
-}
-
 uint64_t ConcurrentInterfaceCache::BackendRequests() const {
   std::lock_guard<std::mutex> lock(base_mutex_);
   return base_->BackendRequests();
 }
 
-void ConcurrentInterfaceCache::SetBudget(std::optional<uint64_t> budget) {
-  std::lock_guard<std::mutex> lock(base_mutex_);
-  base_->SetBudget(budget);
-}
-
-void ConcurrentInterfaceCache::SetMaxBatchSize(size_t max_batch_size) {
-  std::lock_guard<std::mutex> lock(base_mutex_);
-  base_->SetMaxBatchSize(max_batch_size);
-}
-
-size_t ConcurrentInterfaceCache::max_batch_size() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
-  return base_->max_batch_size();
-}
-
-SessionSnapshot ConcurrentInterfaceCache::SnapshotSession() const {
-  SessionSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    snapshot = base_->SnapshotSession();
-  }
-  snapshot.total_requests = TotalRequests();
-  return snapshot;
-}
-
 void ConcurrentInterfaceCache::RestoreSession(
     const SessionSnapshot& snapshot) {
   DrainPipeline();  // ledgers must be quiescent before rewriting state
-  {
-    std::lock_guard<std::mutex> lock(base_mutex_);
-    base_->RestoreSession(snapshot);
-  }
-  const NodeId n = num_users();
-  for (NodeId v = 0; v < n; ++v) {
-    cached_flags_[v].store(base_->IsCached(v) ? 1 : 0,
-                           std::memory_order_relaxed);
-  }
+  base_->RestoreSession(snapshot);
   StoreTotalRequests(snapshot.total_requests);
 }
 
 void ConcurrentInterfaceCache::Reset() {
   DrainPipeline();
   base_->Reset();
-  const NodeId n = num_users();
-  for (NodeId v = 0; v < n; ++v) {
-    cached_flags_[v].store(0, std::memory_order_relaxed);
-  }
   StoreTotalRequests(0);
 }
 
@@ -270,7 +186,7 @@ void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     s.in_flight.erase(v);
-    if (fetched) cached_flags_[v].store(1, std::memory_order_release);
+    if (fetched) MarkCached(v);
   }
   s.cv.notify_all();
 }

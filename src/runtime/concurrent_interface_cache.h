@@ -22,29 +22,34 @@ namespace mto {
 /// so any number of walkers can share one cache and one query budget.
 ///
 /// Design (see DESIGN.md §6):
-///  * **Lock-free hit path.** A per-node atomic "cached" flag mirrors the
-///    wrapped session's cache. Since the underlying network is immutable,
-///    a set flag lets the result be materialized without any lock — the
-///    common case once walkers have warmed a region ("a region one walker
-///    has paid for is free for the others", paper Section VI).
+///  * **One ledger.** The cache is built over the wrapped session's ledger
+///    (cache flags, cost, budget, batch size, latency), so a budget set on
+///    either binds both and nothing is copied. It calls only the wrapped
+///    session's plan/apply pair and adds locking and a request count.
+///  * **Lock-free hit path.** The ledger's per-node atomic "cached" flag is
+///    set only once a node's response has arrived. Since the underlying
+///    network is immutable, a set flag lets the result be materialized
+///    without any lock — the common case once walkers have warmed a region
+///    ("a region one walker has paid for is free for the others", paper
+///    Section VI).
 ///  * **In-flight dedupe.** Misses register in a sharded in-flight table
 ///    before fetching; a second walker racing to the same node waits on the
 ///    shard's condition variable instead of issuing a duplicate backend
 ///    query. Two walkers hitting the same uncached node consume exactly one
 ///    unit of query cost.
-///  * **Serialized plans.** The wrapped RestrictedInterface remains the
-///    source of truth for cost, budget, and latency bookkeeping; its plans
-///    run under one mutex, and ledger applies and simulated latency run
-///    *outside* that mutex so concurrent misses to different nodes overlap
-///    their round trips — the effect the throughput bench measures.
+///  * **Serialized plans.** Plans run under one mutex, and ledger applies
+///    and simulated latency run *outside* that mutex so concurrent misses
+///    to different nodes overlap their round trips — the effect the
+///    throughput bench measures.
 ///  * **One fetch engine (DESIGN.md §9).** Every miss is only *planned*
 ///    under the ledger mutex (`PlanFetchMisses`: routing, budget, outcomes,
 ///    cost) and its per-backend ledger batches are applied outside it —
 ///    for the paper's one perfect backend and a service/BackendPool alike.
-///    A single miss applies its batches on the calling walker's thread and
-///    sleeps its round trips there. A frontier (`FetchFrontier`, the
-///    scheduler's coalesced prefetch) publishes its planned outcomes and
-///    posts one apply-and-sleep task per backend to that backend's FIFO
+///    A single miss applies its batches on the calling walker's thread,
+///    sleeps its round trips there and then caches the node
+///    (`ResolveFetch`). A frontier (`FetchFrontier`, the scheduler's
+///    coalesced prefetch) caches its planned outcomes right after its plan
+///    and posts one apply-and-sleep task per backend to that backend's FIFO
 ///    lane (util/SerialChannels), so round trips served by different
 ///    backends overlap in real time.
 ///  * **Frontier pipelining (`SetPipelineDepth(k)`).** `FetchFrontier`
@@ -59,19 +64,20 @@ namespace mto {
 ///    wall-clock time: samples/trace/estimate/ledgers are bitwise
 ///    independent of it (DESIGN.md §10).
 ///
-/// The wrapper takes over latency simulation from the wrapped session (the
-/// session's own latency is zeroed at construction) so a round trip is
-/// never paid twice.
+/// The cache sleeps the ledger's simulated latency itself, outside the
+/// mutex, and never runs the wrapped session's inline fetch.
 ///
-/// `Reset()` and `SetPipelineDepth()` are *not* thread-safe: call them only
-/// while no walker is running.
+/// `Reset()`, `RestoreSession()`, `SetBudget()`, `SetMaxBatchSize()` and
+/// `SetPipelineDepth()` are *not* thread-safe: call them only while no
+/// walker is running. Walkers that outlive a Reset or RestoreSession must
+/// be re-Teleported (Sampler holds the neighbours of its position).
 class ConcurrentInterfaceCache final : public RestrictedInterface {
  public:
   /// Number of independent lock shards for the miss path.
   static constexpr size_t kShards = 16;
 
-  /// Wraps `base`, which must outlive this object. Cache state already in
-  /// `base` is honored (its flags are imported).
+  /// Wraps `base`, which must outlive this object, sharing its ledger:
+  /// cache state already in `base` is this cache's state.
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
 
   /// Sets the lag of FetchFrontier's join: `depth` rounds of posted
@@ -88,32 +94,22 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// lock; a miss claims the node (racing walkers wait and share one
   /// fetch) and fetches it on this thread.
   std::optional<QueryView> QueryRef(NodeId v) override;
-  std::optional<uint32_t> CachedDegree(NodeId v) const override;
-  bool IsCached(NodeId v) const override;
 
-  uint64_t QueryCost() const override;
   /// Sums the per-thread request slots: exact whenever no walker is
-  /// counting (the quiescent points where it is read).
+  /// counting (the quiescent points where it is read). The wrapped session
+  /// never sees cache hits, so this count is the cache's own.
   uint64_t TotalRequests() const override;
+  /// The wrapped session's round trips (a BackendPool counts its own), read
+  /// under the ledger mutex.
   uint64_t BackendRequests() const override;
-  void SetBudget(std::optional<uint64_t> budget) override;
 
-  /// Bulk-chunking is performed by the wrapped session; forward to it.
-  void SetMaxBatchSize(size_t max_batch_size) override;
-  size_t max_batch_size() const override;
-
-  /// Session checkpointing (src/service): snapshots read the wrapped
-  /// ledger's state but report this wrapper's request total (the wrapped
-  /// session never sees cache hits). RestoreSession forwards to the
-  /// wrapped session, re-imports its cache flags and puts the restored
-  /// total in one request slot. Neither is safe while walkers are running;
-  /// call them only between scheduler rounds. Walkers that outlive a
-  /// Reset or RestoreSession must be re-Teleported (Sampler holds the
-  /// neighbours of its position).
-  SessionSnapshot SnapshotSession() const override;
+  /// Restores the shared ledger through the wrapped session (which rejects
+  /// an inconsistent snapshot before changing anything) and puts the
+  /// restored request total in one request slot. Drains the lanes first.
   void RestoreSession(const SessionSnapshot& snapshot) override;
 
-  /// Clears this cache and the wrapped session. Not thread-safe.
+  /// Resets the wrapped session (and with it the shared ledger) and the
+  /// request count. Drains the lanes first.
   void Reset() override;
 
   /// Attaches (or detaches, with nulls) passive telemetry. Resolves metric
@@ -151,9 +147,10 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   void ResolveFetch(NodeId v, bool fetched);
 
   /// Fetches one claimed miss: plans it (PlanMisses), applies its batches
-  /// on this thread, and sleeps its round trips. Ledger order holds behind
-  /// in-flight frontier batches at any depth: the session applies ops in
-  /// plan order. Returns whether `v` was fetched.
+  /// on this thread, and sleeps its round trips; the caller caches it.
+  /// Ledger order holds behind in-flight frontier batches at any depth:
+  /// the session applies ops in plan order. Returns whether `v` was
+  /// fetched.
   bool FetchOne(NodeId v);
 
   /// Plans `misses` into `plan` under the ledger mutex.
@@ -162,21 +159,15 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// The coordinator's frontier fetch (FetchFrontier, called by
   /// CrawlScheduler between its phase barriers, so no query-path call
   /// runs meanwhile and no other thread can fetch these ids): plans the
-  /// misses under the ledger mutex, publishes the fetched nodes' cache
-  /// flags, posts each backend's apply task to its lane, and runs the
-  /// lag-k join. At depth 0 the coordinator would only wait for the lanes,
-  /// so it applies and sleeps the last batch itself.
+  /// misses under the ledger mutex, caches the fetched nodes, posts each
+  /// backend's apply task to its lane, and runs the lag-k join. At depth 0
+  /// the coordinator would only wait for the lanes, so it applies and
+  /// sleeps the last batch itself.
   void FetchFrontierMisses(std::span<const NodeId> misses) override;
 
   /// Posts one planned batch to its backend's lane: ledger apply first,
   /// then the wall-clock price of its round trips.
   void PostApplyTask(const FetchPlan::Batch& batch);
-
-  /// Cache-hit predicate for the query paths: one acquire load of the
-  /// per-node flag (0 = uncached, 1 = cached).
-  bool HitCached(NodeId v) const {
-    return cached_flags_[v].load(std::memory_order_acquire) != 0;
-  }
 
   /// Adds `n` requests to the calling thread's slot.
   void CountRequests(uint64_t n);
@@ -197,7 +188,6 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   };
 
   RestrictedInterface* base_;
-  std::unique_ptr<std::atomic<uint8_t>[]> cached_flags_;
   /// Request counts, one cache line per slot. A thread adds only to its
   /// own slot (threads are dealt slots round-robin, so two share one only
   /// beyond kRequestSlots threads), which keeps the hit path free of a
@@ -208,7 +198,9 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   };
   std::unique_ptr<RequestSlot[]> request_slots_;
   CacheMetrics metrics_;
-  mutable std::mutex base_mutex_;
+  /// Starts a cache line: misses write it and the shards after it, which
+  /// must not share a line with the fields hits read (EXPERIMENTS.md).
+  alignas(64) mutable std::mutex base_mutex_;
   Shard shards_[kShards];
 
   // Lane state. One lane per FetchLanes() of the wrapped session, created

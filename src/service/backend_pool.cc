@@ -358,7 +358,7 @@ bool BackendPool::PlanOne(NodeId v,
       per_backend[b].push_back({v, static_cast<uint32_t>(attempt), 0, draw});
       if (draw.fault == Fault::kNone) {
         ++routed_unique_[b];
-        MarkFetched(v);
+        ChargeFetch();
         return true;
       }
     }

@@ -106,14 +106,14 @@ const char* BackendSelectionName(BackendSelection selection);
 /// injection, behind bounded-retry failover (RetryPolicy).
 ///
 /// The cache, unique-cost accounting, and query semantics live unchanged in
-/// the base class; this class only overrides the plan/apply pair
-/// (`PlanFetchMisses`/`ApplyFetchBatch`) every miss runs through. Every
-/// unique fetch costs one request on whichever backend ends up serving it —
-/// per-user endpoints under per-key quotas, the restricted-access regime
-/// the paper models, whether it arrives as one `QueryRef` miss or inside a
-/// `FetchFrontier`. (Chunk amortization of a frontier is a property of the
-/// single-backend transport; a bulk endpoint with keyed quotas is modeled
-/// here by scaling a backend's rate/budget.)
+/// the base class's session ledger; this class only overrides the
+/// plan/apply pair (`PlanFetchMisses`/`ApplyFetchBatch`) every miss runs
+/// through. Every unique fetch costs one request on whichever backend ends
+/// up serving it — per-user endpoints under per-key quotas, the
+/// restricted-access regime the paper models, whether it arrives as one
+/// `QueryRef` miss or inside a `FetchFrontier`. (Chunk amortization of a
+/// frontier is a property of the single-backend transport; a bulk endpoint
+/// with keyed quotas is modeled here by scaling a backend's rate/budget.)
 ///
 /// Determinism: fault, latency, and jitter draws are pure functions of
 /// (fault_seed, backend, node, attempt) — never of arrival order — so
@@ -128,9 +128,10 @@ const char* BackendSelectionName(BackendSelection selection);
 ///
 /// Internally every fetch is split into two halves (DESIGN.md §9):
 ///  * a **routing front** — selection, budget checks, fault-draw outcomes,
-///    cache marking, unique-cost accounting — that runs synchronously on
-///    the caller and reads only its own per-backend counters (never the
-///    ledgers), so outcomes are decided before any ledger is touched; and
+///    unique-cost accounting — that runs synchronously on the caller and
+///    reads only its own per-backend counters (never the ledgers), so
+///    outcomes are decided before any ledger is touched (the fetch path
+///    that planned caches the fetched nodes afterwards); and
 ///  * **per-backend ledger application** — pacing, virtual clocks, stats —
 ///    behind one fine-grained mutex per backend, with no cross-backend
 ///    state, so ledgers of different backends can be applied concurrently.
@@ -246,7 +247,7 @@ class BackendPool final : public RestrictedInterface {
 
   /// Routing front for one node: runs the retry/failover loop against the
   /// routing counters, appends the resulting ledger ops per backend, and
-  /// on success marks the node fetched. Returns true iff fetched.
+  /// on success charges its unique cost. Returns true iff fetched.
   bool PlanOne(NodeId v, std::vector<std::vector<LedgerOp>>& per_backend);
 
   /// Token-bucket pacing on the backend's virtual clock. Caller holds the

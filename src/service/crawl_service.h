@@ -100,7 +100,8 @@ class CrawlService {
   /// Restores a checkpoint into this *freshly constructed* service (no
   /// Advance/Load yet), replaying the estimation streams. Throws
   /// std::logic_error when the service already ran, std::runtime_error on
-  /// fingerprint mismatch or corrupt files.
+  /// fingerprint mismatch or corrupt files, std::invalid_argument on an
+  /// inconsistent session ledger (see RestrictedInterface::RestoreSession).
   void LoadCheckpoint(const std::string& path);
 
   /// The run's metrics registry / trace log; null unless the scenario's

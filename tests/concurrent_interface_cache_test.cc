@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/graph/generators.h"
 #include "src/net/social_network.h"
+#include "src/obs/metrics.h"
 
 namespace mto {
 namespace {
@@ -51,7 +54,7 @@ TEST(ConcurrentInterfaceCacheTest, OutOfRangeIdsAreNotCachedAndThrow) {
   EXPECT_EQ(cache.TotalRequests(), 0u);
 }
 
-TEST(ConcurrentInterfaceCacheTest, ImportsWarmBaseCache) {
+TEST(ConcurrentInterfaceCacheTest, HonorsWarmBaseCache) {
   SocialNetwork net(Cycle(6));
   RestrictedInterface base(net);
   base.QueryRef(3);
@@ -61,13 +64,61 @@ TEST(ConcurrentInterfaceCacheTest, ImportsWarmBaseCache) {
   EXPECT_EQ(cache.QueryCost(), 1u);  // no re-pay for the warm node
 }
 
-TEST(ConcurrentInterfaceCacheTest, TakesOverLatencySimulation) {
+TEST(ConcurrentInterfaceCacheTest, SharesTheWrappedSessionsLedger) {
+  // The cache is built over its wrapped session's ledger: a budget set on
+  // the cache binds the base, cost and cache flags read the same from
+  // both, and the base keeps its latency (the cache sleeps it and never
+  // runs the base's inline fetch, so no trip is paid twice).
   SocialNetwork net(Cycle(6));
   RestrictedInterface base(net);
   base.SetSimulatedLatency(std::chrono::microseconds(100));
   ConcurrentInterfaceCache cache(base);
-  EXPECT_EQ(base.simulated_latency().count(), 0);
+  EXPECT_EQ(base.simulated_latency().count(), 100);
   EXPECT_EQ(cache.simulated_latency().count(), 100);
+  cache.SetBudget(1);
+  cache.SetMaxBatchSize(5);
+  EXPECT_EQ(base.max_batch_size(), 5u);
+  ASSERT_TRUE(cache.QueryRef(2).has_value());
+  EXPECT_TRUE(base.IsCached(2));
+  EXPECT_FALSE(base.IsCached(3));
+  EXPECT_EQ(base.QueryCost(), 1u);
+  EXPECT_EQ(cache.QueryCost(), 1u);
+  EXPECT_EQ(base.BackendRequests(), 1u);
+  EXPECT_EQ(cache.BackendRequests(), 1u);
+  EXPECT_FALSE(base.QueryRef(3).has_value());  // the cache's budget binds
+  EXPECT_FALSE(cache.QueryRef(3).has_value());
+  EXPECT_EQ(cache.QueryCost(), 1u);
+}
+
+TEST(ConcurrentInterfaceCacheTest, DemandMissIsPublishedOnlyAfterItsRoundTrip) {
+  // A demand miss is charged when it is planned but cached only once its
+  // round trip is over. In between, a second walker must not read the node
+  // as cached: it waits on the in-flight claim and shares the response.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface base(net);
+  base.SetSimulatedLatency(std::chrono::milliseconds(200));
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  constexpr NodeId kNode = 3;
+  std::optional<QueryView> first;
+  std::thread fetcher([&] { first = cache.QueryRef(kNode); });
+  // BackendRequests takes the ledger lock: it reads 1 once the plan ran.
+  while (cache.BackendRequests() == 0) std::this_thread::yield();
+  EXPECT_FALSE(cache.IsCached(kNode));
+  EXPECT_FALSE(base.IsCached(kNode));
+  std::optional<QueryView> second;
+  std::thread waiter([&] { second = cache.QueryRef(kNode); });
+  fetcher.join();
+  waiter.join();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->user, kNode);
+  EXPECT_EQ(second->neighbors.data(), first->neighbors.data());
+  EXPECT_EQ(registry.GetCounter("cache.dedupe_waits")->Value(), 1u);
+  EXPECT_EQ(cache.QueryCost(), 1u);
+  EXPECT_EQ(cache.BackendRequests(), 1u);
+  EXPECT_TRUE(cache.IsCached(kNode));
 }
 
 TEST(ConcurrentInterfaceCacheTest, OneUniqueQueryPerNodeUnderContention) {
@@ -230,6 +281,33 @@ TEST(ConcurrentInterfaceCacheTest, SessionSnapshotRoundTripsThroughWrapper) {
   // Restored hits are answered locally without new cost.
   EXPECT_TRUE(other.QueryRef(1).has_value());
   EXPECT_EQ(other.QueryCost(), 2u);
+}
+
+TEST(ConcurrentInterfaceCacheTest, RestoreRejectsInconsistentSnapshots) {
+  // The wrapped session validates before it changes anything, so a refused
+  // snapshot leaves the shared ledger and the request count as they were.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface base(net);
+  ConcurrentInterfaceCache cache(base);
+  cache.QueryRef(1);
+  cache.QueryRef(4);
+  cache.QueryRef(4);
+  const SessionSnapshot good = cache.SnapshotSession();
+  SessionSnapshot descending = good;
+  descending.cached_ids = {4, 1};
+  SessionSnapshot rewritten = good;
+  rewritten.unique_queries = 7;
+  rewritten.total_requests = 99;
+  for (const SessionSnapshot& bad : {descending, rewritten}) {
+    EXPECT_THROW(cache.RestoreSession(bad), std::invalid_argument);
+    EXPECT_TRUE(cache.IsCached(1));
+    EXPECT_TRUE(cache.IsCached(4));
+    EXPECT_FALSE(cache.IsCached(0));
+    EXPECT_EQ(cache.QueryCost(), 2u);
+    EXPECT_EQ(base.QueryCost(), 2u);
+    EXPECT_EQ(cache.TotalRequests(), 3u);
+    EXPECT_EQ(cache.BackendRequests(), 2u);
+  }
 }
 
 TEST(ConcurrentInterfaceCacheTest, ResetClearsWrapperAndBase) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -463,6 +464,28 @@ TEST(CrawlServiceTest, LoadCheckpointGuards) {
   EXPECT_NE(error.find("added key references an unknown node"),
             std::string::npos)
       << error;
+  std::remove(path.c_str());
+}
+
+TEST(CrawlServiceTest, ResumeRefusesARewrittenSessionCost) {
+  // A checkpoint whose session unique_queries word was rewritten is a
+  // well-formed image, but resumed it would charge and budget the rest of
+  // the crawl against the wrong cost: every cached user costs one unique
+  // query, so the restore refuses it.
+  const ScenarioConfig config = FaultyScenario();
+  const std::string path = TempCheckpointPath("rewritten_cost");
+  {
+    CrawlService service(config);
+    service.Advance();
+    service.Advance();
+    service.SaveCheckpoint(path);
+  }
+  ServiceCheckpoint ckpt = ServiceCheckpoint::Load(path);
+  ASSERT_EQ(ckpt.session.unique_queries, ckpt.session.cached_ids.size());
+  ckpt.session.unique_queries += 1;
+  ckpt.Save(path);
+  CrawlService resumed(config);
+  EXPECT_THROW(resumed.LoadCheckpoint(path), std::invalid_argument);
   std::remove(path.c_str());
 }
 

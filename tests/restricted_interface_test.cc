@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -207,7 +208,9 @@ TEST_F(RestrictedInterfaceTest, FetchFrontierBudgetRunsOutMidChunk) {
 
 TEST_F(RestrictedInterfaceTest, PlanChargesTripsAndFillsPlanLikeThePool) {
   // The one perfect backend settles its only ledger, the trip counter, at
-  // plan time: one batch on backend 0, applying it changes nothing.
+  // plan time: one batch on backend 0, applying it changes nothing. A plan
+  // charges cost but caches nothing: the fetch path that made it caches
+  // each node once its response has arrived.
   iface_.SetMaxBatchSize(2);
   iface_.SetBudget(3);
   const std::vector<NodeId> misses = {4, 0, 6, 2};
@@ -219,7 +222,7 @@ TEST_F(RestrictedInterfaceTest, PlanChargesTripsAndFillsPlanLikeThePool) {
   EXPECT_EQ(plan.batches[0].trips, 2u);  // ceil(3 admitted / 2)
   EXPECT_EQ(iface_.QueryCost(), 3u);
   EXPECT_EQ(iface_.BackendRequests(), 2u);
-  EXPECT_TRUE(iface_.IsCached(6));
+  EXPECT_FALSE(iface_.IsCached(6));
   EXPECT_FALSE(iface_.IsCached(2));
   iface_.ApplyFetchBatch(plan.batches[0]);
   EXPECT_EQ(iface_.BackendRequests(), 2u);
@@ -276,6 +279,36 @@ TEST_F(RestrictedInterfaceTest, SessionSnapshotRoundTrips) {
   SessionSnapshot bad = snapshot;
   bad.cached_ids.push_back(1000);
   EXPECT_THROW(other.RestoreSession(bad), std::invalid_argument);
+}
+
+TEST_F(RestrictedInterfaceTest, RestoreSessionRejectsInconsistentSnapshots) {
+  // Every fetched user is cached and costs one unique query, so a snapshot
+  // whose ids are out of order or whose cost disagrees with them would
+  // resume a crawl charging and budgeting against the wrong cost. It is
+  // refused before any state changes.
+  iface_.QueryRef(0);
+  iface_.QueryRef(3);
+  iface_.QueryRef(3);
+  const SessionSnapshot good = iface_.SnapshotSession();
+  SessionSnapshot descending = good;
+  descending.cached_ids = {3, 0};
+  SessionSnapshot repeated = good;
+  repeated.cached_ids = {3, 3};
+  SessionSnapshot overcharged = good;
+  overcharged.unique_queries = 5;
+  SessionSnapshot undercharged = good;
+  undercharged.unique_queries = 1;
+  for (const SessionSnapshot& bad :
+       {descending, repeated, overcharged, undercharged}) {
+    EXPECT_THROW(iface_.RestoreSession(bad), std::invalid_argument);
+    const SessionSnapshot after = iface_.SnapshotSession();
+    EXPECT_EQ(after.cached_ids, good.cached_ids);
+    EXPECT_EQ(after.unique_queries, good.unique_queries);
+    EXPECT_EQ(after.total_requests, good.total_requests);
+    EXPECT_EQ(after.backend_requests, good.backend_requests);
+  }
+  iface_.RestoreSession(good);
+  EXPECT_EQ(iface_.QueryCost(), 2u);
 }
 
 TEST(RestrictedInterfaceProfileTest, ProfileSurfacedThroughQueryRef) {
