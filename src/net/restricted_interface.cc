@@ -137,7 +137,7 @@ void RestrictedInterface::SetMaxBatchSize(size_t max_batch_size) {
 SessionSnapshot RestrictedInterface::SnapshotSession() const {
   SessionSnapshot snapshot;
   for (NodeId v = 0; v < num_users(); ++v) {
-    if (cached_[v].load(std::memory_order_relaxed) != 0) {
+    if (cached_[v].load(std::memory_order_relaxed) == kCached) {
       snapshot.cached_ids.push_back(v);
     }
   }
@@ -160,7 +160,7 @@ void RestrictedInterface::RestoreSession(const SessionSnapshot& snapshot) {
         "with unique_queries");
   }
   RestrictedInterface::Reset();  // the ledger only, whoever overrides Reset
-  for (NodeId v : ids) cached_[v].store(1, std::memory_order_relaxed);
+  for (NodeId v : ids) cached_[v].store(kCached, std::memory_order_relaxed);
   ledger_->unique_queries = snapshot.unique_queries;
   ledger_->total_requests = snapshot.total_requests;
   ledger_->backend_requests = snapshot.backend_requests;
@@ -168,7 +168,7 @@ void RestrictedInterface::RestoreSession(const SessionSnapshot& snapshot) {
 
 void RestrictedInterface::Reset() {
   for (NodeId v = 0; v < num_users(); ++v) {
-    cached_[v].store(0, std::memory_order_relaxed);
+    cached_[v].store(kUncached, std::memory_order_relaxed);
   }
   ledger_->unique_queries = 0;
   ledger_->total_requests = 0;

@@ -207,6 +207,13 @@ class RestrictedInterface {
   virtual void PlanFetchMisses(std::span<const NodeId> misses,
                                FetchPlan& plan);
 
+  /// The pure part of planning the single miss `v`: work that reads only
+  /// what never changes after construction, so a concurrent session runs
+  /// it before taking its plan lock. The next PlanFetchMisses of `{v}` on
+  /// this session and thread may use its result. A no-op in the base
+  /// class.
+  virtual void PreparePlan(NodeId /*v*/) const {}
+
   /// Applies one planned batch: the oldest `batch.ops` queued ops of
   /// `batch.backend`, so each backend's ledger sees its ops in plan order
   /// whoever applies them. Thread-safe across backends and against
@@ -252,9 +259,19 @@ class RestrictedInterface {
   /// class fetches inline (FetchInline).
   virtual void FetchFrontierMisses(std::span<const NodeId> misses);
 
+  /// The values of a node's ledger flag. A bare session only ever stores
+  /// kUncached and kCached; the concurrent cache marks a demand miss
+  /// kClaimed while its one fetch is in flight, and every reader treats
+  /// that as uncached.
+  static constexpr uint8_t kUncached = 0;
+  static constexpr uint8_t kCached = 1;
+  static constexpr uint8_t kClaimed = 2;
+
   /// Plans charge, fetch paths cache: each node a plan fetched (`misses` is
   /// the planned list) is cached, with a release store, once it arrived.
-  void MarkCached(NodeId v) { cached_[v].store(1, std::memory_order_release); }
+  void MarkCached(NodeId v) {
+    cached_[v].store(kCached, std::memory_order_release);
+  }
   void CacheFetched(std::span<const NodeId> misses, const FetchPlan& plan);
 
   /// Records a planned successful fetch: one unit of unique-query cost.
@@ -269,8 +286,12 @@ class RestrictedInterface {
   /// Cache-hit predicate for the query paths (`v` must be a valid id): one
   /// load of the flag pointer held here and one acquire load of the flag.
   bool HitCached(NodeId v) const {
-    return cached_[v].load(std::memory_order_acquire) != 0;
+    return cached_[v].load(std::memory_order_acquire) == kCached;
   }
+
+  /// The ledger flag of `v` (a valid id), for a session that claims and
+  /// resolves in-flight fetches on it.
+  std::atomic<uint8_t>& CacheFlag(NodeId v) { return cached_[v]; }
 
  private:
   struct Ledger {
@@ -294,7 +315,8 @@ class RestrictedInterface {
   const SocialNetwork* network_;
   std::unique_ptr<Ledger> owned_ledger_;  ///< null in a sharing session
   Ledger* const ledger_;
-  /// The ledger's cache flags (0 = uncached, 1 = cached), for the hit path.
+  /// The ledger's cache flags (kUncached, kCached, kClaimed), for the hit
+  /// path.
   std::atomic<uint8_t>* const cached_;
   /// FetchFrontier's reused scratch: (id, position) sort keys and the
   /// distinct misses they yield.

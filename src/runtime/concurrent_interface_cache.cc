@@ -1,6 +1,7 @@
 #include "src/runtime/concurrent_interface_cache.h"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -38,6 +39,8 @@ void ConcurrentInterfaceCache::SetObservability(obs::MetricsRegistry* registry,
     metrics_.hits = registry->GetGauge("cache.hits");
     metrics_.misses = registry->GetCounter("cache.misses");
     metrics_.dedupe_waits = registry->GetCounter("cache.dedupe_waits");
+    metrics_.plan_lock_waits = registry->GetCounter("cache.plan_lock_waits");
+    published_lock_waits_ = plan_lock_.parks();  // count from attach on
     metrics_.miss_batch = registry->GetHistogram("cache.miss_batch_size");
   }
   lanes_->SetObservability(registry, trace);
@@ -60,6 +63,9 @@ void ConcurrentInterfaceCache::PublishMetrics() {
   if (metrics_.hits == nullptr || metrics_.misses == nullptr) return;
   metrics_.hits->Set(
       static_cast<int64_t>(TotalRequests() - metrics_.misses->Value()));
+  const uint64_t parks = plan_lock_.parks();
+  metrics_.plan_lock_waits->Add(parks - published_lock_waits_);
+  published_lock_waits_ = parks;
 }
 
 void ConcurrentInterfaceCache::PostApplyTask(const FetchPlan::Batch& batch) {
@@ -78,7 +84,7 @@ void ConcurrentInterfaceCache::DrainPipeline() {
 
 void ConcurrentInterfaceCache::PlanMisses(std::span<const NodeId> misses,
                                           FetchPlan& plan) {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard<SpinParkLock> lock(plan_lock_);
   // The plan runs on the caller, in miss order, at every depth: the same
   // state mutations (routing counters, cost) the depth-0 crawl makes. Only
   // the ledger/latency tail is deferred.
@@ -124,6 +130,7 @@ void ConcurrentInterfaceCache::FetchFrontierMisses(
 bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
   const NodeId miss[1] = {v};
   FetchPlan& plan = ThreadPlan();
+  base_->PreparePlan(v);  // the pure part, outside the plan lock
   PlanMisses(miss, plan);
   // A demand miss is urgent: it applies its batches here, holding nothing
   // but our in-flight claim, instead of queueing behind the lanes' posted
@@ -141,7 +148,7 @@ bool ConcurrentInterfaceCache::FetchOne(NodeId v) {
 }
 
 uint64_t ConcurrentInterfaceCache::BackendRequests() const {
-  std::lock_guard<std::mutex> lock(base_mutex_);
+  std::lock_guard<SpinParkLock> lock(plan_lock_);
   return base_->BackendRequests();
 }
 
@@ -166,29 +173,30 @@ void ConcurrentInterfaceCache::StoreTotalRequests(uint64_t total) {
 }
 
 bool ConcurrentInterfaceCache::ClaimFetch(NodeId v) {
-  Shard& s = shard(v);
-  std::unique_lock<std::mutex> lock(s.mutex);
+  std::atomic<uint8_t>& flag = CacheFlag(v);
   bool counted_wait = false;
   while (true) {
-    if (HitCached(v)) return false;
-    if (s.in_flight.insert(v).second) return true;  // we own the fetch
+    uint8_t state = kUncached;
+    if (flag.compare_exchange_strong(state, kClaimed,
+                                     std::memory_order_acquire)) {
+      return true;  // we own the fetch
+    }
+    if (state == kCached) return false;
     if (!counted_wait) {
       // One dedupe wait per episode, not per spurious wakeup.
       ObsAdd(metrics_.dedupe_waits);
       counted_wait = true;
     }
-    s.cv.wait(lock);  // another walker is fetching v; share its response
+    // Another walker is fetching v: share its response, or claim v
+    // ourselves if it was refused.
+    flag.wait(kClaimed, std::memory_order_acquire);
   }
 }
 
 void ConcurrentInterfaceCache::ResolveFetch(NodeId v, bool fetched) {
-  Shard& s = shard(v);
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.in_flight.erase(v);
-    if (fetched) MarkCached(v);
-  }
-  s.cv.notify_all();
+  std::atomic<uint8_t>& flag = CacheFlag(v);
+  flag.store(fetched ? kCached : kUncached, std::memory_order_release);
+  flag.notify_all();
 }
 
 std::optional<QueryView> ConcurrentInterfaceCache::QueryRef(NodeId v) {

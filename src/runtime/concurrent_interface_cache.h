@@ -1,20 +1,17 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_set>
-#include <vector>
 
 #include "src/net/restricted_interface.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/serial_channels.h"
+#include "src/util/spin_park_lock.h"
 
 namespace mto {
 
@@ -32,17 +29,21 @@ namespace mto {
 ///    without any lock — the common case once walkers have warmed a region
 ///    ("a region one walker has paid for is free for the others", paper
 ///    Section VI).
-///  * **In-flight dedupe.** Misses register in a sharded in-flight table
-///    before fetching; a second walker racing to the same node waits on the
-///    shard's condition variable instead of issuing a duplicate backend
-///    query. Two walkers hitting the same uncached node consume exactly one
-///    unit of query cost.
-///  * **Serialized plans.** Plans run under one mutex, and ledger applies
-///    and simulated latency run *outside* that mutex so concurrent misses
-///    to different nodes overlap their round trips — the effect the
+///  * **In-flight dedupe on the flag byte.** A miss claims its node by a
+///    CAS of the ledger flag from uncached to claimed; a second walker
+///    racing to the same node sees the claim and waits on the byte
+///    (`std::atomic::wait`) instead of issuing a duplicate backend query.
+///    The claimant stores cached or, if refused, uncached and wakes the
+///    waiters. Two walkers hitting the same uncached node consume exactly
+///    one unit of query cost, and no lock or heap node is taken per miss.
+///  * **Serialized plans.** Plans run under one `SpinParkLock` (spin
+///    briefly, then park), since a plan is a few hundred cycles and a
+///    kernel sleep per collision would cost more than the plan. Ledger
+///    applies and simulated latency run *outside* that lock so concurrent
+///    misses to different nodes overlap their round trips — the effect the
 ///    throughput bench measures.
 ///  * **One fetch engine (DESIGN.md §9).** Every miss is only *planned*
-///    under the ledger mutex (`PlanFetchMisses`: routing, budget, outcomes,
+///    under the plan lock (`PlanFetchMisses`: routing, budget, outcomes,
 ///    cost) and its per-backend ledger batches are applied outside it —
 ///    for the paper's one perfect backend and a service/BackendPool alike.
 ///    A single miss applies its batches on the calling walker's thread,
@@ -65,7 +66,7 @@ namespace mto {
 ///    independent of it (DESIGN.md §10).
 ///
 /// The cache sleeps the ledger's simulated latency itself, outside the
-/// mutex, and never runs the wrapped session's inline fetch.
+/// lock, and never runs the wrapped session's inline fetch.
 ///
 /// `Reset()`, `RestoreSession()`, `SetBudget()`, `SetMaxBatchSize()` and
 /// `SetPipelineDepth()` are *not* thread-safe: call them only while no
@@ -73,9 +74,6 @@ namespace mto {
 /// be re-Teleported (Sampler holds the neighbours of its position).
 class ConcurrentInterfaceCache final : public RestrictedInterface {
  public:
-  /// Number of independent lock shards for the miss path.
-  static constexpr size_t kShards = 16;
-
   /// Wraps `base`, which must outlive this object, sharing its ledger:
   /// cache state already in `base` is this cache's state.
   explicit ConcurrentInterfaceCache(RestrictedInterface& base);
@@ -100,7 +98,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// never sees cache hits, so this count is the cache's own.
   uint64_t TotalRequests() const override;
   /// The wrapped session's round trips (a BackendPool counts its own), read
-  /// under the ledger mutex.
+  /// under the plan lock.
   uint64_t BackendRequests() const override;
 
   /// Restores the shared ledger through the wrapped session (which rejects
@@ -120,6 +118,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// Metric catalog (docs/observability.md): cache.hits (gauge, derived at
   /// PublishMetrics time), cache.misses (fetch claims, refusals included;
   /// hits + misses == TotalRequests), cache.dedupe_waits,
+  /// cache.plan_lock_waits (pulled at PublishMetrics time),
   /// cache.miss_batch_size (histogram).
   void SetObservability(obs::MetricsRegistry* registry, obs::TraceLog* trace);
 
@@ -127,23 +126,20 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// miss counter. Hits are *not* counted on the hot path — the lock-free
   /// hit path already bumps its thread's request slot, so the split is
   /// pure arithmetic at pull time (exact at quiescent points, like
-  /// BackendPool::PublishMetrics). No-op when observability is off.
+  /// BackendPool::PublishMetrics). Also adds the plan lock's parks since
+  /// the last publish to cache.plan_lock_waits: the lock counts them only
+  /// on its slow path, so an uncontended miss pays nothing for the
+  /// counter. No-op when observability is off.
   void PublishMetrics();
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::unordered_set<NodeId> in_flight;
-  };
-
-  Shard& shard(NodeId v) { return shards_[v % kShards]; }
-
-  /// Claims the fetch of `v`, waiting out another walker's in-flight fetch.
-  /// Returns false when `v` turned out cached (no fetch needed).
+  /// Claims the fetch of `v` (its flag: uncached -> claimed), waiting on
+  /// the flag out another walker's claim. Returns false when `v` turned
+  /// out cached (no fetch needed).
   bool ClaimFetch(NodeId v);
 
-  /// Publishes the outcome of a claimed fetch and wakes waiters.
+  /// Publishes the outcome of a claimed fetch (flag: cached, or uncached
+  /// again when refused) and wakes the walkers waiting on it.
   void ResolveFetch(NodeId v, bool fetched);
 
   /// Fetches one claimed miss: plans it (PlanMisses), applies its batches
@@ -153,13 +149,13 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   /// fetched.
   bool FetchOne(NodeId v);
 
-  /// Plans `misses` into `plan` under the ledger mutex.
+  /// Plans `misses` into `plan` under the plan lock.
   void PlanMisses(std::span<const NodeId> misses, FetchPlan& plan);
 
   /// The coordinator's frontier fetch (FetchFrontier, called by
   /// CrawlScheduler between its phase barriers, so no query-path call
   /// runs meanwhile and no other thread can fetch these ids): plans the
-  /// misses under the ledger mutex, caches the fetched nodes, posts each
+  /// misses under the plan lock, caches the fetched nodes, posts each
   /// backend's apply task to its lane, and runs the lag-k join. At depth 0
   /// the coordinator would only wait for the lanes, so it applies and
   /// sleeps the last batch itself.
@@ -184,6 +180,7 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
     obs::Gauge* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* dedupe_waits = nullptr;
+    obs::Counter* plan_lock_waits = nullptr;
     obs::Histogram* miss_batch = nullptr;
   };
 
@@ -198,10 +195,11 @@ class ConcurrentInterfaceCache final : public RestrictedInterface {
   };
   std::unique_ptr<RequestSlot[]> request_slots_;
   CacheMetrics metrics_;
-  /// Starts a cache line: misses write it and the shards after it, which
-  /// must not share a line with the fields hits read (EXPERIMENTS.md).
-  alignas(64) mutable std::mutex base_mutex_;
-  Shard shards_[kShards];
+  /// Serializes plans. Starts a cache line: misses write it, and it must
+  /// not share a line with the fields hits read (EXPERIMENTS.md).
+  alignas(64) mutable SpinParkLock plan_lock_;
+  /// plan_lock_.parks() at the last PublishMetrics (or attach).
+  uint64_t published_lock_waits_ = 0;
 
   // Lane state. One lane per FetchLanes() of the wrapped session, created
   // at construction; pipeline_depth_ changes only between rounds;

@@ -85,7 +85,6 @@ BackendPool::BackendPool(const SocialNetwork& network,
     ledgers_[b].bucket_tokens = configs_[b].burst;  // buckets start full
   }
   ledger_mutexes_ = std::make_unique<std::mutex[]>(configs_.size());
-  plan_scratch_.resize(configs_.size());
   pending_.resize(configs_.size());
   pending_head_.assign(configs_.size(), 0);
   name_hashes_.reserve(configs_.size());
@@ -341,21 +340,40 @@ BackendPool::AttemptDraw BackendPool::DrawAttempt(size_t b, NodeId v,
   return draw;
 }
 
-bool BackendPool::PlanOne(NodeId v,
-                          std::vector<std::vector<LedgerOp>>& per_backend) {
-  SelectionOrder(v, order_scratch_);
+BackendPool::PlanScratch& BackendPool::ThreadScratch() {
+  thread_local PlanScratch scratch;
+  return scratch;
+}
+
+void BackendPool::PreparePlan(NodeId v) const {
+  const size_t n = configs_.size();
+  if (n != 1 && selection_ != BackendSelection::kSharded) return;
+  PlanScratch& scratch = ThreadScratch();
+  scratch.prepared_pool = this;
+  scratch.prepared_node = v;
+  scratch.prepared_backend = v % n;
+  scratch.prepared_draw = DrawAttempt(v % n, v, 0);
+}
+
+bool BackendPool::PlanOne(NodeId v, PlanScratch& scratch) {
+  SelectionOrder(v, scratch.order);
   uint64_t attempt = 0;
-  for (size_t b : order_scratch_) {
+  for (size_t b : scratch.order) {
     const BackendConfig& config = configs_[b];
     for (size_t a = 0; a < retry_.max_attempts_per_backend; ++a, ++attempt) {
       if (config.budget && routed_unique_[b] >= *config.budget) {
-        per_backend[b].push_back(
+        scratch.per_backend[b].push_back(
             {v, static_cast<uint32_t>(attempt), 1, AttemptDraw{}});
         break;  // this key is spent; fail over
       }
       ++routed_requests_[b];
-      const AttemptDraw draw = DrawAttempt(b, v, attempt);
-      per_backend[b].push_back({v, static_cast<uint32_t>(attempt), 0, draw});
+      const bool prepared = attempt == 0 && scratch.prepared_pool == this &&
+                            scratch.prepared_node == v &&
+                            scratch.prepared_backend == b;
+      const AttemptDraw draw =
+          prepared ? scratch.prepared_draw : DrawAttempt(b, v, attempt);
+      scratch.per_backend[b].push_back(
+          {v, static_cast<uint32_t>(attempt), 0, draw});
       if (draw.fault == Fault::kNone) {
         ++routed_unique_[b];
         ChargeFetch();
@@ -427,15 +445,19 @@ void BackendPool::ApplyFetchBatch(const FetchPlan::Batch& batch) {
 
 void BackendPool::PlanFetchMisses(std::span<const NodeId> misses,
                                   FetchPlan& plan) {
-  for (auto& ops : plan_scratch_) ops.clear();
+  PlanScratch& scratch = ThreadScratch();
+  const size_t n = configs_.size();
+  if (scratch.per_backend.size() < n) scratch.per_backend.resize(n);
+  for (size_t b = 0; b < n; ++b) scratch.per_backend[b].clear();
   plan.batches.clear();
   plan.fetched.assign(misses.size(), 0);
   for (size_t i = 0; i < misses.size(); ++i) {
     if (BudgetExhausted()) break;  // pool-wide cap, same as the base model
-    plan.fetched[i] = PlanOne(misses[i], plan_scratch_) ? 1 : 0;
+    plan.fetched[i] = PlanOne(misses[i], scratch) ? 1 : 0;
   }
-  for (size_t b = 0; b < plan_scratch_.size(); ++b) {
-    const std::vector<LedgerOp>& ops = plan_scratch_[b];
+  scratch.prepared_pool = nullptr;  // a prepared draw serves one plan
+  for (size_t b = 0; b < n; ++b) {
+    const std::vector<LedgerOp>& ops = scratch.per_backend[b];
     if (ops.empty()) continue;
     uint32_t trips = 0;
     for (const LedgerOp& op : ops) {

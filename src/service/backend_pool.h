@@ -204,6 +204,11 @@ class BackendPool final : public RestrictedInterface {
   void PlanFetchMisses(std::span<const NodeId> misses,
                        FetchPlan& plan) override;
 
+  /// Draws the first attempt of `v` on its primary backend ahead of the
+  /// plan when that primary is a pure function of `v` (kSharded, or a
+  /// single backend); the draw is pure in any case.
+  void PreparePlan(NodeId v) const override;
+
   /// Applies the oldest `batch.ops` queued ops of `batch.backend` under
   /// that backend's ledger mutex.
   void ApplyFetchBatch(const FetchPlan::Batch& batch) override;
@@ -245,10 +250,27 @@ class BackendPool final : public RestrictedInterface {
   /// backend's (stable) name hash and the node id.
   uint64_t RendezvousScore(size_t b, NodeId v) const;
 
+  /// The calling thread's planning scratch. Plans of different threads
+  /// write different memory, so the plan lock's holder never pulls these
+  /// lines from another core; PreparePlan's draw waits here for the plan
+  /// that follows it.
+  struct PlanScratch {
+    std::vector<size_t> order;
+    std::vector<std::vector<LedgerOp>> per_backend;
+    /// The draw of attempt 0 of `prepared_node` on `prepared_backend`, for
+    /// the next plan of `prepared_pool` (null: none).
+    const BackendPool* prepared_pool = nullptr;
+    NodeId prepared_node = 0;
+    size_t prepared_backend = 0;
+    AttemptDraw prepared_draw;
+  };
+  static PlanScratch& ThreadScratch();
+
   /// Routing front for one node: runs the retry/failover loop against the
-  /// routing counters, appends the resulting ledger ops per backend, and
-  /// on success charges its unique cost. Returns true iff fetched.
-  bool PlanOne(NodeId v, std::vector<std::vector<LedgerOp>>& per_backend);
+  /// routing counters, appends the resulting ledger ops per backend to
+  /// `scratch`, and on success charges its unique cost. Returns true iff
+  /// fetched.
+  bool PlanOne(NodeId v, PlanScratch& scratch);
 
   /// Token-bucket pacing on the backend's virtual clock. Caller holds the
   /// backend's ledger mutex.
@@ -283,8 +305,6 @@ class BackendPool final : public RestrictedInterface {
   /// Stable per-backend name hashes for rendezvous scoring (computed once;
   /// a backend keeps its scores when siblings come and go).
   std::vector<uint64_t> name_hashes_;
-  std::vector<size_t> order_scratch_;
-  std::vector<std::vector<LedgerOp>> plan_scratch_;
 };
 
 }  // namespace mto

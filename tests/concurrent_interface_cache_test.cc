@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -121,9 +122,118 @@ TEST(ConcurrentInterfaceCacheTest, DemandMissIsPublishedOnlyAfterItsRoundTrip) {
   EXPECT_TRUE(cache.IsCached(kNode));
 }
 
+TEST(ConcurrentInterfaceCacheTest, ClaimedMissReadsUncachedToEveryReader) {
+  // While a demand miss sleeps its round trip its flag is "claimed", and
+  // every non-fetching reader must see the node as uncached.
+  SocialNetwork net(Cycle(8));
+  RestrictedInterface base(net);
+  base.SetSimulatedLatency(std::chrono::milliseconds(200));
+  ConcurrentInterfaceCache cache(base);
+  constexpr NodeId kNode = 5;
+  std::optional<QueryView> fetched;
+  std::thread fetcher([&] { fetched = cache.QueryRef(kNode); });
+  while (cache.BackendRequests() == 0) std::this_thread::yield();
+  EXPECT_FALSE(cache.IsCached(kNode));
+  EXPECT_FALSE(cache.PeekCached(kNode).has_value());
+  EXPECT_FALSE(cache.CachedDegree(kNode).has_value());
+  EXPECT_TRUE(cache.SnapshotSession().cached_ids.empty());
+  EXPECT_TRUE(base.SnapshotSession().cached_ids.empty());
+  fetcher.join();
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_TRUE(cache.IsCached(kNode));
+  EXPECT_TRUE(cache.PeekCached(kNode).has_value());
+  EXPECT_EQ(*cache.CachedDegree(kNode), net.graph().Degree(kNode));
+  EXPECT_EQ(cache.SnapshotSession().cached_ids, (std::vector<NodeId>{kNode}));
+}
+
+/// A bare session whose plans wait at a gate, so a test can hold a claimed
+/// miss inside its plan for as long as it needs.
+class GatedSession final : public RestrictedInterface {
+ public:
+  using RestrictedInterface::RestrictedInterface;
+
+  void PlanFetchMisses(std::span<const NodeId> misses,
+                       FetchPlan& plan) override {
+    plans.fetch_add(1);
+    while (!open.load()) std::this_thread::yield();
+    RestrictedInterface::PlanFetchMisses(misses, plan);
+  }
+
+  std::atomic<int> plans{0};
+  std::atomic<bool> open{false};
+};
+
+TEST(ConcurrentInterfaceCacheTest, RefusedClaimReopensTheNodeAndWakesWaiters) {
+  // A claim the budget refuses puts the flag back to uncached and wakes
+  // the walker already waiting on it; that walker claims the node itself
+  // and is refused too, and nobody hangs.
+  SocialNetwork net(Cycle(8));
+  GatedSession base(net);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  const obs::Counter* dedupe = registry.GetCounter("cache.dedupe_waits");
+  cache.SetBudget(0);
+  constexpr NodeId kNode = 3;
+  std::optional<QueryView> first;
+  std::optional<QueryView> second;
+  std::thread fetcher([&] { first = cache.QueryRef(kNode); });
+  while (base.plans.load() == 0) std::this_thread::yield();
+  std::thread waiter([&] { second = cache.QueryRef(kNode); });
+  while (dedupe->Value() == 0) std::this_thread::yield();
+  // Let the waiter reach its wait on the flag before the refusal lands.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  base.open.store(true);
+  fetcher.join();
+  waiter.join();
+  EXPECT_FALSE(first.has_value());
+  EXPECT_FALSE(second.has_value());
+  EXPECT_EQ(base.plans.load(), 2);  // the waiter planned its own claim
+  EXPECT_EQ(dedupe->Value(), 1u);   // one waiting episode
+  EXPECT_EQ(registry.GetCounter("cache.misses")->Value(), 2u);
+  EXPECT_FALSE(cache.IsCached(kNode));
+  EXPECT_EQ(cache.QueryCost(), 0u);
+  // The flag is uncached, not stuck claimed: with budget, the node fetches.
+  cache.SetBudget(1);
+  ASSERT_TRUE(cache.QueryRef(kNode).has_value());
+  EXPECT_TRUE(cache.IsCached(kNode));
+  EXPECT_EQ(cache.QueryCost(), 1u);
+  EXPECT_EQ(dedupe->Value(), 1u);
+}
+
+TEST(ConcurrentInterfaceCacheTest, PlanLockWaitsCountOnlyParkedPlans) {
+  // A plan held open at the gate outlasts the second miss's spin phase, so
+  // that miss parks on the plan lock: one cache.plan_lock_waits, published
+  // once, and uncontended misses add nothing.
+  SocialNetwork net(Cycle(8));
+  GatedSession base(net);
+  ConcurrentInterfaceCache cache(base);
+  obs::MetricsRegistry registry;
+  cache.SetObservability(&registry, nullptr);
+  const obs::Counter* waits = registry.GetCounter("cache.plan_lock_waits");
+  std::thread holder([&] { cache.QueryRef(1); });
+  while (base.plans.load() == 0) std::this_thread::yield();
+  std::thread parker([&] { cache.QueryRef(2); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (waits->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    cache.PublishMetrics();  // reads only atomics: safe mid-crawl
+  }
+  EXPECT_EQ(waits->Value(), 1u);
+  base.open.store(true);
+  holder.join();
+  parker.join();
+  cache.QueryRef(3);
+  cache.PublishMetrics();
+  cache.PublishMetrics();
+  EXPECT_EQ(waits->Value(), 1u);
+  EXPECT_EQ(cache.QueryCost(), 3u);
+}
+
 TEST(ConcurrentInterfaceCacheTest, OneUniqueQueryPerNodeUnderContention) {
   // 8 threads race over the same node set, with enough simulated latency
-  // that fetches of one node genuinely overlap: the in-flight table must
+  // that fetches of one node genuinely overlap: the in-flight claim must
   // collapse every race to a single paid query.
   SocialNetwork net(Complete(24));
   RestrictedInterface base(net);
